@@ -1343,8 +1343,9 @@ let network_lints net =
                   Printf.sprintf
                     "%d packet(s) crossed a mixed ruleset (version tag \
                      with no transit rule, tag falling through to the \
-                     ingress band, both parities on one delivery tree, \
-                     or a tag leaking out of a delivered frame) — the \
+                     ingress band, one destination tagged with both \
+                     parities on one delivery tree, or a tag leaking out \
+                     of a delivered frame) — the \
                      two-phase update invariant is broken"
                     n;
                 rules = [];
@@ -1361,8 +1362,9 @@ let network_lints net =
                 detail =
                   Printf.sprintf
                     "%d tagged frame(s) found no transit rule at some \
-                     switch — an edge stamped a version before its \
-                     transit band existed everywhere"
+                     switch — an edge stamped a destination's version \
+                     before that version's transit rules existed \
+                     everywhere, or after they were collected"
                     n;
                 rules = [];
                 witness = None;

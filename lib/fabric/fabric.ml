@@ -3,34 +3,40 @@ open Sdx_policy
 open Sdx_openflow
 
 (* A sharded fabric: one software switch + OpenFlow connection per
-   topology switch, driven through a versioned two-phase consistent
-   update (Reitblatt et al., "Abstractions for Network Update") so that
-   no packet is ever processed by a mix of old and new rules.
+   topology switch, driven through a two-phase consistent update
+   (Reitblatt et al., "Abstractions for Network Update") so that no
+   packet is ever processed by a mix of old and new rules.
 
    Each logical rule is split into:
 
    - an *ingress* copy, installed at its home edge (port-pinned rules)
      or at every edge (port-unpinned rules), with remote outputs
      rewritten to trunk ports and their frames re-addressed into the
-     {!Vtag} space carrying the current ruleset version;
-   - a *transit* copy of every dst-MAC rule, installed on every switch
-     in a priority band far above the ingress band, matching the tagged
-     address and forwarding toward (or delivering at) the destination's
-     home switch.
+     {!Vtag} space;
+   - a *transit* copy of every port-unpinned dst-MAC rule, installed on
+     every switch in a priority band far above the ingress band, matching
+     the tagged address and forwarding toward (or delivering at) the
+     destination's home switch.
 
-   A commit to version v+1 then proceeds:
+   The transit copies of one destination MAC form its *slice*, and each
+   slice carries its own version parity in its tags.  A commit flips
+   only the slices whose rules changed (as {!Runtime.flows} emits them),
+   closed over slices whose copies re-stamp toward a flipped MAC:
 
-   1. install the v+1 transit band everywhere, cookie-tagged v+1
-      (make-before-break: inert until something stamps v+1);
-      barrier every connection;
-   2. flip every ingress rule to stamp v+1 — an in-place overwrite,
-      since flipped rules keep their (priority, pattern); barrier;
-   3. delete the v transit band with one [delete_cookie] per switch;
-      barrier.
+   1. install the flipped (and new) slices' copies at their new parity,
+      cookie-tagged by that tag (make-before-break: inert until
+      something stamps the new parity); barrier every connection;
+   2. add, overwrite or delete the ingress rules that are new, changed
+      or gone, or that stamp a flipped MAC; barrier;
+   3. delete the flipped and departed slices' old-parity copies with one
+      [delete_cookie] each; barrier.
 
-   In-flight frames stamped v still match the v band until phase 3, and
-   phase 3 only starts after phase 2's barriers prove no edge stamps v
-   anymore. *)
+   In-flight frames carrying an old parity still match that parity's
+   copies until phase 3, and phase 3 only starts after phase 2's
+   barriers prove no edge stamps it anymore.  The closure is what keeps
+   a packet on one version: an unflipped slice only ever re-stamps
+   toward unflipped slices, whose rules read the same in both rulesets.
+   An unchanged ruleset sends no flow-mod at all. *)
 
 let transit_base = 16_000_000
 (* The transit bands sit above every ingress priority (the runtime's
@@ -45,18 +51,18 @@ type member = { id : int; switch : Switch.t; connection : Connection.t }
 
 type commit_stats = {
   version : int;  (** the version the commit moved the fabric to *)
-  install_mods : int;  (** phase-1 adds: the incoming transit band *)
-  flip_mods : int;  (** phase-2 mods: ingress flips, adds, deletes *)
-  gc_mods : int;  (** phase-3 deletes: the outgoing transit band *)
+  install_mods : int;  (** phase-1 adds: flipped slices at their new parity *)
+  flip_mods : int;  (** phase-2 mods: ingress adds, overwrites, deletes *)
+  gc_mods : int;  (** phase-3 deletes: flipped slices' old-parity copies *)
   barriers : int;  (** barrier round-trips across all switches *)
 }
 
 let total_mods s = s.install_mods + s.flip_mods + s.gc_mods
 
 type phase =
-  | Installed of int  (** v+1 transit band everywhere, old rules live *)
-  | Flipped of int  (** every edge now stamps v+1 *)
-  | Collected of int  (** version-v transit band deleted *)
+  | Installed of int  (** new slice copies everywhere, old rules live *)
+  | Flipped of int  (** every edge now stamps the new parities *)
+  | Collected of int  (** the superseded slice copies deleted *)
   | Synced_member of int
       (** [`Unsafe_single_phase] only: one switch cut over, others not *)
 
@@ -66,6 +72,12 @@ type t = {
   by_id : (int, member) Hashtbl.t;
   tags : Vtag.t;
   trunked : bool;  (* false for the degenerate single-switch layout *)
+  (* The last committed ruleset, the baseline of the next diff: logical
+     flows by (priority, pattern), each slice's rules in emission order,
+     and each slice's parity. *)
+  mutable committed : Flow.t Table.KeyTbl.t;
+  mutable slices : (Mac.t, Flow.t list) Hashtbl.t;
+  mutable parities : (Mac.t, int) Hashtbl.t;
   mutable version : int;
   mutable commits : int;
   mutable next_xid : int;
@@ -73,6 +85,13 @@ type t = {
   mutable packets : int;
   mutable mixed_version_packets : int;
   mutable transit_misses : int;
+  (* Per-walk state for {!process}: the first trunk destination seen (its
+     tag index, and the parities seen for it as bits), any others in
+     [walk_more], and whether one of those showed both parities. *)
+  mutable walk_dest : int;
+  mutable walk_bits : int;
+  mutable walk_more : (int * int) list;
+  mutable walk_mixed : bool;
 }
 
 let create ?capacity topo =
@@ -91,6 +110,9 @@ let create ?capacity topo =
     by_id;
     tags = Vtag.create ();
     trunked = Topology.spanning_tree_edges topo <> [];
+    committed = Table.KeyTbl.create 16;
+    slices = Hashtbl.create 16;
+    parities = Hashtbl.create 16;
     version = 0;
     commits = 0;
     next_xid = 1;
@@ -98,6 +120,10 @@ let create ?capacity topo =
     packets = 0;
     mixed_version_packets = 0;
     transit_misses = 0;
+    walk_dest = -1;
+    walk_bits = 0;
+    walk_more = [];
+    walk_mixed = false;
   }
 
 let topo t = t.topo
@@ -121,6 +147,8 @@ let packets t = t.packets
 let mixed_version_packets t = t.mixed_version_packets
 let transit_misses t = t.transit_misses
 
+let untag t mac = Vtag.strip t.tags mac
+
 let rule_counts t =
   List.map (fun m -> (m.id, Table.size (Switch.table m.switch 0))) t.members
 
@@ -143,24 +171,33 @@ let trunk_target (pattern : Pattern.t) (m : Mods.t) =
           invalid_arg
             "Fabric: trunk-crossing action names no destination MAC to tag")
 
+(* The switch a non-blackhole output port lives on, if it still exists. *)
+let home_of t (m : Mods.t) =
+  match m.Mods.port with
+  | Some p when p <> blackhole -> Topology.home_of_port t.topo p
+  | _ -> None
+
+(* The tag a frame toward [mac] carries: its slice's committed parity
+   (0 for an address with no slice). *)
+let tag t mac =
+  Vtag.stamp t.tags
+    ~version:(Option.value (Hashtbl.find_opt t.parities mac) ~default:0)
+    mac
+
 (* Rewrite one action atom for switch [s]: local ports stay; remote
    ports leave on the trunk toward their home, with the frame stamped
-   [version]. *)
-let localize_mod t ~version s (pattern : Pattern.t) (m : Mods.t) =
-  match m.Mods.port with
-  | None -> m
-  | Some p when p = blackhole -> m
-  | Some p -> (
-      match Topology.home_of_port t.topo p with
-      | None -> m (* a port that no longer exists; harmless to keep *)
-      | Some home when home = s -> m
-      | Some home ->
-          let hop = Option.get (Topology.next_hop t.topo ~from:s ~toward:home) in
-          {
-            m with
-            port = Some (Topology.trunk_port t.topo ~from:s ~toward_neighbor:hop);
-            dst_mac = Some (Vtag.stamp t.tags ~version (trunk_target pattern m));
-          })
+   with its destination's tag. *)
+let localize_mod t s (pattern : Pattern.t) (m : Mods.t) =
+  match home_of t m with
+  | None -> m (* no output, the blackhole, or a port that no longer exists *)
+  | Some home when home = s -> m
+  | Some home ->
+      let hop = Option.get (Topology.next_hop t.topo ~from:s ~toward:home) in
+      {
+        m with
+        port = Some (Topology.trunk_port t.topo ~from:s ~toward_neighbor:hop);
+        dst_mac = Some (tag t (trunk_target pattern m));
+      }
 
 let check_priority (f : Flow.t) =
   if f.Flow.priority >= transit_base then
@@ -168,54 +205,64 @@ let check_priority (f : Flow.t) =
       (Printf.sprintf "Fabric: flow priority %d collides with the transit band"
          f.Flow.priority)
 
-(* Ingress band at switch [s]: port-pinned rules at their home switch,
-   port-unpinned rules at every switch hosting physical ports. *)
-let ingress_flows t ~version s flows =
-  List.filter_map
-    (fun (f : Flow.t) ->
-      check_priority f;
-      let keep =
-        match f.pattern.Pattern.port with
-        | Some p -> Topology.home_of_port t.topo p = Some s
-        | None -> Topology.has_physical_ports t.topo s
-      in
-      if keep then
-        Some
-          {
-            f with
-            actions = List.map (localize_mod t ~version s f.pattern) f.actions;
-          }
-      else None)
-    flows
+(* Ingress band: port-pinned rules at their home switch, port-unpinned
+   rules at every switch hosting physical ports. *)
+let ingress_at t s (f : Flow.t) =
+  match f.pattern.Pattern.port with
+  | Some p -> Topology.home_of_port t.topo p = Some s
+  | None -> Topology.has_physical_ports t.topo s
 
-(* Transit band at switch [s]: a copy of every dst-MAC rule, matching
-   the tagged address at [transit_base + priority], delivering locally
-   or re-stamping onto the next trunk.  Atoms that leave the destination
-   address untouched get it restored explicitly, so delivered frames
-   never leak a tag. *)
-let transit_flows t ~version s flows =
-  if not t.trunked then []
-  else
-    List.filter_map
-      (fun (f : Flow.t) ->
-        match (f.Flow.pattern.Pattern.port, f.Flow.pattern.Pattern.dst_mac) with
-        | None, Some m0 ->
-            let pattern =
-              { f.pattern with dst_mac = Some (Vtag.stamp t.tags ~version m0) }
-            in
-            let actions =
-              List.map
-                (fun (m : Mods.t) ->
-                  let m =
-                    if m.Mods.dst_mac = None then { m with dst_mac = Some m0 }
-                    else m
-                  in
-                  localize_mod t ~version s f.pattern m)
-                f.actions
-            in
-            Some { Flow.priority = transit_base + f.priority; pattern; actions }
-        | _ -> None)
-      flows
+let ingress_copy t s (f : Flow.t) =
+  { f with actions = List.map (localize_mod t s f.pattern) f.actions }
+
+(* Whether [f]'s ingress copy at [s] stamps a MAC in [flipped]. *)
+let stamps t flipped s (f : Flow.t) =
+  List.exists
+    (fun m ->
+      match home_of t m with
+      | Some home when home <> s -> Hashtbl.mem flipped (trunk_target f.pattern m)
+      | _ -> false)
+    f.actions
+
+(* The slice a logical rule belongs to: port-unpinned dst-MAC rules. *)
+let slice_of (f : Flow.t) =
+  match (f.Flow.pattern.Pattern.port, f.Flow.pattern.Pattern.dst_mac) with
+  | None, Some mac -> Some mac
+  | _ -> None
+
+(* Restore the destination address on atoms that leave it untouched, so
+   delivered frames never leak a tag and trunk frames re-stamp toward
+   the right slice. *)
+let restore mac (m : Mods.t) =
+  if m.Mods.dst_mac = None then { m with dst_mac = Some mac } else m
+
+(* Slice [mac]'s copies at switch [s]: each rule matching the tagged
+   address at [transit_base + priority], delivering locally or
+   re-stamping onto the next trunk. *)
+let slice_copies t s mac rules =
+  let pattern_tag = tag t mac in
+  List.map
+    (fun (f : Flow.t) ->
+      {
+        Flow.priority = transit_base + f.priority;
+        pattern = { f.pattern with dst_mac = Some pattern_tag };
+        actions = List.map (fun m -> localize_mod t s f.pattern (restore mac m)) f.actions;
+      })
+    rules
+
+(* The other slices [rules]' copies re-stamp toward. *)
+let restamp_targets t mac rules =
+  List.concat_map
+    (fun (f : Flow.t) ->
+      List.filter_map
+        (fun m ->
+          match home_of t m with
+          | Some _ ->
+              let target = trunk_target f.pattern (restore mac m) in
+              if Mac.equal target mac then None else Some target
+          | None -> None)
+        f.actions)
+    rules
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase commit *)
@@ -232,97 +279,201 @@ let barrier_all t =
     t.members;
   List.length t.members
 
-let tag_parity_of (f : Flow.t) =
-  match f.Flow.pattern.Pattern.dst_mac with
-  | Some mac -> Vtag.parity mac
-  | None -> None
+(* What a commit sends: each member's phase-1 and phase-2 messages, and
+   the phase-3 cookie deletes every member gets. *)
+type plan = {
+  per_member : (member * Message.t list * Message.t list) list;
+  collects : Message.t list;
+}
+
+let plan_is_empty p =
+  p.collects = [] && List.for_all (fun (_, i, g) -> i = [] && g = []) p.per_member
+
+(* The new ruleset by slot (last occurrence wins, as sequential ADDs
+   would), and its slices' rules in emission order, with the slice MACs
+   in order of first emission. *)
+let index t flows =
+  let by_key = Table.KeyTbl.create (max 16 (Table.KeyTbl.length t.committed)) in
+  let slices = Hashtbl.create (max 16 (Hashtbl.length t.slices)) in
+  let order = ref [] in
+  List.iter
+    (fun (f : Flow.t) ->
+      check_priority f;
+      Table.KeyTbl.replace by_key (f.priority, f.pattern) f;
+      match slice_of f with
+      | Some mac when t.trunked -> (
+          match Hashtbl.find_opt slices mac with
+          | Some rules -> Hashtbl.replace slices mac (f :: rules)
+          | None ->
+              Hashtbl.replace slices mac [ f ];
+              order := mac :: !order)
+      | _ -> ())
+    flows;
+  Hashtbl.filter_map_inplace (fun _ rules -> Some (List.rev rules)) slices;
+  (by_key, slices, List.rev !order)
+
+(* Slices that are new or whose rules changed, closed over the slices
+   whose copies re-stamp toward a flipped MAC. *)
+let flipped_slices t slices order =
+  let flipped = Hashtbl.create 16 and dependents = Hashtbl.create 16 in
+  let work = Queue.create () in
+  let flip mac =
+    if not (Hashtbl.mem flipped mac) then begin
+      Hashtbl.replace flipped mac ();
+      Queue.push mac work
+    end
+  in
+  List.iter
+    (fun mac ->
+      let rules = Hashtbl.find slices mac in
+      (match Hashtbl.find_opt t.slices mac with
+      | Some old when List.equal ( = ) old rules -> ()
+      | _ -> flip mac);
+      List.iter
+        (fun target -> Hashtbl.add dependents target mac)
+        (restamp_targets t mac rules))
+    order;
+  while not (Queue.is_empty work) do
+    List.iter flip (Hashtbl.find_all dependents (Queue.pop work))
+  done;
+  flipped
+
+(* Diff [flows] against the committed ruleset.  Nothing is sent and the
+   fabric's bookkeeping (committed flows, slices, parities) moves to the
+   new ruleset only once the whole plan is built, so a ruleset rejected
+   with [Invalid_argument] leaves the fabric as it was. *)
+let plan t flows =
+  let by_key, slices, order = index t flows in
+  let flipped = flipped_slices t slices order in
+  (* Old-parity copies to collect: those of slices whose MAC left the
+     ruleset, and of flipped slices that had some. *)
+  let collects =
+    Hashtbl.fold
+      (fun mac _ acc -> if Hashtbl.mem slices mac then acc else mac :: acc)
+      t.slices
+      (List.filter (fun mac -> Hashtbl.mem flipped mac && Hashtbl.mem t.parities mac) order)
+    |> List.map (fun mac -> Message.delete_cookie (Mac.to_int (tag t mac)))
+  in
+  (* The ingress diff: the last occurrence of each slot that is new or
+     changed ([true]), or unchanged but possibly stamping a flipped MAC
+     ([false]); newest first. *)
+  let candidates =
+    List.fold_left
+      (fun acc (f : Flow.t) ->
+        let key = (f.priority, f.pattern) in
+        if Table.KeyTbl.find by_key key != f then acc
+        else
+          match Table.KeyTbl.find_opt t.committed key with
+          | Some old when old = f ->
+              if Hashtbl.length flipped = 0 then acc else (f, false) :: acc
+          | _ -> (f, true) :: acc)
+      [] flows
+  in
+  let gone =
+    Table.KeyTbl.fold
+      (fun key f acc -> if Table.KeyTbl.mem by_key key then acc else f :: acc)
+      t.committed []
+  in
+  let old_parities = t.parities in
+  let parities = Hashtbl.create (Hashtbl.length slices) in
+  List.iter
+    (fun mac ->
+      let old = Hashtbl.find_opt old_parities mac in
+      Hashtbl.replace parities mac
+        (match old with
+        | Some p when Hashtbl.mem flipped mac -> 1 - p
+        | Some p -> p
+        | None -> 0))
+    order;
+  (* Copies and stamps below read the new parities. *)
+  t.parities <- parities;
+  match
+    List.map
+      (fun m ->
+        let s = m.id in
+        let installs =
+          List.concat_map
+            (fun mac ->
+              if not (Hashtbl.mem flipped mac) then []
+              else
+                let cookie = Mac.to_int (tag t mac) in
+                List.map (Message.add ~cookie) (slice_copies t s mac (Hashtbl.find slices mac)))
+            order
+        in
+        let ingress =
+          List.fold_left
+            (fun acc (f, changed) ->
+              if ingress_at t s f && (changed || stamps t flipped s f) then
+                Message.add (ingress_copy t s f) :: acc
+              else acc)
+            [] candidates
+          @ List.filter_map
+              (fun f -> if ingress_at t s f then Some (Message.delete f) else None)
+              gone
+        in
+        (m, installs, ingress))
+      t.members
+  with
+  | per_member ->
+      t.committed <- by_key;
+      t.slices <- slices;
+      { per_member; collects }
+  | exception e ->
+      t.parities <- old_parities;
+      raise e
+
+(* Hand one switch its messages as one batch; the flow-mods it applied. *)
+let send m msgs =
+  let before = Connection.flow_mods_applied m.connection in
+  Connection.send_all m.connection msgs;
+  Connection.flow_mods_applied m.connection - before
+
+let sum f l = List.fold_left (fun n x -> n + f x) 0 l
 
 let commit ?(protocol = `Two_phase) ?(on_phase = fun (_ : phase) -> ()) t flows
     =
-  let v = t.version and v' = t.version + 1 in
+  let p = plan t flows in
+  let v = if plan_is_empty p then t.version else t.version + 1 in
   let stats =
     match protocol with
     | `Two_phase ->
-        (* Phase 1: make-before-break.  The v+1 transit band is inert
-           until an ingress rule stamps v+1, so installing it first is
-           safe; the cookie lets phase 3 collect the v band wholesale. *)
-        let install_mods =
-          List.fold_left
-            (fun acc m ->
-              acc
-              + Connection.sync_cookied m.connection ~cookie:v'
-                  (transit_flows t ~version:v' m.id flows))
-            0 t.members
-        in
+        (* Phase 1: make-before-break.  New-parity copies are inert
+           until an ingress rule stamps that parity. *)
+        let install_mods = sum (fun (m, installs, _) -> send m installs) p.per_member in
         let b1 = barrier_all t in
-        on_phase (Installed v');
-        (* Phase 2: flip the edges.  The target keeps the still-live v
-           transit band exactly as installed (it must serve frames
-           already in flight), adds the v+1 ingress band — flipped rules
-           overwrite in place since only their stamps changed — and
-           drops stale ingress entries. *)
-        let flip_mods =
-          List.fold_left
-            (fun acc m ->
-              let old_band =
-                List.filter
-                  (fun (f : Flow.t) ->
-                    f.Flow.priority >= transit_base
-                    && tag_parity_of f = Some (v land 1))
-                  (Connection.installed m.connection)
-              in
-              acc
-              + Connection.sync m.connection
-                  (ingress_flows t ~version:v' m.id flows
-                  @ transit_flows t ~version:v' m.id flows
-                  @ old_band))
-            0 t.members
-        in
+        on_phase (Installed v);
+        (* Phase 2: flip the edges.  Rules that only change their stamps
+           keep their (priority, pattern), so they overwrite in place. *)
+        let flip_mods = sum (fun (m, _, ingress) -> send m ingress) p.per_member in
         let b2 = barrier_all t in
-        on_phase (Flipped v');
-        (* Phase 3: no edge stamps v anymore (the phase-2 barriers
-           proved it), so the v transit band is garbage. *)
-        let gc_mods =
-          List.fold_left
-            (fun acc m ->
-              let before = Connection.flow_mods_applied m.connection in
-              Connection.send m.connection (Message.delete_cookie v);
-              acc + (Connection.flow_mods_applied m.connection - before))
-            0 t.members
-        in
+        on_phase (Flipped v);
+        (* Phase 3: no edge stamps an old parity anymore (the phase-2
+           barriers proved it), so the old-parity copies are garbage. *)
+        let gc_mods = sum (fun m -> send m p.collects) t.members in
         let b3 = barrier_all t in
-        on_phase (Collected v);
-        { version = v'; install_mods; flip_mods; gc_mods; barriers = b1 + b2 + b3 }
+        on_phase (Collected (v - 1));
+        { version = v; install_mods; flip_mods; gc_mods; barriers = b1 + b2 + b3 }
     | `Unsafe_single_phase ->
         (* Negative control for tests and benches: cut each switch over
-           to the final ruleset in one sync, switch by switch.  Between
-           the first and last sync an edge already stamping v+1 can send
-           frames to a switch whose v+1 transit band does not exist
-           yet — exactly the mixed-ruleset window the two-phase protocol
-           closes, and what {!process}'s detector counts. *)
+           to the final ruleset in one go, switch by switch.  Once the
+           first switch (the core) has dropped a flipped slice's
+           old-parity copies, edges not yet cut over still stamp that
+           parity and their frames find no transit rule there — exactly
+           the mixed-ruleset window the two-phase protocol closes, and
+           what {!process}'s detector counts. *)
         let barriers = ref 0 in
         let flip_mods =
-          List.fold_left
-            (fun acc m ->
-              let n =
-                Connection.sync m.connection
-                  (ingress_flows t ~version:v' m.id flows
-                  @ transit_flows t ~version:v' m.id flows)
-              in
+          sum
+            (fun (m, installs, ingress) ->
+              let n = send m (installs @ ingress @ p.collects) in
               barriers := !barriers + barrier_all t;
               on_phase (Synced_member m.id);
-              acc + n)
-            0 t.members
+              n)
+            p.per_member
         in
-        {
-          version = v';
-          install_mods = 0;
-          flip_mods;
-          gc_mods = 0;
-          barriers = !barriers;
-        }
+        { version = v; install_mods = 0; flip_mods; gc_mods = 0; barriers = !barriers }
   in
-  t.version <- v';
+  t.version <- v;
   t.commits <- t.commits + 1;
   t.last_commit <- Some stats;
   Sdx_obs.Registry.Counter.incr g_commits;
@@ -333,7 +484,7 @@ let commit ?(protocol = `Two_phase) ?(on_phase = fun (_ : phase) -> ()) t flows
 
 (* One packet walk shared by the counting and the pure readers.  [probe]
    maps (switch id, packet) to the matching flow entry. *)
-let walk topo ~probe ~on_anomaly ~on_miss ~on_trunk_parity pkt =
+let walk topo ~probe ~on_anomaly ~on_miss ~on_trunk_tag pkt =
   let max_hops = 4 * Topology.switch_count topo in
   let rec at_switch hops s (pkt : Packet.t) =
     if hops > max_hops then begin
@@ -360,7 +511,7 @@ let walk topo ~probe ~on_anomaly ~on_miss ~on_trunk_parity pkt =
                   match Topology.trunk_destination topo p with
                   | Some (_owner, neighbor) ->
                       (match Vtag.parity out.Packet.dst_mac with
-                      | Some parity -> on_trunk_parity parity
+                      | Some parity -> on_trunk_tag (Vtag.index out.Packet.dst_mac) parity
                       | None -> on_anomaly () (* untagged frame on a trunk *));
                       let in_port =
                         Topology.trunk_port topo ~from:neighbor
@@ -377,23 +528,41 @@ let walk topo ~probe ~on_anomaly ~on_miss ~on_trunk_parity pkt =
   | None -> None
   | Some s0 -> Some (Packet.Set.elements (Packet.Set.of_list (at_switch 0 s0 pkt)))
 
+(* Record that the walk sent a frame toward tag index [dest] with
+   [parity]; a destination seen with both parities met a mixed ruleset.
+   The first destination lives in two ints, so a walk toward a single
+   destination allocates nothing here. *)
+let note_tag t dest parity =
+  let bit = 1 lsl parity in
+  if t.walk_dest < 0 || t.walk_dest = dest then begin
+    t.walk_dest <- dest;
+    t.walk_bits <- t.walk_bits lor bit
+  end
+  else if List.exists (fun (d, b) -> d = dest && b <> bit) t.walk_more then
+    t.walk_mixed <- true
+  else t.walk_more <- (dest, bit) :: t.walk_more
+
 let process t pkt =
-  let anomaly = ref false and missed = ref false and parities = ref 0 in
+  let anomaly = ref false and missed = ref false in
+  t.walk_dest <- -1;
+  t.walk_bits <- 0;
+  t.walk_more <- [];
+  t.walk_mixed <- false;
   let outs =
     walk t.topo
       ~probe:(fun s pkt -> Table.lookup (Switch.table (member t s).switch 0) pkt)
       ~on_anomaly:(fun () -> anomaly := true)
       ~on_miss:(fun () -> missed := true)
-      ~on_trunk_parity:(fun p -> parities := !parities lor (1 lsl p))
+      ~on_trunk_tag:(note_tag t)
       pkt
   in
   match outs with
   | None -> []
   | Some outs ->
       t.packets <- t.packets + 1;
-      (* Both parities on one packet's delivery tree: the frame crossed
-         a mixed ruleset. *)
-      if !parities = 3 then anomaly := true;
+      (* One destination with both parities on one packet's delivery
+         tree: the frame crossed a mixed ruleset. *)
+      if t.walk_bits = 3 || t.walk_mixed then anomaly := true;
       if !missed then begin
         t.transit_misses <- t.transit_misses + 1;
         Sdx_obs.Registry.Counter.incr g_transit_miss
@@ -427,7 +596,9 @@ let reader snap =
     match
       walk snap.snap_topo
         ~probe:(fun s pkt -> (Hashtbl.find find s) pkt)
-        ~on_anomaly:ignore ~on_miss:ignore ~on_trunk_parity:ignore pkt
+        ~on_anomaly:ignore ~on_miss:ignore
+        ~on_trunk_tag:(fun _ _ -> ())
+        pkt
     with
     | None -> []
     | Some outs -> outs

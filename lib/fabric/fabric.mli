@@ -1,22 +1,29 @@
-(** A sharded multi-switch fabric with versioned two-phase consistent
-    updates (§4.1; Reitblatt et al.'s per-packet consistency).
+(** A sharded multi-switch fabric with two-phase consistent updates
+    (§4.1; Reitblatt et al.'s per-packet consistency), versioned per
+    destination.
 
     One software switch and one OpenFlow {!Sdx_openflow.Connection} per
     {!Topology} switch.  Logical rules split into an ingress band
     (port-pinned rules at their home edge, unpinned rules at every edge)
     whose remote outputs re-address frames into the {!Vtag} space, and a
-    transit band (every dst-MAC rule, on every switch, far above the
-    ingress priorities) forwarding on tags only.
+    transit band (every port-unpinned dst-MAC rule, on every switch, far
+    above the ingress priorities) forwarding on tags only.  The transit
+    copies of one destination MAC form its slice; each slice carries its
+    own tag parity.
 
-    {!commit} moves the fabric from ruleset version v to v+1 in three
-    barrier-separated phases — install the v+1 transit band
-    (cookie-tagged, make-before-break), flip every ingress stamp in
-    place, then delete the v band by cookie — so a frame stamped v keeps
-    matching v rules until every edge provably stamps v+1.  {!process}
+    {!commit} diffs the new logical ruleset against the last committed
+    one and flips only the slices whose rules changed, closed over the
+    slices whose copies re-stamp toward a flipped MAC, in three
+    barrier-separated phases — install the flipped slices' new-parity
+    copies (cookie-tagged, make-before-break), add, overwrite or delete
+    the ingress rules that changed or stamp a flipped MAC, then delete
+    the old-parity copies by cookie — so a frame stamped with an old
+    parity keeps matching old rules until every edge provably stamps the
+    new one, and an unchanged ruleset sends no flow-mod.  {!process}
     doubles as the protocol's monitor: it counts packets that meet a
     mixed ruleset (tag with no transit rule, tag falling through to the
-    ingress band, both parities on one delivery tree, or a tag leaking
-    out of a delivered frame). *)
+    ingress band, one destination tagged with both parities on one
+    delivery tree, or a tag leaking out of a delivered frame). *)
 
 open Sdx_net
 open Sdx_openflow
@@ -42,18 +49,18 @@ val connection : t -> int -> Connection.t
 
 type commit_stats = {
   version : int;  (** the version the commit moved the fabric to *)
-  install_mods : int;  (** phase-1 adds: the incoming transit band *)
-  flip_mods : int;  (** phase-2 mods: ingress flips, adds, deletes *)
-  gc_mods : int;  (** phase-3 deletes: the outgoing transit band *)
+  install_mods : int;  (** phase-1 adds: flipped slices at their new parity *)
+  flip_mods : int;  (** phase-2 mods: ingress adds, overwrites, deletes *)
+  gc_mods : int;  (** phase-3 deletes: flipped slices' old-parity copies *)
   barriers : int;  (** barrier round-trips across all switches *)
 }
 
 val total_mods : commit_stats -> int
 
 type phase =
-  | Installed of int  (** v+1 transit band everywhere, old rules live *)
-  | Flipped of int  (** every edge now stamps v+1 *)
-  | Collected of int  (** version-v transit band deleted *)
+  | Installed of int  (** new slice copies everywhere, old rules live *)
+  | Flipped of int  (** every edge now stamps the new parities *)
+  | Collected of int  (** the superseded slice copies deleted *)
   | Synced_member of int
       (** [`Unsafe_single_phase] only: one switch cut over, others not *)
 
@@ -63,15 +70,21 @@ val commit :
   t ->
   Flow.t list ->
   commit_stats
-(** Moves every switch to the given logical ruleset at version v+1.
-    [`Two_phase] (the default) is the consistent protocol described
-    above; [`Unsafe_single_phase] cuts switches over one full sync at a
-    time with no make-before-break — the negative control that makes
+(** Moves every switch to the given logical ruleset, sending only the
+    flow-mods the change needs, one batch per switch and phase.  The
+    fabric's version v moves to v+1 unless the ruleset is unchanged, in
+    which case nothing is sent and the version stays; the phases fire
+    either way, as [Installed v'], [Flipped v'] and [Collected (v'-1)]
+    for the resulting version v'.  [`Two_phase] (the default) is the
+    consistent protocol described above; [`Unsafe_single_phase] sends
+    each switch all three phases' mods at once, switch by switch, with
+    no make-before-break — the negative control that makes
     {!mixed_version_packets} move.  [on_phase] fires after each phase's
     barriers; injecting probe traffic from it exercises the mid-update
     windows.
     @raise Invalid_argument if a flow priority reaches {!transit_base}
-    or a trunk-crossing action names no destination MAC. *)
+    or a trunk-crossing action names no destination MAC; nothing is
+    sent then, and the fabric keeps the ruleset it had. *)
 
 val version : t -> int
 val commits : t -> int
@@ -104,6 +117,10 @@ val rule_counts : t -> (int * int) list
 (** Installed rules per switch, ascending switch id. *)
 
 val total_rules : t -> int
+
+val untag : t -> Mac.t -> Mac.t option
+(** The destination address a trunk tag of this fabric stands for;
+    [None] for untagged addresses. *)
 
 val packets : t -> int
 (** Packets {!process} has walked. *)

@@ -8,10 +8,6 @@ type t = {
   middleboxes : (Asn.t, Middlebox.t) Hashtbl.t;
   telemetry : Telemetry.t;
   mutable last_sync_flow_mods : int;
-  (* Runtime generation of the last commit, so a sync with no
-     control-plane change sends nothing — the versioned fabric commit
-     would otherwise rewrite the transit bands every time. *)
-  mutable synced_generation : int;
 }
 
 (* Bound on middlebox re-injections per original packet, so a steering
@@ -30,7 +26,6 @@ let commit ?protocol ?on_phase t =
   let stats =
     Fabric.commit ?protocol ?on_phase t.fabric (Sdx_core.Runtime.flows t.runtime)
   in
-  t.synced_generation <- Sdx_core.Runtime.generation t.runtime;
   t.last_sync_flow_mods <- Fabric.total_mods stats;
   stats
 
@@ -61,7 +56,6 @@ let create ?switch_capacity ?topology runtime =
       middleboxes = Hashtbl.create 8;
       telemetry = Telemetry.create ();
       last_sync_flow_mods = 0;
-      synced_generation = min_int;
     }
   in
   ignore (commit t);
@@ -82,9 +76,7 @@ let connection t = Fabric.connection t.fabric (List.hd (Fabric.switches t.fabric
 let last_sync_flow_mods t = t.last_sync_flow_mods
 
 let sync t =
-  if Sdx_core.Runtime.generation t.runtime <> t.synced_generation then
-    ignore (commit t)
-  else t.last_sync_flow_mods <- 0;
+  ignore (commit t);
   Hashtbl.iter (fun _ r -> Border_router.sync r t.runtime) t.routers
 
 let deliveries_of_outputs t pkts =

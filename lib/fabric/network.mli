@@ -40,18 +40,19 @@ val router : t -> Asn.t -> Border_router.t
     @raise Not_found for remote participants. *)
 
 val sync : t -> unit
-(** Brings the data plane to the runtime's current ruleset and refreshes
-    every router FIB — run after BGP updates or a re-optimization.  A
-    changed ruleset goes through the two-phase {!commit}; an unchanged
-    one (same {!Sdx_core.Runtime.generation}) sends no flow-mods. *)
+(** Brings the data plane to the runtime's current ruleset through the
+    two-phase {!commit} and refreshes every router FIB — run after BGP
+    updates or a re-optimization.  The commit sends only the change, so
+    an unchanged ruleset costs no flow-mods. *)
 
 val commit :
   ?protocol:[ `Two_phase | `Unsafe_single_phase ] ->
   ?on_phase:(Fabric.phase -> unit) ->
   t ->
   Fabric.commit_stats
-(** Unconditionally commits the runtime's current flows to the fabric
-    through the versioned update protocol (see {!Fabric.commit}). *)
+(** Commits the runtime's current flows to the fabric through the
+    versioned update protocol (see {!Fabric.commit}), without touching
+    the router FIBs. *)
 
 val connection : t -> Sdx_openflow.Connection.t
 (** The OpenFlow control channel to the first fabric switch. *)

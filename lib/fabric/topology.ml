@@ -6,6 +6,7 @@ type t = {
   links : (int * int) list;
   tree_edges : (int * int) list;
   port_home : (int, int) Hashtbl.t;
+  hosts_ports : (int, unit) Hashtbl.t;  (* switches with a physical port *)
   (* parent.(s) on the BFS tree rooted at the smallest switch id *)
   parent : (int, int) Hashtbl.t;
   (* trunk port numbers: (switch, neighbor) -> local port id *)
@@ -23,10 +24,12 @@ let create ~switches ~links ~port_home =
   in
   List.iter (fun (a, b) -> check a; check b) links;
   let homes = Hashtbl.create 64 in
+  let hosts_ports = Hashtbl.create 8 in
   List.iter
     (fun (port, s) ->
       check s;
-      Hashtbl.replace homes port s)
+      Hashtbl.replace homes port s;
+      Hashtbl.replace hosts_ports s ())
     port_home;
   (* BFS spanning tree from the smallest switch id. *)
   let root = List.fold_left min (List.hd switches) switches in
@@ -78,6 +81,7 @@ let create ~switches ~links ~port_home =
     links;
     tree_edges = !tree_edges;
     port_home = homes;
+    hosts_ports;
     parent;
     trunk_ports;
     trunk_owner;
@@ -104,8 +108,7 @@ let edge_core ~edges ~ports =
 let switch_count t = List.length t.switches
 let switches t = t.switches
 
-let has_physical_ports t s =
-  Hashtbl.fold (fun _ home acc -> acc || home = s) t.port_home false
+let has_physical_ports t s = Hashtbl.mem t.hosts_ports s
 
 let edge_switches t = List.filter (has_physical_ports t) t.switches
 let core_switches t = List.filter (fun s -> not (has_physical_ports t s)) t.switches

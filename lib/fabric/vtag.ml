@@ -1,8 +1,9 @@
 open Sdx_net
 
 (* Trunk frames are re-addressed into a reserved destination-MAC tag
-   space so transit rules can select the ruleset *version* that stamped
-   them: the first octet is 0x06 (version parity 0) or 0x0E (parity 1) —
+   space so transit rules can select the *version* of the destination's
+   transit rules that stamped them: the first octet is 0x06 (version
+   parity 0) or 0x0E (parity 1) —
    locally-administered, unicast, and used by no participant MAC or VNH
    VMAC — and the low 40 bits carry an interned index of the original
    destination MAC.  Both the stamp (at the version-flipping ingress
@@ -57,11 +58,13 @@ let parity mac =
   | o when o = parity1_octet -> Some 1
   | _ -> None
 
+let index mac = Mac.to_int mac land ((1 lsl 40) - 1)
+
 let strip t mac =
   match parity mac with
   | None -> None
   | Some _ ->
-      let id = Mac.to_int mac land ((1 lsl 40) - 1) in
+      let id = index mac in
       if id < t.next then Some t.macs.(id) else None
 
 let interned t = t.next

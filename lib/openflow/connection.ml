@@ -11,7 +11,11 @@ type t = {
   mutable back : Message.t list;
   mutable queued : int;
   mutable applied : int;
-  cookies : (int, Flow.t list) Hashtbl.t;
+  (* Cookie bookkeeping, keyed like the table's entries: an ADD that
+     overwrites a slot re-files it under the new cookie, and a strict
+     delete unfiles it whatever actions the request carries. *)
+  cookie_of : int Table.KeyTbl.t;  (* slot -> its nonzero cookie *)
+  cookies : (int, unit Table.KeyTbl.t) Hashtbl.t;  (* cookie -> its slots *)
   mutable next_buffer : int;
 }
 
@@ -23,6 +27,7 @@ let create ?(table = 0) switch =
     back = [];
     queued = 0;
     applied = 0;
+    cookie_of = Table.KeyTbl.create 64;
     cookies = Hashtbl.create 16;
     next_buffer = 1;
   }
@@ -49,43 +54,87 @@ let flow_mods_applied t = t.applied
 let table t = Switch.table t.switch t.table_id
 let installed t = Table.entries (table t)
 
-let record_cookie t cookie flow =
-  if cookie <> 0 then
-    Hashtbl.replace t.cookies cookie
-      (flow :: Option.value (Hashtbl.find_opt t.cookies cookie) ~default:[])
+let unfile t slot =
+  match Table.KeyTbl.find_opt t.cookie_of slot with
+  | None -> ()
+  | Some cookie -> (
+      Table.KeyTbl.remove t.cookie_of slot;
+      match Hashtbl.find_opt t.cookies cookie with
+      | Some slots ->
+          Table.KeyTbl.remove slots slot;
+          if Table.KeyTbl.length slots = 0 then Hashtbl.remove t.cookies cookie
+      | None -> ())
 
-let forget_cookie_entry t flow =
-  Hashtbl.filter_map_inplace
-    (fun _ flows ->
-      match List.filter (fun f -> f <> flow) flows with
-      | [] -> None
-      | kept -> Some kept)
-    t.cookies
+let file t cookie slot =
+  unfile t slot;
+  if cookie <> 0 then begin
+    Table.KeyTbl.replace t.cookie_of slot cookie;
+    let slots =
+      match Hashtbl.find_opt t.cookies cookie with
+      | Some slots -> slots
+      | None ->
+          let slots = Table.KeyTbl.create 8 in
+          Hashtbl.replace t.cookies cookie slots;
+          slots
+    in
+    Table.KeyTbl.replace slots slot ()
+  end
+
+(* The table ops one flow-mod stands for, with the cookie bookkeeping
+   and the flow-mod count brought up to date. *)
+let flow_mod_ops t command cookie (flow : Flow.t) =
+  let slot = (flow.Flow.priority, flow.Flow.pattern) in
+  match command with
+  | Message.Add ->
+      file t cookie slot;
+      t.applied <- t.applied + 1;
+      [ Table.Install flow ]
+  | Message.Delete_strict ->
+      unfile t slot;
+      t.applied <- t.applied + 1;
+      [ Table.Remove slot ]
+  | Message.Delete_by_cookie -> (
+      match Hashtbl.find_opt t.cookies cookie with
+      | None -> []
+      | Some slots ->
+          Hashtbl.remove t.cookies cookie;
+          Table.KeyTbl.fold
+            (fun slot () ops ->
+              Table.KeyTbl.remove t.cookie_of slot;
+              t.applied <- t.applied + 1;
+              Table.Remove slot :: ops)
+            slots [])
 
 let send t (msg : Message.t) =
   match msg with
-  | Message.Flow_mod { command = Message.Add; cookie; flow } ->
-      Table.install (table t) flow;
-      record_cookie t cookie flow;
-      t.applied <- t.applied + 1
-  | Message.Flow_mod { command = Message.Delete_strict; flow; _ } ->
-      Table.remove (table t) ~priority:flow.Flow.priority ~pattern:flow.Flow.pattern;
-      forget_cookie_entry t flow;
-      t.applied <- t.applied + 1
-  | Message.Flow_mod { command = Message.Delete_by_cookie; cookie; _ } ->
-      let flows = Option.value (Hashtbl.find_opt t.cookies cookie) ~default:[] in
-      Hashtbl.remove t.cookies cookie;
-      List.iter
-        (fun (f : Flow.t) ->
-          Table.remove (table t) ~priority:f.priority ~pattern:f.pattern)
-        flows;
-      t.applied <- t.applied + List.length flows
+  | Message.Flow_mod { command; cookie; flow } ->
+      Table.apply (table t) (flow_mod_ops t command cookie flow)
   | Message.Barrier_request xid -> queue t (Message.Barrier_reply xid)
   | Message.Echo_request xid -> queue t (Message.Echo_reply xid)
   | Message.Packet_out packet -> ignore (Switch.process t.switch packet)
   | Message.Barrier_reply _ | Message.Echo_reply _ | Message.Packet_in _ ->
       (* switch-to-controller messages are not valid on this side *)
       invalid_arg "Connection.send: not a controller-to-switch message"
+
+let send_all t msgs =
+  let pending = ref [] in
+  let flush () =
+    match !pending with
+    | [] -> ()
+    | rev_ops ->
+        pending := [];
+        Table.apply (table t) (List.rev rev_ops)
+  in
+  List.iter
+    (fun (msg : Message.t) ->
+      match msg with
+      | Message.Flow_mod { command; cookie; flow } ->
+          pending := List.rev_append (flow_mod_ops t command cookie flow) !pending
+      | _ ->
+          flush ();
+          send t msg)
+    msgs;
+  flush ()
 
 let barrier t xid =
   send t (Message.Barrier_request xid);
@@ -171,24 +220,3 @@ let sync t target =
   List.iter (fun f -> send t (Message.add f)) additions;
   List.iter (fun f -> send t (Message.delete f)) removals;
   List.length additions + List.length removals
-
-let sync_cookied t ?(cookie = 0) target =
-  let target = normalize target in
-  let mods = ref 0 in
-  let count_map flows =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun f -> Hashtbl.replace tbl f (1 + Option.value (Hashtbl.find_opt tbl f) ~default:0))
-      flows;
-    tbl
-  in
-  let existing = count_map (installed t) in
-  List.iter
-    (fun f ->
-      match Hashtbl.find_opt existing f with
-      | Some n when n > 0 -> Hashtbl.replace existing f (n - 1)
-      | _ ->
-          send t (Message.add ~cookie f);
-          incr mods)
-    target;
-  !mods

@@ -18,7 +18,16 @@ val create : ?table:int -> Switch.t -> t
 val send : t -> Message.t -> unit
 (** Controller-to-switch.  [Flow_mod]s mutate the flow table;
     [Barrier_request]/[Echo_request] queue their replies; [Packet_out]
-    runs the packet through the switch. *)
+    runs the packet through the switch.  An [Add] files its entry under
+    the request's cookie (re-filing an overwritten entry; cookie 0 files
+    nothing), a strict delete unfiles the (priority, pattern) slot it
+    removes, and a cookie delete removes exactly the entries filed under
+    that cookie, each counting as one flow-mod. *)
+
+val send_all : t -> Message.t list -> unit
+(** [List.iter (send t)] with the same result, except that each run of
+    consecutive [Flow_mod]s reaches the table as one
+    {!Table.apply} batch. *)
 
 val recv : t -> Message.t option
 (** Next switch-to-controller message, if any.  The queue is a two-list
@@ -52,10 +61,3 @@ val sync : t -> Flow.t list -> int
     occurrence, mirroring sequential OpenFlow ADDs — so sync is
     idempotent even on duplicate-entry targets.  Returns the number of
     modifications sent; 0 when already in sync. *)
-
-val sync_cookied : t -> ?cookie:int -> Flow.t list -> int
-(** Additive half of {!sync}: installs whatever entries of the target
-    are missing, tagging each [Flow_mod] with [cookie] so the whole
-    block can later be garbage-collected with a single
-    [Message.delete_cookie].  Never deletes.  Returns the number of adds
-    sent — the make-before-break phase of a two-phase update. *)

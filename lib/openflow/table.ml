@@ -382,38 +382,6 @@ let install t (flow : Flow.t) =
   maybe_rebuild t;
   Obs.mutate ~installed:1 ~removed
 
-(* One-pass batch: update the entry map per flow (preserving per-flow
-   capacity/overwrite semantics), then sort-and-build the engine once.
-   The [finally] keeps the engine consistent even when a capacity
-   overflow aborts the batch midway. *)
-let install_all t flows =
-  let installed = ref 0 and removed = ref 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      t.sorted_valid <- false;
-      invalidate_snapshot t;
-      rebuild t;
-      Obs.mutate ~installed:!installed ~removed:!removed)
-    (fun () ->
-      List.iter
-        (fun (flow : Flow.t) ->
-          let key = (flow.Flow.priority, flow.Flow.pattern) in
-          (match KeyTbl.find_opt t.by_key key with
-          | Some _ ->
-              KeyTbl.remove t.by_key key;
-              t.count <- t.count - 1;
-              incr removed
-          | None -> (
-              match t.capacity with
-              | Some cap when t.count >= cap -> raise Table_full
-              | _ -> ()));
-          let e = { flow; seq = t.next_seq; packets = 0 } in
-          t.next_seq <- t.next_seq + 1;
-          KeyTbl.replace t.by_key key e;
-          t.count <- t.count + 1;
-          incr installed)
-        flows)
-
 let remove t ~priority ~pattern =
   match KeyTbl.find_opt t.by_key (priority, pattern) with
   | None -> Obs.mutate ~installed:0 ~removed:0
@@ -425,6 +393,60 @@ let remove t ~priority ~pattern =
       engine_remove t e;
       maybe_rebuild t;
       Obs.mutate ~installed:0 ~removed:1
+
+type op = Install of Flow.t | Remove of (int * Pattern.t)
+
+(* One-pass batch: update the entry map op by op (preserving per-flow
+   capacity/overwrite semantics), then sort-and-build the engine once.
+   The [finally] keeps the engine consistent even when a capacity
+   overflow aborts the batch midway. *)
+let rebuild_after t ops =
+  let installed = ref 0 and removed = ref 0 in
+  let drop key =
+    if KeyTbl.mem t.by_key key then begin
+      KeyTbl.remove t.by_key key;
+      t.count <- t.count - 1;
+      incr removed;
+      true
+    end
+    else false
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      t.sorted_valid <- false;
+      invalidate_snapshot t;
+      rebuild t;
+      Obs.mutate ~installed:!installed ~removed:!removed)
+    (fun () ->
+      List.iter
+        (function
+          | Remove key -> ignore (drop key)
+          | Install flow ->
+              let key = (flow.Flow.priority, flow.Flow.pattern) in
+              (if not (drop key) then
+                 match t.capacity with
+                 | Some cap when t.count >= cap -> raise Table_full
+                 | _ -> ());
+              let e = { flow; seq = t.next_seq; packets = 0 } in
+              t.next_seq <- t.next_seq + 1;
+              KeyTbl.replace t.by_key key e;
+              t.count <- t.count + 1;
+              incr installed)
+        ops)
+
+let install_all t flows = rebuild_after t (List.map (fun f -> Install f) flows)
+
+(* A batch within the staleness budget keeps per-entry engine
+   maintenance; a bigger one would cross the budget and re-partition
+   anyway, so it only touches the entry map and rebuilds once. *)
+let apply t ops =
+  if List.compare_length_with ops (staleness_limit t) <= 0 then
+    List.iter
+      (function
+        | Install flow -> install t flow
+        | Remove (priority, pattern) -> remove t ~priority ~pattern)
+      ops
+  else rebuild_after t ops
 
 let clear t =
   Obs.mutate ~installed:0 ~removed:t.count;

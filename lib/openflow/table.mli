@@ -30,6 +30,23 @@ val install : t -> Flow.t -> unit
 val install_all : t -> Flow.t list -> unit
 
 val remove : t -> priority:int -> pattern:Pattern.t -> unit
+
+type op =
+  | Install of Flow.t  (** {!install} *)
+  | Remove of (int * Pattern.t)  (** {!remove} of [(priority, pattern)] *)
+
+val apply : t -> op list -> unit
+(** The ops in order, with the same result as issuing them one by one.
+    A batch no longer than the engine's staleness budget (64 + twice the
+    entry count) keeps per-entry engine maintenance; a longer one only
+    updates the entry map and rebuilds the engine once, like
+    {!install_all}.
+    @raise Table_full when an [Install] would exceed the capacity; the
+    ops before it stay applied. *)
+
+module KeyTbl : Hashtbl.S with type key = int * Pattern.t
+(** Hash tables keyed the way entries are: by (priority, pattern). *)
+
 val clear : t -> unit
 
 val remove_where : t -> (Flow.t -> bool) -> int

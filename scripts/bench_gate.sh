@@ -52,7 +52,9 @@
 # `transit_misses` (the two-phase protocol must keep the consistency
 # monitor at zero through the churn soak), on any `check_errors`, on
 # `commits` or `probe_packets` of zero (a soak that never committed or
-# never probed the mid-phase windows tested nothing), and on
+# never probed the mid-phase windows tested nothing), on
+# `commit_flow_mods` more than 10% above the baseline's (a commit must
+# send flow-mods in proportion to the change, not to the tables), and on
 # `edge4_largest_rules` >= `edge1_largest_rules` (sharding must shrink
 # the per-edge tables).  The aggregate-throughput scaling floor
 # `edge4_aggregate_pps >= edge1_aggregate_pps` is enforced only when
@@ -198,6 +200,18 @@ if grep -q '"mixed_version_packets"' "$candidate"; then
             echo "bench gate: ok   $key=$cand"
         fi
     done
+
+    mods=$(field "$candidate" commit_flow_mods)
+    base_mods=$(field "$baseline" commit_flow_mods)
+    require "commit_flow_mods" "$mods"
+    if [ -n "$base_mods" ]; then
+        if awk -v base="$base_mods" -v cand="$mods" 'BEGIN { exit !(cand > base * 1.10) }'; then
+            echo "bench gate: FAIL commit_flow_mods=$mods exceeds baseline $base_mods by more than 10%"
+            fail=1
+        else
+            echo "bench gate: ok   commit_flow_mods=$mods (baseline $base_mods)"
+        fi
+    fi
 
     e1_rules=$(field "$candidate" edge1_largest_rules)
     e4_rules=$(field "$candidate" edge4_largest_rules)

@@ -587,46 +587,70 @@ let prop_sharded_matches_single =
       inject_sorted single ~from pkt = inject_sorted sharded ~from pkt
       && Fabric.mixed_version_packets (Network.fabric sharded) = 0)
 
+(* Figure 1's withdrawal of p5 by D leaves the logical ruleset as it
+   was; withdrawing p1 from C and re-optimizing renumbers the VNHs and
+   positional priorities, so it flips slices the probes cross. *)
+let withdraw_d_p5 net =
+  ignore (Sdx_core.Runtime.withdraw (Network.runtime net) ~peer:Fig1.asn_d Fig1.p5)
+
+let withdraw_c_p1_and_reoptimize net =
+  let runtime = Network.runtime net in
+  ignore (Sdx_core.Runtime.withdraw runtime ~peer:Fig1.asn_c Fig1.p1);
+  ignore (Sdx_core.Runtime.reoptimize runtime)
+
+let inject_probes net =
+  List.iter
+    (fun (from, src, dst, dst_port) ->
+      let pkt = Packet.make ~src_ip:(ip src) ~dst_ip:(ip dst) ~dst_port () in
+      ignore (Network.inject net ~from pkt))
+    probe_cases
+
 let test_fabric_two_phase_commit_clean () =
   let single, sharded = mk_sharded_world 2 in
   let fab = Network.fabric sharded in
   check_int "version after create" 1 (Fabric.version fab);
   let probe msg =
-    List.iter
-      (fun (from, src, dst, dst_port) ->
-        let pkt = Packet.make ~src_ip:(ip src) ~dst_ip:(ip dst) ~dst_port () in
-        ignore (Network.inject sharded ~from pkt))
-      probe_cases;
+    inject_probes sharded;
     check_int msg 0 (Fabric.mixed_version_packets fab)
   in
-  (* A real control-plane change, committed with probe traffic injected
+  (* Each control-plane change is committed with probe traffic injected
      inside every phase window. *)
-  ignore
-    (Sdx_core.Runtime.withdraw (Network.runtime sharded) ~peer:Fig1.asn_d
-       Fig1.p5);
-  let phases = ref [] in
-  let stats =
-    Network.commit sharded ~on_phase:(fun ph ->
-        phases := ph :: !phases;
-        match ph with
-        | Fabric.Installed v -> probe (Printf.sprintf "clean at install v%d" v)
-        | Fabric.Flipped v -> probe (Printf.sprintf "clean at flip v%d" v)
-        | Fabric.Collected v -> probe (Printf.sprintf "clean after gc v%d" v)
-        | Fabric.Synced_member _ -> ())
+  let commit_probed () =
+    let phases = ref [] in
+    let stats =
+      Network.commit sharded ~on_phase:(fun ph ->
+          phases := ph :: !phases;
+          match ph with
+          | Fabric.Installed v -> probe (Printf.sprintf "clean at install v%d" v)
+          | Fabric.Flipped v -> probe (Printf.sprintf "clean at flip v%d" v)
+          | Fabric.Collected v -> probe (Printf.sprintf "clean after gc v%d" v)
+          | Fabric.Synced_member _ -> ())
+    in
+    (stats, List.rev !phases)
   in
+  (* An update that leaves the ruleset as it was sends nothing. *)
+  withdraw_d_p5 sharded;
+  let stats, phases = commit_probed () in
+  check_int "unchanged ruleset stays at v1" 1 stats.Fabric.version;
+  check_int "fabric agrees" 1 (Fabric.version fab);
+  check_int "no install" 0 stats.Fabric.install_mods;
+  check_int "no flip" 0 stats.Fabric.flip_mods;
+  check_int "no collection" 0 stats.Fabric.gc_mods;
+  check_bool "three phases fired" true
+    (phases = [ Fabric.Installed 1; Fabric.Flipped 1; Fabric.Collected 0 ]);
+  (* One that flips slices the probes cross. *)
+  withdraw_c_p1_and_reoptimize sharded;
+  let stats, phases = commit_probed () in
   check_int "moved to v2" 2 stats.Fabric.version;
   check_int "fabric agrees" 2 (Fabric.version fab);
-  check_bool "installed the new transit band" true (stats.Fabric.install_mods > 0);
-  check_bool "collected the old transit band" true (stats.Fabric.gc_mods > 0);
+  check_bool "installed the flipped slices" true (stats.Fabric.install_mods > 0);
+  check_bool "collected their old parity" true (stats.Fabric.gc_mods > 0);
   check_bool "three phases fired" true
-    (match List.rev !phases with
-    | [ Fabric.Installed 2; Fabric.Flipped 2; Fabric.Collected 1 ] -> true
-    | _ -> false);
-  (* Converged state still matches the big switch after the same update
+    (phases = [ Fabric.Installed 2; Fabric.Flipped 2; Fabric.Collected 1 ]);
+  (* Converged state still matches the big switch after the same updates
      there. *)
-  ignore
-    (Sdx_core.Runtime.withdraw (Network.runtime single) ~peer:Fig1.asn_d
-       Fig1.p5);
+  withdraw_d_p5 single;
+  withdraw_c_p1_and_reoptimize single;
   Network.sync single;
   (* The sharded commit above covered the data plane; this refreshes the
      router FIBs and must send no further flow-mods. *)
@@ -644,25 +668,22 @@ let test_fabric_two_phase_commit_clean () =
 let test_fabric_unsafe_commit_detects_mixing () =
   let _, sharded = mk_sharded_world 2 in
   let fab = Network.fabric sharded in
-  ignore
-    (Sdx_core.Runtime.withdraw (Network.runtime sharded) ~peer:Fig1.asn_d
-       Fig1.p5);
+  let unsafe_commit () =
+    ignore
+      (Network.commit sharded ~protocol:`Unsafe_single_phase ~on_phase:(function
+        | Fabric.Synced_member _ -> inject_probes sharded
+        | _ -> ()))
+  in
+  (* Nothing changes, so there is nothing to cut over. *)
+  withdraw_d_p5 sharded;
+  unsafe_commit ();
+  check_int "an unchanged ruleset mixes nothing" 0 (Fabric.mixed_version_packets fab);
+  check_int "and misses no transit rule" 0 (Fabric.transit_misses fab);
   (* Cut over switch by switch with no make-before-break: once the first
-     switch (the core) runs the new ruleset, frames stamped with the old
-     version find no transit rule there. *)
-  ignore
-    (Network.commit sharded ~protocol:`Unsafe_single_phase
-       ~on_phase:(fun ph ->
-         match ph with
-         | Fabric.Synced_member _ ->
-             List.iter
-               (fun (from, src, dst, dst_port) ->
-                 let pkt =
-                   Packet.make ~src_ip:(ip src) ~dst_ip:(ip dst) ~dst_port ()
-                 in
-                 ignore (Network.inject sharded ~from pkt))
-               probe_cases
-         | _ -> ()));
+     switch (the core) runs the new ruleset, frames stamped with a
+     flipped slice's old parity find no transit rule there. *)
+  withdraw_c_p1_and_reoptimize sharded;
+  unsafe_commit ();
   check_bool "monitor caught mixed-ruleset packets" true
     (Fabric.mixed_version_packets fab > 0);
   check_bool "including transit misses" true (Fabric.transit_misses fab > 0);
@@ -683,14 +704,216 @@ let test_fabric_commit_skips_unchanged () =
   Network.sync sharded;
   check_int "no-op sync sends nothing" 0 (Network.last_sync_flow_mods sharded);
   check_int "version unchanged" 1 (Fabric.version (Network.fabric sharded));
+  withdraw_d_p5 sharded;
+  Network.sync sharded;
+  check_int "an update that changes no rule sends nothing" 0
+    (Network.last_sync_flow_mods sharded);
+  check_int "nor moves the version" 1 (Fabric.version (Network.fabric sharded));
   ignore
-    (Sdx_core.Runtime.withdraw (Network.runtime sharded) ~peer:Fig1.asn_d
-       Fig1.p5);
+    (Sdx_core.Runtime.withdraw (Network.runtime sharded) ~peer:Fig1.asn_c
+       Fig1.p1);
   Network.sync sharded;
   check_bool "real change commits" true (Network.last_sync_flow_mods sharded > 0);
   check_int "version bumped" 2 (Fabric.version (Network.fabric sharded));
   Network.sync sharded;
   check_int "and settles again" 0 (Network.last_sync_flow_mods sharded)
+
+(* ------------------------------------------------------------------ *)
+(* Per-destination commits under churn                                 *)
+
+type churn_op = Withdraw of int * int | Announce of int * int * int | Reoptimize
+
+let churn_peers = [| Fig1.asn_b; Fig1.asn_c; Fig1.asn_d |]
+let churn_prefixes = [| Fig1.p1; Fig1.p2; Fig1.p3; Fig1.p4; Fig1.p5 |]
+
+let apply_churn_op runtime = function
+  | Withdraw (i, j) ->
+      ignore (Sdx_core.Runtime.withdraw runtime ~peer:churn_peers.(i) churn_prefixes.(j))
+  | Announce (i, j, hops) ->
+      let peer = churn_peers.(i) in
+      let as_path = peer :: List.init hops (fun k -> Asn.of_int (65001 + k)) in
+      ignore (Sdx_core.Runtime.announce runtime ~peer ~port:0 ~as_path churn_prefixes.(j))
+  | Reoptimize -> ignore (Sdx_core.Runtime.reoptimize runtime)
+
+let arb_churn_op =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(function
+      | Withdraw (i, j) -> Printf.sprintf "withdraw %d p%d" i (j + 1)
+      | Announce (i, j, h) -> Printf.sprintf "announce %d p%d +%d" i (j + 1) h
+      | Reoptimize -> "reoptimize")
+    (frequency
+       [
+         (4, map2 (fun i j -> Withdraw (i, j)) (int_range 0 2) (int_range 0 4));
+         ( 4,
+           map3 (fun i j h -> Announce (i, j, h)) (int_range 0 2) (int_range 0 4)
+             (int_range 0 3) );
+         (1, return Reoptimize);
+       ])
+
+let fabric_flow_mods fab =
+  List.fold_left
+    (fun n s -> n + Sdx_openflow.Connection.flow_mods_applied (Fabric.connection fab s))
+    0 (Fabric.switches fab)
+
+(* Every switch holds exactly one parity of each slice the ruleset has,
+   and nothing of slices whose MAC has left it. *)
+let slices_exact net =
+  let fab = Network.fabric net in
+  let expected =
+    List.sort_uniq Mac.compare
+      (List.filter_map
+         (fun (f : Sdx_openflow.Flow.t) ->
+           match (f.pattern.Sdx_policy.Pattern.port, f.pattern.dst_mac) with
+           | None, Some mac -> Some mac
+           | _ -> None)
+         (Sdx_core.Runtime.flows (Network.runtime net)))
+  in
+  List.for_all
+    (fun s ->
+      let parities = Hashtbl.create 16 in
+      let well_formed =
+        List.for_all
+          (fun (f : Sdx_openflow.Flow.t) ->
+            f.priority < Fabric.transit_base
+            ||
+            match f.pattern.dst_mac with
+            | None -> false
+            | Some tag -> (
+                match (Fabric.untag fab tag, Vtag.parity tag) with
+                | Some mac, Some p ->
+                    let seen = Option.value (Hashtbl.find_opt parities mac) ~default:0 in
+                    Hashtbl.replace parities mac (seen lor (1 lsl p));
+                    true
+                | _ -> false))
+          (Sdx_openflow.Table.entries (Sdx_openflow.Switch.table (Fabric.switch fab s) 0))
+      in
+      well_formed
+      && Hashtbl.fold (fun _ bits ok -> ok && bits <> 3) parities true
+      && List.sort Mac.compare (Hashtbl.fold (fun mac _ acc -> mac :: acc) parities [])
+         = expected)
+    (Fabric.switches fab)
+
+(* qcheck: random Figure 1 churn, each step committed to a sharded
+   fabric with probes in every phase window and to the single switch. *)
+let prop_churned_commits_consistent =
+  QCheck.Test.make ~count:60 ~name:"per-destination commits under churn"
+    QCheck.(pair (int_range 2 3) (list_of_size Gen.(int_range 1 8) arb_churn_op))
+    (fun (edges, ops) ->
+      let single, sharded = mk_sharded_world edges in
+      let fab = Network.fabric sharded in
+      List.for_all
+        (fun op ->
+          apply_churn_op (Network.runtime single) op;
+          apply_churn_op (Network.runtime sharded) op;
+          Network.sync single;
+          let before = fabric_flow_mods fab in
+          let stats = Network.commit sharded ~on_phase:(fun _ -> inject_probes sharded) in
+          let counted = Fabric.total_mods stats = fabric_flow_mods fab - before in
+          (* The routers learn the new next hops; the fabric already has
+             the ruleset. *)
+          Network.sync sharded;
+          counted
+          && Network.last_sync_flow_mods sharded = 0
+          && Fabric.mixed_version_packets fab = 0
+          && slices_exact sharded
+          && List.for_all
+               (fun (from, src, dst, dst_port) ->
+                 let pkt = Packet.make ~src_ip:(ip src) ~dst_ip:(ip dst) ~dst_port () in
+                 inject_sorted single ~from pkt = inject_sorted sharded ~from pkt)
+               probe_cases)
+        ops)
+
+(* A slice whose copies re-stamp toward a flipped MAC must flip too.
+   Frames for [vmac] entering at port 1 leave their edge tagged for
+   [vmac] (the pinned rule keeps the address), and [vmac]'s transit copy
+   at the core re-addresses them to [mac_b]; changing only [mac_b]'s rule
+   flips its slice, and [vmac]'s unchanged copies would otherwise keep
+   stamping [mac_b]'s collected parity. *)
+let closure_vmac = Mac.of_string "02:00:00:00:00:07"
+let closure_mac_b = Mac.of_string "bb:bb:bb:bb:bb:01"
+
+let closure_ruleset ?(v_priority = 20) b_priority =
+  let open Sdx_policy in
+  let flow priority pattern actions = Sdx_openflow.Flow.make ~priority ~pattern ~actions in
+  [
+    flow 30 (Pattern.make ~port:1 ~dst_mac:closure_vmac ()) [ Mods.make ~port:2 () ];
+    flow v_priority
+      (Pattern.make ~dst_mac:closure_vmac ())
+      [ Mods.make ~dst_mac:closure_mac_b ~port:2 () ];
+    flow b_priority (Pattern.make ~dst_mac:closure_mac_b ()) [ Mods.make ~port:2 () ];
+  ]
+
+let test_fabric_flip_closure () =
+  let fab = Fabric.create (Topology.edge_core ~edges:2 ~ports:[ 1; 2 ]) in
+  let ruleset = closure_ruleset in
+  let probe () =
+    let outs = Fabric.process fab (Packet.make ~port:1 ~dst_mac:closure_vmac ()) in
+    check_bool "delivered at port 2" true
+      (List.map (fun (p : Packet.t) -> (p.port, p.dst_mac)) outs = [ (2, closure_mac_b) ])
+  in
+  ignore (Fabric.commit fab (ruleset 10));
+  probe ();
+  let stats = Fabric.commit fab (ruleset 11) ~on_phase:(fun _ -> probe ()) in
+  (* Both slices flip: one copy each on three switches, in and out. *)
+  check_int "installed both slices" 6 stats.Fabric.install_mods;
+  check_int "collected both old parities" 6 stats.Fabric.gc_mods;
+  check_int "no transit miss" 0 (Fabric.transit_misses fab);
+  check_int "no mixed-version packet" 0 (Fabric.mixed_version_packets fab);
+  (* Changing only [vmac]'s rule flips its slice alone: probes now carry
+     [vmac]'s tag and [mac_b]'s at different parities on one delivery
+     tree, which is consistent — each destination has one version. *)
+  let stats = Fabric.commit fab (ruleset ~v_priority:21 11) ~on_phase:(fun _ -> probe ()) in
+  check_int "installed the one slice" 3 stats.Fabric.install_mods;
+  check_int "collected its old parity" 3 stats.Fabric.gc_mods;
+  check_int "still no mixed-version packet" 0 (Fabric.mixed_version_packets fab)
+
+(* A ruleset the fabric cannot split (a pinned rule sending to a remote
+   port names no MAC to tag) is rejected before anything is sent, and
+   the fabric keeps the ruleset it had. *)
+let test_fabric_rejected_ruleset_changes_nothing () =
+  let fab = Fabric.create (Topology.edge_core ~edges:2 ~ports:[ 1; 2 ]) in
+  ignore (Fabric.commit fab (closure_ruleset 10));
+  let before = fabric_flow_mods fab and version = Fabric.version fab in
+  let untaggable =
+    Sdx_openflow.Flow.make ~priority:40
+      ~pattern:(Sdx_policy.Pattern.make ~port:1 ())
+      ~actions:[ Sdx_policy.Mods.make ~port:2 () ]
+  in
+  check_bool "rejected" true
+    (try
+       ignore (Fabric.commit fab (untaggable :: closure_ruleset 11));
+       false
+     with Invalid_argument _ -> true);
+  check_int "nothing sent" before (fabric_flow_mods fab);
+  check_int "version kept" version (Fabric.version fab);
+  check_int "the old ruleset is still the committed one" 0
+    (Fabric.total_mods (Fabric.commit fab (closure_ruleset 10)));
+  (* The parities are the committed ones too: the flip installs both
+     slices at the other parity and collects exactly their old copies. *)
+  let stats = Fabric.commit fab (closure_ruleset 11) in
+  check_int "installed both slices" 6 stats.Fabric.install_mods;
+  check_int "collected both old parities" 6 stats.Fabric.gc_mods
+
+let test_fabric_unchanged_commit_sends_nothing () =
+  let w =
+    Sdx_ixp.Workload.build (Sdx_ixp.Rng.create ~seed:5) ~participants:12 ~prefixes:80 ()
+  in
+  let runtime = Sdx_core.Runtime.create w.config in
+  let ports = List.init (Sdx_core.Config.port_count w.config) (fun i -> i + 1) in
+  List.iter
+    (fun topo ->
+      let fab = Fabric.create topo in
+      let flows = Sdx_core.Runtime.flows runtime in
+      let first = Fabric.commit fab flows in
+      check_int "first commit installs every rule" (Fabric.total_rules fab)
+        (Fabric.total_mods first);
+      let before = fabric_flow_mods fab in
+      let again = Fabric.commit fab (Sdx_core.Runtime.flows runtime) in
+      check_int "no flow-mod counted" 0 (Fabric.total_mods again);
+      check_int "no flow-mod sent" before (fabric_flow_mods fab);
+      check_int "version kept" first.Fabric.version again.Fabric.version)
+    [ Topology.single ~ports; Topology.edge_core ~edges:3 ~ports ]
 
 let test_fabric_sharding_shrinks_edges () =
   let _, net1 = mk_sharded_world 1 in
@@ -827,6 +1050,11 @@ let () =
             test_fabric_two_phase_commit_clean;
           Alcotest.test_case "unsafe commit detects mixing" `Quick
             test_fabric_unsafe_commit_detects_mixing;
+          Alcotest.test_case "flip closure" `Quick test_fabric_flip_closure;
+          Alcotest.test_case "rejected ruleset changes nothing" `Quick
+            test_fabric_rejected_ruleset_changes_nothing;
+          Alcotest.test_case "unchanged commit sends nothing" `Quick
+            test_fabric_unchanged_commit_sends_nothing;
           Alcotest.test_case "commit skips unchanged" `Quick
             test_fabric_commit_skips_unchanged;
           Alcotest.test_case "sharding shrinks edges" `Quick
@@ -834,5 +1062,5 @@ let () =
           Alcotest.test_case "steering drops counted" `Quick
             test_fabric_steering_drops_counted;
         ]
-        @ qsuite [ prop_sharded_matches_single ] );
+        @ qsuite [ prop_sharded_matches_single; prop_churned_commits_consistent ] );
     ]

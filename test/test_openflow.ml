@@ -648,19 +648,70 @@ let test_connection_barrier_helper () =
   | _ -> Alcotest.fail "expected the pre-barrier packet-in");
   check_bool "no stray reply" true (Connection.recv conn = None)
 
-let test_connection_sync_cookied () =
+(* An ADD that overwrites a slot files it under the new cookie only:
+   [delete_cookie old] must leave the new entry alone. *)
+let test_connection_overwrite_refiles_cookie () =
   let conn = Connection.create (Switch.create ()) in
-  let f p port = flow ~priority:p ~pattern:(Pattern.make ~dst_port:port ()) [ out port ] in
-  ignore (Connection.sync conn [ f 10 1 ]);
-  (* Additive: installs only what is missing, never deletes. *)
-  check_int "adds the missing pair" 2
-    (Connection.sync_cookied conn ~cookie:42 [ f 10 1; f 20 2; f 30 3 ]);
-  check_int "three installed" 3 (List.length (Connection.installed conn));
-  check_int "idempotent" 0
-    (Connection.sync_cookied conn ~cookie:42 [ f 10 1; f 20 2; f 30 3 ]);
-  (* The cookie collects exactly the block it tagged. *)
-  Connection.send conn (Message.delete_cookie 42);
-  check_int "cookied block collected" 1 (List.length (Connection.installed conn))
+  let slot = Pattern.make ~dst_port:80 () in
+  Connection.send conn (Message.add ~cookie:1 (flow ~priority:10 ~pattern:slot [ out 1 ]));
+  Connection.send conn (Message.add ~cookie:2 (flow ~priority:10 ~pattern:slot [ out 2 ]));
+  Connection.send conn (Message.delete_cookie 1);
+  check_int "overwritten entry survives its old cookie" 1
+    (List.length (Connection.installed conn));
+  Connection.send conn (Message.delete_cookie 2);
+  check_int "and goes with its new one" 0 (List.length (Connection.installed conn));
+  check_int "every mod counted" 3 (Connection.flow_mods_applied conn)
+
+(* A strict delete unfiles its slot whatever actions the request
+   carries, so a later [delete_cookie] cannot reach an unrelated entry
+   re-added in that slot. *)
+let test_connection_strict_delete_unfiles_cookie () =
+  let conn = Connection.create (Switch.create ()) in
+  let slot = Pattern.make ~dst_port:80 () in
+  Connection.send conn (Message.add ~cookie:5 (flow ~priority:10 ~pattern:slot [ out 1 ]));
+  Connection.send conn (Message.delete (flow ~priority:10 ~pattern:slot [ out 9 ]));
+  check_int "strict delete matches on the slot" 0 (List.length (Connection.installed conn));
+  Connection.send conn (Message.add (flow ~priority:10 ~pattern:slot [ out 3 ]));
+  Connection.send conn (Message.delete_cookie 5);
+  check_int "re-added entry is not the cookie's" 1
+    (List.length (Connection.installed conn));
+  check_int "the empty cookie delete applied nothing" 3
+    (Connection.flow_mods_applied conn)
+
+let gen_flow_mod =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun cookie f -> Message.add ~cookie f) (int_range 0 3) gen_engine_flow;
+        map Message.delete gen_engine_flow;
+        map Message.delete_cookie (int_range 1 3);
+      ])
+
+(* Batches short and long (past the empty table's staleness budget of
+   64) land exactly where the same messages sent one by one do. *)
+let prop_send_all_equals_send =
+  QCheck2.Test.make ~name:"send_all batch = sequential sends" ~count:200
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 40) gen_flow_mod)
+        (list_size (int_range 0 120) gen_flow_mod)
+        (list_size (int_range 1 20) gen_engine_packet))
+    (fun (first, second, pkts) ->
+      let sw_batched = Switch.create () and sw_single = Switch.create () in
+      let batched = Connection.create sw_batched in
+      let single = Connection.create sw_single in
+      List.iter
+        (fun msgs ->
+          Connection.send_all batched msgs;
+          List.iter (Connection.send single) msgs)
+        [ first; second ];
+      Connection.installed batched = Connection.installed single
+      && Connection.flow_mods_applied batched = Connection.flow_mods_applied single
+      && List.for_all
+           (fun pkt ->
+             Table.lookup (Switch.table sw_batched 0) pkt
+             = Table.lookup_linear (Switch.table sw_single 0) pkt)
+           pkts)
 
 let test_connection_rejects_switch_messages () =
   let conn = Connection.create (Switch.create ()) in
@@ -725,8 +776,12 @@ let () =
             test_connection_queue_fifo_interleaved;
           Alcotest.test_case "barrier helper" `Quick
             test_connection_barrier_helper;
-          Alcotest.test_case "sync_cookied" `Quick test_connection_sync_cookied;
+          Alcotest.test_case "overwrite refiles cookie" `Quick
+            test_connection_overwrite_refiles_cookie;
+          Alcotest.test_case "strict delete unfiles cookie" `Quick
+            test_connection_strict_delete_unfiles_cookie;
           Alcotest.test_case "rejects switch messages" `Quick
             test_connection_rejects_switch_messages;
-        ] );
+        ]
+        @ qsuite [ prop_send_all_equals_send ] );
     ]
