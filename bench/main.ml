@@ -874,7 +874,6 @@ type dataplane_point = {
   dp_rules : int;
   dp_engine_pps : float;
   dp_linear_pps : float;
-  dp_batch_pps : float;
   dp_identical : bool;
   dp_stats : Sdx_openflow.Table.engine_stats;
 }
@@ -892,18 +891,12 @@ let dataplane_point ~seed ~packets all_flows size =
   (* The linear scan is O(rules) per packet; give it a budget that keeps
      the bench finite at 10k+ rules and normalize to pkts/sec. *)
   let m_linear = max 1_000 (min packets (4_000_000 / max 1 rules)) in
-  (* Batched lookup first: it must agree with both the per-packet engine
-     path and the linear oracle below. *)
-  let t0 = Unix.gettimeofday () in
-  let batch = Sdx_openflow.Table.lookup_batch table pkts in
-  let batch_s = Unix.gettimeofday () -. t0 in
   let identical = ref true in
   for i = 0 to m_linear - 1 do
     (* Oracle first (pure), then the engine (counts the packet). *)
     let linear = Sdx_openflow.Table.lookup_linear table pkts.(i) in
     let engine = Sdx_openflow.Table.lookup table pkts.(i) in
-    if engine <> linear then identical := false;
-    if batch.(i) <> linear then identical := false
+    if engine <> linear then identical := false
   done;
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -926,7 +919,6 @@ let dataplane_point ~seed ~packets all_flows size =
     dp_rules = rules;
     dp_engine_pps = float_of_int packets /. engine_s;
     dp_linear_pps = float_of_int m_linear /. linear_s;
-    dp_batch_pps = float_of_int packets /. batch_s;
     dp_identical = !identical;
     dp_stats = Sdx_openflow.Table.engine_stats table;
   }
@@ -948,15 +940,16 @@ let dataplane_sweep ~seed ~scale ~packets =
     runtime )
 
 let pp_dataplane_points points =
-  Format.printf "  %10s %14s %14s %9s %7s %7s %7s %6s %10s@." "rules"
-    "engine pkt/s" "linear pkt/s" "speedup" "exact" "prefix" "resid" "shapes"
-    "identical";
+  Format.printf "  %10s %14s %14s %9s %7s %6s %7s %7s %7s %6s %10s@." "rules"
+    "engine pkt/s" "linear pkt/s" "speedup" "dst_mac" "macs" "exact" "prefix"
+    "resid" "shapes" "identical";
   List.iter
     (fun p ->
-      Format.printf "  %10d %14.0f %14.0f %8.1fx %7d %7d %7d %6d %10b@."
+      Format.printf "  %10d %14.0f %14.0f %8.1fx %7d %6d %7d %7d %7d %6d %10b@."
         p.dp_rules p.dp_engine_pps p.dp_linear_pps
         (p.dp_engine_pps /. p.dp_linear_pps)
-        p.dp_stats.Sdx_openflow.Table.exact_entries p.dp_stats.prefix_entries
+        p.dp_stats.Sdx_openflow.Table.mac_entries p.dp_stats.mac_keys
+        p.dp_stats.exact_entries p.dp_stats.prefix_entries
         p.dp_stats.residual_entries p.dp_stats.exact_shapes p.dp_identical)
     points
 
@@ -1098,7 +1091,6 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
     \  \"packets\": %d,\n\
     \  \"engine_pps\": %.0f,\n\
     \  \"linear_pps\": %.0f,\n\
-    \  \"batch_pps\": %.0f,\n\
     \  \"speedup\": %.2f,\n\
     \  \"identical_to_linear\": %b,\n\
     \  \"workers\": %d,\n\
@@ -1106,6 +1098,9 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
     \  \"aggregate_pps\": %.0f,\n\
     \  \"shard_pps\": %.0f,\n\
     \  \"parallel_identical\": %b,\n\
+    \  \"mac_entries\": %d,\n\
+    \  \"mac_keys\": %d,\n\
+    \  \"mac_largest_bucket\": %d,\n\
     \  \"exact_entries\": %d,\n\
     \  \"prefix_entries\": %d,\n\
     \  \"residual_entries\": %d,\n\
@@ -1113,11 +1108,12 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
     \  \"sweep\": [\n%s  ],\n\
     \  \"workers_sweep\": [\n%s  ]\n\
      }\n"
-    top.dp_rules packets top.dp_engine_pps top.dp_linear_pps top.dp_batch_pps
+    top.dp_rules packets top.dp_engine_pps top.dp_linear_pps
     (top.dp_engine_pps /. top.dp_linear_pps)
     identical par.par_workers par.par_single_pps par.par_aggregate_pps
     par.par_shard_pps par.par_identical
-    top.dp_stats.Sdx_openflow.Table.exact_entries
+    top.dp_stats.Sdx_openflow.Table.mac_entries top.dp_stats.mac_keys
+    top.dp_stats.mac_largest_bucket top.dp_stats.exact_entries
     top.dp_stats.prefix_entries top.dp_stats.residual_entries
     top.dp_stats.exact_shapes
     (String.concat ",\n"

@@ -47,7 +47,7 @@ let g_mixed = Sdx_obs.Registry.counter "sdx_fabric_mixed_version_packets_total"
 let g_transit_miss = Sdx_obs.Registry.counter "sdx_fabric_transit_misses_total"
 let g_commits = Sdx_obs.Registry.counter "sdx_fabric_commits_total"
 
-type member = { id : int; switch : Switch.t; connection : Connection.t }
+type member = { id : int; switch : Switch.t; table : Table.t; connection : Connection.t }
 
 type commit_stats = {
   version : int;  (** the version the commit moved the fabric to *)
@@ -66,10 +66,36 @@ type phase =
   | Synced_member of int
       (** [`Unsafe_single_phase] only: one switch cut over, others not *)
 
+(* Per-walk state of {!process}'s consistency monitor: whether the walk
+   met an anomaly or a transit miss, the first trunk destination seen
+   (its tag index, and the parities seen for it as bits), any others in
+   [more], and whether one of those showed both parities. *)
+type monitor = {
+  mutable anomaly : bool;
+  mutable missed : bool;
+  mutable dest : int;
+  mutable bits : int;
+  mutable more : (int * int) list;
+  mutable mixed : bool;
+}
+
+(* The packet walk's callbacks, shared by the counting and the pure
+   readers and built once per fabric or reader: [probe] maps (switch id,
+   packet) to the matching flow entry, and the [on_*] hooks feed the
+   monitor. *)
+type walker = {
+  w_topo : Topology.t;
+  max_hops : int;
+  probe : int -> Packet.t -> Flow.t option;
+  on_anomaly : unit -> unit;
+  on_miss : unit -> unit;
+  on_trunk_tag : int -> int -> unit;  (* tag index, parity *)
+}
+
 type t = {
   topo : Topology.t;
   members : member list;  (* ascending switch id *)
-  by_id : (int, member) Hashtbl.t;
+  by_id : member option array;  (* switch id -> member *)
   tags : Vtag.t;
   trunked : bool;  (* false for the degenerate single-switch layout *)
   (* The last committed ruleset, the baseline of the next diff: logical
@@ -85,25 +111,47 @@ type t = {
   mutable packets : int;
   mutable mixed_version_packets : int;
   mutable transit_misses : int;
-  (* Per-walk state for {!process}: the first trunk destination seen (its
-     tag index, and the parities seen for it as bits), any others in
-     [walk_more], and whether one of those showed both parities. *)
-  mutable walk_dest : int;
-  mutable walk_bits : int;
-  mutable walk_more : (int * int) list;
-  mutable walk_mixed : bool;
+  monitor : monitor;
+  walker : walker;
 }
+
+let walker topo ~probe ~on_anomaly ~on_miss ~on_trunk_tag =
+  { w_topo = topo; max_hops = 4 * Topology.switch_count topo; probe; on_anomaly; on_miss; on_trunk_tag }
+
+(* An array indexed by switch id, [absent] where there is no switch. *)
+let by_switch topo absent cells =
+  let a = Array.make (List.fold_left max 0 (Topology.switches topo) + 1) absent in
+  List.iter (fun (s, x) -> a.(s) <- x) cells;
+  a
+
+(* Record that the walk sent a frame toward tag index [dest] with
+   [parity]; a destination seen with both parities met a mixed ruleset.
+   The first destination lives in two ints, so a walk toward a single
+   destination allocates nothing here. *)
+let note_tag mon dest parity =
+  let bit = 1 lsl parity in
+  if mon.dest < 0 || mon.dest = dest then begin
+    mon.dest <- dest;
+    mon.bits <- mon.bits lor bit
+  end
+  else if List.exists (fun (d, b) -> d = dest && b <> bit) mon.more then mon.mixed <- true
+  else mon.more <- (dest, bit) :: mon.more
 
 let create ?capacity topo =
   let members =
     List.map
       (fun id ->
         let switch = Switch.create ?capacity () in
-        { id; switch; connection = Connection.create switch })
+        { id; switch; table = Switch.table switch 0; connection = Connection.create switch })
       (Topology.switches topo)
   in
-  let by_id = Hashtbl.create 8 in
-  List.iter (fun m -> Hashtbl.replace by_id m.id m) members;
+  let by_id = by_switch topo None (List.map (fun m -> (m.id, Some m)) members) in
+  let monitor =
+    { anomaly = false; missed = false; dest = -1; bits = 0; more = []; mixed = false }
+  in
+  let probe s pkt =
+    match by_id.(s) with Some m -> Table.lookup m.table pkt | None -> None
+  in
   {
     topo;
     members;
@@ -120,23 +168,26 @@ let create ?capacity topo =
     packets = 0;
     mixed_version_packets = 0;
     transit_misses = 0;
-    walk_dest = -1;
-    walk_bits = 0;
-    walk_more = [];
-    walk_mixed = false;
+    monitor;
+    walker =
+      walker topo ~probe
+        ~on_anomaly:(fun () -> monitor.anomaly <- true)
+        ~on_miss:(fun () -> monitor.missed <- true)
+        ~on_trunk_tag:(note_tag monitor);
   }
 
 let topo t = t.topo
 let switches t = List.map (fun m -> m.id) t.members
-let member t s = Hashtbl.find t.by_id s
+
+let member_opt t s = if s >= 0 && s < Array.length t.by_id then t.by_id.(s) else None
 
 let switch t s =
-  match Hashtbl.find_opt t.by_id s with
+  match member_opt t s with
   | Some m -> m.switch
   | None -> invalid_arg (Printf.sprintf "Fabric.switch: unknown switch %d" s)
 
 let connection t s =
-  match Hashtbl.find_opt t.by_id s with
+  match member_opt t s with
   | Some m -> m.connection
   | None -> invalid_arg (Printf.sprintf "Fabric.connection: unknown switch %d" s)
 
@@ -149,8 +200,7 @@ let transit_misses t = t.transit_misses
 
 let untag t mac = Vtag.strip t.tags mac
 
-let rule_counts t =
-  List.map (fun m -> (m.id, Table.size (Switch.table m.switch 0))) t.members
+let rule_counts t = List.map (fun m -> (m.id, Table.size m.table)) t.members
 
 let total_rules t = List.fold_left (fun n (_, c) -> n + c) 0 (rule_counts t)
 
@@ -482,92 +532,76 @@ let commit ?(protocol = `Two_phase) ?(on_phase = fun (_ : phase) -> ()) t flows
 (* ------------------------------------------------------------------ *)
 (* The data plane *)
 
-(* One packet walk shared by the counting and the pure readers.  [probe]
-   maps (switch id, packet) to the matching flow entry. *)
-let walk topo ~probe ~on_anomaly ~on_miss ~on_trunk_tag pkt =
-  let max_hops = 4 * Topology.switch_count topo in
-  let rec at_switch hops s (pkt : Packet.t) =
-    if hops > max_hops then begin
-      on_anomaly ();
-      []
-    end
-    else
-      let tagged = Vtag.is_tagged pkt.Packet.dst_mac in
-      match probe s pkt with
-      | None ->
-          if tagged then begin
-            on_miss ();
-            on_anomaly ()
-          end;
-          []
-      | Some (flow : Flow.t) ->
-          if tagged && flow.Flow.priority < transit_base then on_anomaly ();
-          List.concat_map
-            (fun (m : Mods.t) ->
-              let out = Mods.apply m pkt in
-              match m.Mods.port with
-              | None -> [ out ]
-              | Some p -> (
-                  match Topology.trunk_destination topo p with
-                  | Some (_owner, neighbor) ->
-                      (match Vtag.parity out.Packet.dst_mac with
-                      | Some parity -> on_trunk_tag (Vtag.index out.Packet.dst_mac) parity
-                      | None -> on_anomaly () (* untagged frame on a trunk *));
-                      let in_port =
-                        Topology.trunk_port topo ~from:neighbor
-                          ~toward_neighbor:s
-                      in
-                      at_switch (hops + 1) neighbor { out with port = in_port }
-                  | None ->
-                      if p <> blackhole && Vtag.is_tagged out.Packet.dst_mac
-                      then on_anomaly () (* delivered frame leaks its tag *);
-                      [ out ]))
-            flow.Flow.actions
-  in
-  match Topology.home_of_port topo pkt.Packet.port with
-  | None -> None
-  | Some s0 -> Some (Packet.Set.elements (Packet.Set.of_list (at_switch 0 s0 pkt)))
-
-(* Record that the walk sent a frame toward tag index [dest] with
-   [parity]; a destination seen with both parities met a mixed ruleset.
-   The first destination lives in two ints, so a walk toward a single
-   destination allocates nothing here. *)
-let note_tag t dest parity =
-  let bit = 1 lsl parity in
-  if t.walk_dest < 0 || t.walk_dest = dest then begin
-    t.walk_dest <- dest;
-    t.walk_bits <- t.walk_bits lor bit
+(* The frames [pkt] delivers from switch [s] on, consed onto [acc].  A
+   walk allocates the frames it forwards and their list cells, nothing
+   else. *)
+let rec at_switch w hops s (pkt : Packet.t) acc =
+  if hops > w.max_hops then begin
+    w.on_anomaly ();
+    acc
   end
-  else if List.exists (fun (d, b) -> d = dest && b <> bit) t.walk_more then
-    t.walk_mixed <- true
-  else t.walk_more <- (dest, bit) :: t.walk_more
+  else
+    let tagged = Vtag.is_tagged pkt.Packet.dst_mac in
+    match w.probe s pkt with
+    | None ->
+        if tagged then begin
+          w.on_miss ();
+          w.on_anomaly ()
+        end;
+        acc
+    | Some (flow : Flow.t) ->
+        if tagged && flow.Flow.priority < transit_base then w.on_anomaly ();
+        apply_actions w hops s pkt flow.Flow.actions acc
+
+and apply_actions w hops s pkt actions acc =
+  match actions with
+  | [] -> acc
+  | (m : Mods.t) :: rest ->
+      let out = Mods.apply m pkt in
+      let acc =
+        match m.Mods.port with
+        | None -> out :: acc
+        | Some p -> (
+            match Topology.trunk_destination w.w_topo p with
+            | Some (_owner, neighbor) ->
+                (match Vtag.parity out.Packet.dst_mac with
+                | Some parity -> w.on_trunk_tag (Vtag.index out.Packet.dst_mac) parity
+                | None -> w.on_anomaly () (* untagged frame on a trunk *));
+                let in_port = Topology.trunk_port w.w_topo ~from:neighbor ~toward_neighbor:s in
+                at_switch w (hops + 1) neighbor { out with port = in_port } acc
+            | None ->
+                if p <> blackhole && Vtag.is_tagged out.Packet.dst_mac then
+                  w.on_anomaly () (* delivered frame leaks its tag *);
+                out :: acc)
+      in
+      apply_actions w hops s pkt rest acc
+
+(* A delivery set in canonical order; one frame needs no sort. *)
+let deliveries = function
+  | ([] | [ _ ]) as outs -> outs
+  | outs -> Packet.Set.elements (Packet.Set.of_list outs)
 
 let process t pkt =
-  let anomaly = ref false and missed = ref false in
-  t.walk_dest <- -1;
-  t.walk_bits <- 0;
-  t.walk_more <- [];
-  t.walk_mixed <- false;
-  let outs =
-    walk t.topo
-      ~probe:(fun s pkt -> Table.lookup (Switch.table (member t s).switch 0) pkt)
-      ~on_anomaly:(fun () -> anomaly := true)
-      ~on_miss:(fun () -> missed := true)
-      ~on_trunk_tag:(note_tag t)
-      pkt
-  in
-  match outs with
+  match Topology.home_of_port t.topo pkt.Packet.port with
   | None -> []
-  | Some outs ->
+  | Some s0 ->
+      let mon = t.monitor in
+      mon.anomaly <- false;
+      mon.missed <- false;
+      mon.dest <- -1;
+      mon.bits <- 0;
+      mon.more <- [];
+      mon.mixed <- false;
+      let outs = deliveries (at_switch t.walker 0 s0 pkt []) in
       t.packets <- t.packets + 1;
       (* One destination with both parities on one packet's delivery
          tree: the frame crossed a mixed ruleset. *)
-      if t.walk_bits = 3 || t.walk_mixed then anomaly := true;
-      if !missed then begin
+      if mon.bits = 3 || mon.mixed then mon.anomaly <- true;
+      if mon.missed then begin
         t.transit_misses <- t.transit_misses + 1;
         Sdx_obs.Registry.Counter.incr g_transit_miss
       end;
-      if !anomaly then begin
+      if mon.anomaly then begin
         t.mixed_version_packets <- t.mixed_version_packets + 1;
         Sdx_obs.Registry.Counter.incr g_mixed
       end;
@@ -583,25 +617,26 @@ type snap = {
 let snapshots t =
   {
     snap_topo = t.topo;
-    snap_tables =
-      List.map (fun m -> (m.id, Table.snapshot (Switch.table m.switch 0))) t.members;
+    snap_tables = List.map (fun m -> (m.id, Table.snapshot m.table)) t.members;
   }
 
 let reader snap =
-  let find = Hashtbl.create 8 in
-  List.iter
-    (fun (s, sn) -> Hashtbl.replace find s (Table.searcher sn))
-    snap.snap_tables;
+  let topo = snap.snap_topo in
+  let finds =
+    by_switch topo
+      (fun _ -> None)
+      (List.map (fun (s, sn) -> (s, Table.searcher sn)) snap.snap_tables)
+  in
+  let w =
+    walker topo
+      ~probe:(fun s pkt -> finds.(s) pkt)
+      ~on_anomaly:ignore ~on_miss:ignore
+      ~on_trunk_tag:(fun _ _ -> ())
+  in
   fun pkt ->
-    match
-      walk snap.snap_topo
-        ~probe:(fun s pkt -> (Hashtbl.find find s) pkt)
-        ~on_anomaly:ignore ~on_miss:ignore
-        ~on_trunk_tag:(fun _ _ -> ())
-        pkt
-    with
+    match Topology.home_of_port topo pkt.Packet.port with
     | None -> []
-    | Some outs -> outs
+    | Some s0 -> deliveries (at_switch w 0 s0 pkt [])
 
 (* ------------------------------------------------------------------ *)
 
@@ -616,7 +651,7 @@ let check_view t =
         List.map
           (fun (f : Flow.t) ->
             { Classifier.pattern = f.Flow.pattern; action = f.Flow.actions })
-          (Table.entries (Switch.table m.switch 0))
+          (Table.entries m.table)
       in
       Topology.set_table view m.id rules)
     t.members;

@@ -3,19 +3,35 @@ open Sdx_policy
 
 type t = {
   switches : int list;
+  switch_count : int;
   links : (int * int) list;
   tree_edges : (int * int) list;
-  port_home : (int, int) Hashtbl.t;
   hosts_ports : (int, unit) Hashtbl.t;  (* switches with a physical port *)
   (* parent.(s) on the BFS tree rooted at the smallest switch id *)
   parent : (int, int) Hashtbl.t;
-  (* trunk port numbers: (switch, neighbor) -> local port id *)
-  trunk_ports : (int * int, int) Hashtbl.t;
-  trunk_owner : (int, int * int) Hashtbl.t;  (* port id -> (switch, neighbor) *)
+  (* The port maps the packet walk reads on every hop, built here as
+     arrays of preallocated options so a read neither hashes nor
+     allocates. *)
+  homes : int option array;  (* physical port -> its switch *)
+  trunk_base : int;  (* the first trunk port id *)
+  trunk_owner : (int * int) option array;
+      (* trunk port - trunk_base -> (switch, neighbor) *)
+  slots : int array;  (* switch id -> dense index, -1 for none *)
+  trunk_ports : int array;
+      (* slot of a switch * switch_count + slot of a tree neighbor ->
+         the local trunk port toward it, -1 for none *)
 }
 
 let create ~switches ~links ~port_home =
   if switches = [] then invalid_arg "Topology.create: no switches";
+  List.iter
+    (fun s ->
+      if s < 0 then invalid_arg (Printf.sprintf "Topology.create: negative switch id %d" s))
+    switches;
+  List.iter
+    (fun (p, _) ->
+      if p < 0 then invalid_arg (Printf.sprintf "Topology.create: negative port %d" p))
+    port_home;
   let known = Hashtbl.create 8 in
   List.iter (fun s -> Hashtbl.replace known s ()) switches;
   let check s =
@@ -23,12 +39,13 @@ let create ~switches ~links ~port_home =
       invalid_arg (Printf.sprintf "Topology.create: unknown switch %d" s)
   in
   List.iter (fun (a, b) -> check a; check b) links;
-  let homes = Hashtbl.create 64 in
+  let max_port = List.fold_left (fun m (p, _) -> max m p) 0 port_home in
+  let homes = Array.make (max_port + 1) None in
   let hosts_ports = Hashtbl.create 8 in
   List.iter
     (fun (port, s) ->
       check s;
-      Hashtbl.replace homes port s;
+      homes.(port) <- Some s;
       Hashtbl.replace hosts_ports s ())
     port_home;
   (* BFS spanning tree from the smallest switch id. *)
@@ -60,31 +77,35 @@ let create ~switches ~links ~port_home =
         end)
       neighbors
   done;
-  if Hashtbl.length visited <> List.length (List.sort_uniq Int.compare switches)
-  then invalid_arg "Topology.create: link graph does not connect all switches";
+  let switches = List.sort_uniq Int.compare switches in
+  if Hashtbl.length visited <> List.length switches then
+    invalid_arg "Topology.create: link graph does not connect all switches";
+  let n = List.length switches in
+  let slots = Array.make (List.fold_left max 0 switches + 1) (-1) in
+  List.iteri (fun i s -> slots.(s) <- i) switches;
   (* Trunk port ids: allocated above the physical range. *)
-  let base =
-    1000 + List.fold_left (fun m (p, _) -> max m p) 0 port_home
-  in
-  let trunk_ports = Hashtbl.create 16 in
-  let trunk_owner = Hashtbl.create 16 in
+  let trunk_base = 1000 + max_port in
+  let trunk_owner = Array.make (2 * List.length !tree_edges) None in
+  let trunk_ports = Array.make (n * n) (-1) in
   List.iteri
     (fun i (a, b) ->
-      let pa = base + (2 * i) and pb = base + (2 * i) + 1 in
-      Hashtbl.replace trunk_ports (a, b) pa;
-      Hashtbl.replace trunk_ports (b, a) pb;
-      Hashtbl.replace trunk_owner pa (a, b);
-      Hashtbl.replace trunk_owner pb (b, a))
+      trunk_owner.(2 * i) <- Some (a, b);
+      trunk_owner.((2 * i) + 1) <- Some (b, a);
+      trunk_ports.((slots.(a) * n) + slots.(b)) <- trunk_base + (2 * i);
+      trunk_ports.((slots.(b) * n) + slots.(a)) <- trunk_base + (2 * i) + 1)
     !tree_edges;
   {
-    switches = List.sort_uniq Int.compare switches;
+    switches;
+    switch_count = n;
     links;
     tree_edges = !tree_edges;
-    port_home = homes;
     hosts_ports;
     parent;
-    trunk_ports;
+    homes;
+    trunk_base;
     trunk_owner;
+    slots;
+    trunk_ports;
   }
 
 (* Degenerate layout: every port on one switch, no trunks. *)
@@ -105,16 +126,26 @@ let edge_core ~edges ~ports =
   in
   create ~switches ~links ~port_home
 
-let switch_count t = List.length t.switches
+let switch_count t = t.switch_count
 let switches t = t.switches
 
 let has_physical_ports t s = Hashtbl.mem t.hosts_ports s
 
 let edge_switches t = List.filter (has_physical_ports t) t.switches
 let core_switches t = List.filter (fun s -> not (has_physical_ports t s)) t.switches
-let home_of_port t p = Hashtbl.find_opt t.port_home p
-let trunk_destination t p = Hashtbl.find_opt t.trunk_owner p
-let physical_ports t = Hashtbl.fold (fun p s acc -> (p, s) :: acc) t.port_home []
+let home_of_port t p = if p >= 0 && p < Array.length t.homes then t.homes.(p) else None
+
+let trunk_destination t p =
+  let i = p - t.trunk_base in
+  if i >= 0 && i < Array.length t.trunk_owner then t.trunk_owner.(i) else None
+
+let physical_ports t =
+  let acc = ref [] in
+  for p = Array.length t.homes - 1 downto 0 do
+    Option.iter (fun s -> acc := (p, s) :: !acc) t.homes.(p)
+  done;
+  !acc
+
 let spanning_tree_edges t = List.rev t.tree_edges
 
 (* Path to the root as a list of switches, used to find tree paths. *)
@@ -151,8 +182,12 @@ let next_hop t ~from ~toward =
         Hashtbl.find_opt t.parent from
     | _ -> None
 
+let slot t s = if s >= 0 && s < Array.length t.slots then t.slots.(s) else -1
+
 let trunk_port t ~from ~toward_neighbor =
-  Hashtbl.find t.trunk_ports (from, toward_neighbor)
+  let a = slot t from and b = slot t toward_neighbor in
+  let p = if a < 0 || b < 0 then -1 else t.trunk_ports.((a * t.switch_count) + b) in
+  if p < 0 then raise Not_found else p
 
 (* ------------------------------------------------------------------ *)
 
@@ -170,7 +205,7 @@ let localize_rule t s (r : Classifier.rule) =
     | Some p -> (
         if p = Sdx_core.Compile.blackhole_port then m
         else
-          match Hashtbl.find_opt t.port_home p with
+          match home_of_port t p with
           | None -> m
           | Some home ->
               if home = s then m
@@ -189,7 +224,7 @@ let build t classifier =
           (fun (r : Classifier.rule) ->
             match r.pattern.Pattern.port with
             | Some p -> (
-                match Hashtbl.find_opt t.port_home p with
+                match home_of_port t p with
                 | Some home when home = s -> Some (localize_rule t s r)
                 | Some _ -> None  (* another switch's ingress rule *)
                 | None -> None (* pinned to a port that no longer exists *))
@@ -230,7 +265,7 @@ let process f (pkt : Packet.t) =
       let table = Hashtbl.find f.tables s in
       List.concat_map
         (fun (out : Packet.t) ->
-          match Hashtbl.find_opt f.topo.trunk_owner out.port with
+          match trunk_destination f.topo out.port with
           | Some (owner, neighbor) ->
               assert (owner = s);
               (* The frame crosses the trunk and enters the neighbor on

@@ -29,9 +29,10 @@ val create :
   t
 (** [create ~switches ~links ~port_home] describes the physical layout:
     undirected trunk [links] between switch ids, and [port_home] mapping
-    each fabric (physical) port number to the switch hosting it.
-    @raise Invalid_argument on unknown switch ids, or if the link graph
-    does not connect all switches. *)
+    each fabric (physical) port number to the switch hosting it.  Switch
+    ids and port numbers index arrays, so both must be non-negative.
+    @raise Invalid_argument on negative or unknown switch ids, negative
+    ports, or if the link graph does not connect all switches. *)
 
 val single : ports:int list -> t
 (** The degenerate one-switch layout (switch 0 hosts every port, no
@@ -57,20 +58,23 @@ val core_switches : t -> int list
 (** Switches hosting none — pure transit. *)
 
 val home_of_port : t -> int -> int option
+(** The switch hosting a physical port; [None] for any other port.
+    Reads an array and allocates nothing. *)
 
 val physical_ports : t -> (int * int) list
-(** Every [(port, home switch)] pair, unordered. *)
+(** Every [(port, home switch)] pair, ascending port. *)
 
 val trunk_port : t -> from:int -> toward_neighbor:int -> int
 (** Local trunk-port id on [from] for the tree link toward an adjacent
-    switch.  @raise Not_found if the two switches are not tree
-    neighbors. *)
+    switch; an array read.  @raise Not_found if the two switches are
+    not tree neighbors. *)
 
 val trunk_destination : t -> int -> (int * int) option
 (** [trunk_destination t p] is [Some (owner, neighbor)] when [p] is a
     trunk port: a frame leaving [owner] on [p] crosses the link and
     enters [neighbor] on [trunk_port t ~from:neighbor
-    ~toward_neighbor:owner].  [None] for physical ports. *)
+    ~toward_neighbor:owner].  [None] for physical ports.  Reads an array
+    and allocates nothing. *)
 
 val spanning_tree_edges : t -> (int * int) list
 (** The tree edges actually used for trunking (a subset of [links];

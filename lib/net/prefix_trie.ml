@@ -95,19 +95,19 @@ let matches addr t =
 (* Like [matches] but without materializing prefixes or a result list:
    the data-plane engine walks this once per packet, so the traversal
    must not allocate. *)
-let iter_matches addr f t =
-  let rec go t depth =
-    match t with
-    | Leaf -> ()
-    | Node { value; left; right } ->
-        (match value with
-        | Some v -> f v
-        | None -> ());
-        if depth < 32 then
-          if bit addr depth = 0 then go left (depth + 1)
-          else go right (depth + 1)
-  in
-  go t 0
+(* A top-level walk rather than a local closure over [addr] and [f], so
+   a lookup allocates nothing. *)
+let rec iter_matches_from addr f t depth =
+  match t with
+  | Leaf -> ()
+  | Node { value; left; right } ->
+      (match value with
+      | Some v -> f v
+      | None -> ());
+      if depth < 32 then
+        iter_matches_from addr f (if bit addr depth = 0 then left else right) (depth + 1)
+
+let iter_matches addr f t = iter_matches_from addr f t 0
 
 (* Overlap = one prefix contains the other: walk the query prefix's
    path collecting covering bindings, then fold the whole subtree under

@@ -5,13 +5,12 @@
 module Sync = Sdx_sanitize.Sync
 
 (* Atomic float accumulator: OCaml atomics CAS on the boxed value, so a
-   retry loop gives a lock-free fetch-and-add. *)
-let atomic_add_float (a : float Sync.Atomic.t) x =
-  let rec go () =
-    let old = Sync.Atomic.get a in
-    if not (Sync.Atomic.compare_and_set a old (old +. x)) then go ()
-  in
-  go ()
+   retry loop gives a lock-free fetch-and-add.  The loop is the function
+   itself rather than a local closure, so an attempt allocates only the
+   new box. *)
+let rec atomic_add_float (a : float Sync.Atomic.t) x =
+  let old = Sync.Atomic.get a in
+  if not (Sync.Atomic.compare_and_set a old (old +. x)) then atomic_add_float a x
 
 module Counter = struct
   type t = int Sync.Atomic.t

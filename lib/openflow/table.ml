@@ -3,8 +3,12 @@ open Sdx_policy
 module Sync = Sdx_sanitize.Sync
 
 (* sdx-owner: packets is bumped by the owning (writer) domain's lookup
-   path only; snapshot lookups are pure and never touch it. *)
-type entry = { flow : Flow.t; seq : int; mutable packets : int }
+   path only; snapshot lookups are pure and never touch it.  [found] is
+   [Some flow], built once so that a hit returns it without
+   allocating. *)
+type entry = { flow : Flow.t; found : Flow.t option; seq : int; mutable packets : int }
+
+let make_entry flow seq = { flow; found = Some flow; seq; packets = 0 }
 
 exception Table_full
 
@@ -22,28 +26,33 @@ let order a b =
    A linear scan over the flow list is what the paper's §4.2 is fighting
    on the hardware side; on our software data plane it made every replay
    experiment measure list traversal.  The engine partitions entries
-   into three layers at install time:
+   into four layers at install time:
 
-   - exact: patterns whose every constraint is a discrete exact field
-     (in_port, MACs/VMAC tag, ethertype, proto, L4 ports).  Grouped by
-     shape (the set of pinned fields, a la tuple-space search); each
-     shape owns a hashtable from a packet-key hash to a small
-     priority-sorted bucket.
-   - prefix: patterns that prefix-match an IP.  Two Prefix_tries of
-     priority-sorted buckets, one keyed on the dst_ip prefix (also
-     hosting rules that constrain both IPs) and one on the src_ip
-     prefix (for rules with no dst_ip pin, e.g. inbound TE); a lookup
-     walks the <= 33 nodes covering the packet's address in each.
+   - dst_mac: every pattern that pins the destination MAC, whatever
+     else it pins.  §4.2 tags each frame with a virtual MAC so the
+     fabric forwards on it, and nearly every SDX rule (VMAC rules, the
+     fabric's transit tags) pins one; a hash from that MAC to one
+     priority-sorted bucket decides such a rule with a single probe.
+   - exact: patterns with no MAC pin whose every constraint is a
+     discrete exact field (in_port, src MAC, ethertype, proto, L4
+     ports).  Grouped by shape (the set of pinned fields, a la
+     tuple-space search); each shape owns a hashtable from a packet-key
+     hash to a small priority-sorted bucket.
+   - prefix: patterns with no MAC pin that prefix-match an IP.  Two
+     Prefix_tries of priority-sorted buckets, one keyed on the dst_ip
+     prefix (also hosting rules that constrain both IPs) and one on the
+     src_ip prefix (for rules with no dst_ip pin, e.g. inbound TE); a
+     lookup walks the <= 33 nodes covering the packet's address in each.
    - residual: everything else — in practice only the wildcard
      drop/flood catch-alls, a priority-sorted list scanned linearly.
 
-   Hash keys are not injective, and a trie bucket's entries may pin
-   fields beyond its IP prefix, so every candidate is re-verified with
+   Hash keys are not injective, and every bucket's entries may pin
+   fields beyond its key, so every candidate is re-verified with
    [Pattern.matches] before it competes: collisions cost time, never
    correctness.  Each layer yields its first matching entry (minimal
    under [order] within the layer); the global winner is the [order]-
-   minimum of the three candidates, which is exactly the entry the
-   linear scan would have found first. *)
+   minimum of the candidates, which is exactly the entry the linear
+   scan would have found first. *)
 
 (* sdx-owner: engine internals (buckets, shapes, tries, residual) are
    private to the owning domain; cross-domain readers only ever see them
@@ -57,8 +66,22 @@ type shape = {
   mutable population : int;
 }
 
+module Mac_tbl = Hashtbl.Make (struct
+  type t = Mac.t
+
+  let equal = Mac.equal
+
+  (* VMACs and trunk tags differ in their low bits, participant MACs
+     anywhere: fold the high bits down before the table masks. *)
+  let hash m =
+    let x = Mac.to_int m * 0x9E3779B97F4A7C1 in
+    x lxor (x lsr 29)
+end)
+
 (* sdx-owner: see [bucket] — owning domain only. *)
 type engine = {
+  macs : bucket Mac_tbl.t;  (* dst MAC -> bucket *)
+  mutable mac_entries : int;
   mutable shapes : shape list;
   mutable dst_trie : bucket Prefix_trie.t;
   mutable src_trie : bucket Prefix_trie.t;
@@ -66,13 +89,32 @@ type engine = {
   mutable residual_len : int;
 }
 
-type layer = Exact of int | Dst_prefixed of Prefix.t | Src_prefixed of Prefix.t | Residual
+(* An empty engine whose MAC hash is sized for [n] entries, so a bulk
+   build never rehashes. *)
+let new_engine n =
+  {
+    macs = Mac_tbl.create (max 16 n);
+    mac_entries = 0;
+    shapes = [];
+    dst_trie = Prefix_trie.empty;
+    src_trie = Prefix_trie.empty;
+    residual = [];
+    residual_len = 0;
+  }
+
+type layer =
+  | Mac_keyed of Mac.t
+  | Exact of int
+  | Dst_prefixed of Prefix.t
+  | Src_prefixed of Prefix.t
+  | Residual
 
 let classify (p : Pattern.t) =
-  match (p.Pattern.dst_ip, p.Pattern.src_ip) with
-  | Some pre, _ -> Dst_prefixed pre
-  | None, Some pre -> Src_prefixed pre
-  | None, None ->
+  match (p.Pattern.dst_mac, p.Pattern.dst_ip, p.Pattern.src_ip) with
+  | Some mac, _, _ -> Mac_keyed mac
+  | None, Some pre, _ -> Dst_prefixed pre
+  | None, None, Some pre -> Src_prefixed pre
+  | None, None, None ->
       let m = Pattern.pinned_mask p in
       if m = 0 then Residual else Exact m
 
@@ -90,9 +132,83 @@ module KeyTbl = Hashtbl.Make (Key)
 (* Sentinel for the lookup scratch slot; compared with [==] only and
    never mutated, so sharing one across tables is safe. *)
 let no_entry =
-  { flow = Flow.make ~priority:0 ~pattern:Pattern.all ~actions:[]; seq = max_int; packets = 0 }
+  {
+    flow = Flow.make ~priority:0 ~pattern:Pattern.all ~actions:[];
+    found = None;
+    seq = max_int;
+    packets = 0;
+  }
 
 let dummy_packet = Packet.make ()
+
+(* Layer tags, indexing [Obs.layer_hits]. *)
+let layer_mac = 0
+let layer_exact = 1
+let layer_prefix = 2
+let layer_residual = 3
+let layer_miss = 4
+
+(* A lookup cursor: the scratch slots one probe writes its candidate
+   into, so the hot loop threads no options or tuples through the
+   layers.  sdx-owner: the one domain that probes with it — the table's
+   writer domain for [lookup], the reader that built a [searcher]. *)
+type cursor = {
+  mutable best : entry;
+  mutable best_layer : int;
+  mutable probe_pkt : Packet.t;  (* the packet [visit] scans buckets for *)
+  mutable visit : bucket -> unit;  (* trie visitor, built once per cursor *)
+}
+
+(* Buckets and the residual band are sorted, so the first match is the
+   layer's best candidate and the scan stops there; it also stops at
+   the first entry the current best already beats, since every later
+   entry is worse still. *)
+let rec scan c pkt layer = function
+  | [] -> ()
+  | e :: rest ->
+      if c.best != no_entry && order e c.best > 0 then ()
+      else if Pattern.matches e.flow.Flow.pattern pkt then begin
+        c.best <- e;
+        c.best_layer <- layer
+      end
+      else scan c pkt layer rest
+
+let cursor () =
+  let c =
+    { best = no_entry; best_layer = layer_miss; probe_pkt = dummy_packet; visit = ignore }
+  in
+  c.visit <- (fun b -> scan c c.probe_pkt layer_prefix b.items);
+  c
+
+let rec probe_shapes c pkt = function
+  | [] -> ()
+  | s :: rest ->
+      (match Hashtbl.find s.tbl (Pattern.packet_key s.mask pkt) with
+      | b -> scan c pkt layer_exact b.items
+      | exception Not_found -> ());
+      probe_shapes c pkt rest
+
+(* The one probe routine behind [lookup] and [searcher]: leaves the
+   first matching entry (or [no_entry]) and its layer in [c].  The
+   destination-MAC bucket goes first, so on SDX tables the other layers
+   mostly stop at their first entry. *)
+let probe eng c (pkt : Packet.t) =
+  c.best <- no_entry;
+  c.best_layer <- layer_miss;
+  (match Mac_tbl.find eng.macs pkt.Packet.dst_mac with
+  | b -> scan c pkt layer_mac b.items
+  | exception Not_found -> ());
+  probe_shapes c pkt eng.shapes;
+  (* Storing a young packet in [probe_pkt] files the field in the minor
+     GC's remembered set, so skip the stores when there is no trie to
+     walk. *)
+  if not (Prefix_trie.is_empty eng.dst_trie && Prefix_trie.is_empty eng.src_trie) then begin
+    c.probe_pkt <- pkt;
+    Prefix_trie.iter_matches pkt.Packet.dst_ip c.visit eng.dst_trie;
+    Prefix_trie.iter_matches pkt.Packet.src_ip c.visit eng.src_trie;
+    c.probe_pkt <- dummy_packet
+  end;
+  scan c pkt layer_residual eng.residual
 
 (* A read-copy-update view of the table: an engine plus a sorted entry
    array, built once by the owning domain and never mutated afterwards.
@@ -116,17 +232,12 @@ type t = {
   mutable count : int;
   mutable next_seq : int;
   capacity : int option;
-  engine : engine;
+  mutable engine : engine;
   mutable stale : int;  (* incremental engine ops since last build *)
   mutable rebuilds : int;
   mutable sorted : entry list;  (* cache; meaningful iff sorted_valid *)
   mutable sorted_valid : bool;
-  (* Preallocated lookup scratch: the hot loop writes candidates here
-     instead of threading options/tuples through the probes. *)
-  mutable best : entry;
-  mutable best_layer : int;
-  mutable probe_pkt : Packet.t;
-  mutable trie_visit : bucket -> unit;
+  cursor : cursor;  (* the live lookup's scratch *)
   mutable lookups : int;
   (* Published RCU snapshot: [None] after any mutation, lazily rebuilt
      by [snapshot].  Single writer (the owning domain), many readers. *)
@@ -160,22 +271,17 @@ module Obs = struct
   let rebuilds = counter "sdx_openflow_engine_rebuilds_total"
   let snapshot_builds = counter "sdx_openflow_snapshot_builds_total"
 
-  (* Per-layer hit attribution, indexed by the layer tags below; "miss"
+  (* Per-layer hit attribution, indexed by the layer tags above; "miss"
      rides in the same family so dashboards can stack to 100%. *)
   let layer_hits =
     Array.map
       (fun l -> counter ~labels:[ ("layer", l) ] "sdx_openflow_lookup_layer_hits_total")
-      [| "exact"; "prefix"; "residual"; "miss" |]
+      [| "dst_mac"; "exact"; "prefix"; "residual"; "miss" |]
 
   (* Sampled 1-in-64: a clock read per packet would cost more than the
      lookup it measures. *)
   let lookup_seconds = histogram "sdx_openflow_lookup_seconds"
 end
-
-let layer_exact = 0
-let layer_prefix = 1
-let layer_residual = 2
-let layer_miss = 3
 
 (* ------------------------------------------------------------------ *)
 (* Engine maintenance                                                  *)
@@ -208,6 +314,11 @@ let trie_remove trie pre e =
 let engine_insert t e =
   let eng = t.engine in
   (match classify e.flow.Flow.pattern with
+  | Mac_keyed mac ->
+      (match Mac_tbl.find_opt eng.macs mac with
+      | Some b -> bucket_insert b e
+      | None -> Mac_tbl.add eng.macs mac { items = [ e ] });
+      eng.mac_entries <- eng.mac_entries + 1
   | Exact mask ->
       let s = shape_for eng mask in
       let k = Pattern.pinned_key e.flow.Flow.pattern in
@@ -225,6 +336,13 @@ let engine_insert t e =
 let engine_remove t e =
   let eng = t.engine in
   (match classify e.flow.Flow.pattern with
+  | Mac_keyed mac -> (
+      eng.mac_entries <- eng.mac_entries - 1;
+      match Mac_tbl.find_opt eng.macs mac with
+      | Some b ->
+          bucket_remove b e;
+          if b.items = [] then Mac_tbl.remove eng.macs mac
+      | None -> ())
   | Exact mask -> (
       let s = shape_for eng mask in
       let k = Pattern.pinned_key e.flow.Flow.pattern in
@@ -263,6 +381,11 @@ let partition_rev eng rev_sorted =
   List.iter
     (fun e ->
       match classify e.flow.Flow.pattern with
+      | Mac_keyed mac ->
+          (match Mac_tbl.find_opt eng.macs mac with
+          | Some b -> b.items <- e :: b.items
+          | None -> Mac_tbl.add eng.macs mac { items = [ e ] });
+          eng.mac_entries <- eng.mac_entries + 1
       | Exact mask ->
           let s = shape_for eng mask in
           let k = Pattern.pinned_key e.flow.Flow.pattern in
@@ -279,13 +402,8 @@ let partition_rev eng rev_sorted =
 
 (* Full re-partition from the live entry set. *)
 let rebuild t =
-  let eng = t.engine in
-  eng.shapes <- [];
-  eng.dst_trie <- Prefix_trie.empty;
-  eng.src_trie <- Prefix_trie.empty;
-  eng.residual <- [];
-  eng.residual_len <- 0;
-  partition_rev eng (List.rev (sorted_entries t));
+  t.engine <- new_engine t.count;
+  partition_rev t.engine (List.rev (sorted_entries t));
   t.stale <- 0;
   t.rebuilds <- t.rebuilds + 1;
   Sdx_obs.Registry.Counter.incr Obs.rebuilds
@@ -310,51 +428,23 @@ let maybe_rebuild t = if t.stale > staleness_limit t then rebuild t
 (* ------------------------------------------------------------------ *)
 
 let create ?capacity () =
-  let t =
-    {
-      by_key = KeyTbl.create 256;
-      count = 0;
-      next_seq = 0;
-      capacity;
-      engine =
-        {
-          shapes = [];
-          dst_trie = Prefix_trie.empty;
-          src_trie = Prefix_trie.empty;
-          residual = [];
-          residual_len = 0;
-        };
-      stale = 0;
-      rebuilds = 0;
-      sorted = [];
-      sorted_valid = true;
-      best = no_entry;
-      best_layer = layer_miss;
-      probe_pkt = dummy_packet;
-      trie_visit = ignore;
-      lookups = 0;
-      snap = Sync.Atomic.make ~name:"Table.snap" None;
-      owner = Sync.Owner.create "Table.writer";
-      snapshots_tr = Sync.Tracked.create "Table.snapshots";
-      snapshots = 0;
-    }
-  in
-  (* Preallocated once so the per-packet trie walk closes over nothing. *)
-  t.trie_visit <-
-    (fun b ->
-      let rec scan = function
-        | [] -> ()
-        | (e : entry) :: rest ->
-            if Pattern.matches e.flow.Flow.pattern t.probe_pkt then begin
-              if t.best == no_entry || order e t.best < 0 then begin
-                t.best <- e;
-                t.best_layer <- layer_prefix
-              end
-            end
-            else scan rest
-      in
-      scan b.items);
-  t
+  {
+    by_key = KeyTbl.create 256;
+    count = 0;
+    next_seq = 0;
+    capacity;
+    engine = new_engine 0;
+    stale = 0;
+    rebuilds = 0;
+    sorted = [];
+    sorted_valid = true;
+    cursor = cursor ();
+    lookups = 0;
+    snap = Sync.Atomic.make ~name:"Table.snap" None;
+    owner = Sync.Owner.create "Table.writer";
+    snapshots_tr = Sync.Tracked.create "Table.snapshots";
+    snapshots = 0;
+  }
 
 (* OpenFlow ADD semantics: an entry with the same priority and match
    overwrites the existing one (counters reset). *)
@@ -372,7 +462,7 @@ let install t (flow : Flow.t) =
         1
     | None -> 0
   in
-  let e = { flow; seq = t.next_seq; packets = 0 } in
+  let e = make_entry flow t.next_seq in
   t.next_seq <- t.next_seq + 1;
   KeyTbl.replace t.by_key key e;
   t.count <- t.count + 1;
@@ -427,9 +517,8 @@ let rebuild_after t ops =
                  match t.capacity with
                  | Some cap when t.count >= cap -> raise Table_full
                  | _ -> ());
-              let e = { flow; seq = t.next_seq; packets = 0 } in
+              KeyTbl.replace t.by_key key (make_entry flow t.next_seq);
               t.next_seq <- t.next_seq + 1;
-              KeyTbl.replace t.by_key key e;
               t.count <- t.count + 1;
               incr installed)
         ops)
@@ -455,11 +544,7 @@ let clear t =
   t.sorted <- [];
   t.sorted_valid <- true;
   invalidate_snapshot t;
-  t.engine.shapes <- [];
-  t.engine.dst_trie <- Prefix_trie.empty;
-  t.engine.src_trie <- Prefix_trie.empty;
-  t.engine.residual <- [];
-  t.engine.residual_len <- 0;
+  t.engine <- new_engine 0;
   t.stale <- 0
 
 let remove_where t pred =
@@ -480,47 +565,16 @@ let remove_where t pred =
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
 
-let consider t layer e =
-  if t.best == no_entry || order e t.best < 0 then begin
-    t.best <- e;
-    t.best_layer <- layer
-  end
-
-(* Buckets and the residual band are sorted, so the first match is the
-   layer's best candidate and the scan stops there. *)
-let rec scan_first t pkt layer = function
-  | [] -> ()
-  | e :: rest ->
-      if Pattern.matches e.flow.Flow.pattern pkt then consider t layer e
-      else scan_first t pkt layer rest
-
-let rec probe_shapes t pkt = function
-  | [] -> ()
-  | s :: rest ->
-      (match Hashtbl.find s.tbl (Pattern.packet_key s.mask pkt) with
-      | b -> scan_first t pkt layer_exact b.items
-      | exception Not_found -> ());
-      probe_shapes t pkt rest
-
-let lookup_engine t (pkt : Packet.t) =
-  t.best <- no_entry;
-  t.best_layer <- layer_miss;
-  probe_shapes t pkt t.engine.shapes;
-  t.probe_pkt <- pkt;
-  Prefix_trie.iter_matches pkt.Packet.dst_ip t.trie_visit t.engine.dst_trie;
-  Prefix_trie.iter_matches pkt.Packet.src_ip t.trie_visit t.engine.src_trie;
-  t.probe_pkt <- dummy_packet;
-  scan_first t pkt layer_residual t.engine.residual;
-  if t.best == no_entry then begin
-    Sdx_obs.Registry.Counter.incr Obs.layer_hits.(layer_miss);
-    None
-  end
+let lookup_engine t pkt =
+  let c = t.cursor in
+  probe t.engine c pkt;
+  let e = c.best in
+  Sdx_obs.Registry.Counter.incr Obs.layer_hits.(c.best_layer);
+  if e == no_entry then None
   else begin
-    let e = t.best in
     e.packets <- e.packets + 1;
-    Sdx_obs.Registry.Counter.incr Obs.layer_hits.(t.best_layer);
-    t.best <- no_entry;
-    Some e.flow
+    c.best <- no_entry;
+    e.found
   end
 
 let lookup t pkt =
@@ -539,13 +593,12 @@ let lookup t pkt =
 let lookup_linear t pkt =
   let rec go = function
     | [] -> None
-    | e :: rest ->
-        if Pattern.matches e.flow.Flow.pattern pkt then Some e.flow else go rest
+    | e :: rest -> if Pattern.matches e.flow.Flow.pattern pkt then e.found else go rest
   in
   go (sorted_entries t)
 
 (* ------------------------------------------------------------------ *)
-(* RCU snapshots and batched lookup                                     *)
+(* RCU snapshots                                                       *)
 
 (* Build (or return the published) immutable view.  Single-writer
    discipline: only the domain that mutates the table may call this;
@@ -558,15 +611,7 @@ let snapshot t =
   | None ->
       Sync.Owner.assert_owner t.owner;
       let sorted = sorted_entries t in
-      let eng =
-        {
-          shapes = [];
-          dst_trie = Prefix_trie.empty;
-          src_trie = Prefix_trie.empty;
-          residual = [];
-          residual_len = 0;
-        }
-      in
+      let eng = new_engine t.count in
       partition_rev eng (List.rev sorted);
       let s =
         { snap_engine = eng; snap_entries = Array.of_list sorted; snap_seq = t.next_seq }
@@ -585,41 +630,11 @@ let snapshot_seq s = s.snap_seq
    any shared mutable state.  Pure: no packet counters, no metrics —
    the writer domain owns those. *)
 let searcher snap =
-  let eng = snap.snap_engine in
-  let best = ref no_entry in
-  let probe = ref dummy_packet in
-  let consider (e : entry) = if !best == no_entry || order e !best < 0 then best := e in
-  let visit b =
-    let rec scan = function
-      | [] -> ()
-      | (e : entry) :: rest ->
-          if Pattern.matches e.flow.Flow.pattern !probe then consider e else scan rest
-    in
-    scan b.items
-  in
-  let rec scan_first pkt = function
-    | [] -> ()
-    | (e : entry) :: rest ->
-        if Pattern.matches e.flow.Flow.pattern pkt then consider e
-        else scan_first pkt rest
-  in
-  let rec probe_shapes pkt = function
-    | [] -> ()
-    | s :: rest ->
-        (match Hashtbl.find s.tbl (Pattern.packet_key s.mask pkt) with
-        | b -> scan_first pkt b.items
-        | exception Not_found -> ());
-        probe_shapes pkt rest
-  in
-  fun (pkt : Packet.t) ->
-    best := no_entry;
-    probe_shapes pkt eng.shapes;
-    probe := pkt;
-    Prefix_trie.iter_matches pkt.Packet.dst_ip visit eng.dst_trie;
-    Prefix_trie.iter_matches pkt.Packet.src_ip visit eng.src_trie;
-    probe := dummy_packet;
-    scan_first pkt eng.residual;
-    if !best == no_entry then None else Some (!best).flow
+  let eng = snap.snap_engine and c = cursor () in
+  fun pkt ->
+    probe eng c pkt;
+    let e = c.best in
+    if e == no_entry then None else e.found
 
 (* One-shot convenience over [searcher]; allocates a cursor per call, so
    hot loops should hold a searcher instead. *)
@@ -635,43 +650,9 @@ let snapshot_linear snap pkt =
     if i >= n then None
     else
       let e = Array.unsafe_get entries i in
-      if Pattern.matches e.flow.Flow.pattern pkt then Some e.flow else go (i + 1)
+      if Pattern.matches e.flow.Flow.pattern pkt then e.found else go (i + 1)
   in
   go 0
-
-(* Owner-domain batched lookup: same results and the same per-entry /
-   per-layer counter effects as [lookup] packet-by-packet, but the
-   engine layers are hoisted out of the loop and the metric counters are
-   flushed once per batch instead of once per packet. *)
-let lookup_batch t (pkts : Packet.t array) =
-  let n = Array.length pkts in
-  let out = Array.make n None in
-  let hits = [| 0; 0; 0; 0 |] in
-  let eng = t.engine in
-  for i = 0 to n - 1 do
-    let pkt = Array.unsafe_get pkts i in
-    t.best <- no_entry;
-    t.best_layer <- layer_miss;
-    probe_shapes t pkt eng.shapes;
-    t.probe_pkt <- pkt;
-    Prefix_trie.iter_matches pkt.Packet.dst_ip t.trie_visit eng.dst_trie;
-    Prefix_trie.iter_matches pkt.Packet.src_ip t.trie_visit eng.src_trie;
-    t.probe_pkt <- dummy_packet;
-    scan_first t pkt layer_residual eng.residual;
-    if t.best == no_entry then hits.(layer_miss) <- hits.(layer_miss) + 1
-    else begin
-      let e = t.best in
-      e.packets <- e.packets + 1;
-      hits.(t.best_layer) <- hits.(t.best_layer) + 1;
-      t.best <- no_entry;
-      Array.unsafe_set out i (Some e.flow)
-    end
-  done;
-  t.lookups <- t.lookups + n;
-  Array.iteri
-    (fun l c -> if c > 0 then Sdx_obs.Registry.Counter.add Obs.layer_hits.(l) c)
-    hits;
-  out
 
 (* ------------------------------------------------------------------ *)
 
@@ -685,6 +666,9 @@ let hits t ~priority ~pattern =
   | None -> 0
 
 type engine_stats = {
+  mac_entries : int;
+  mac_keys : int;
+  mac_largest_bucket : int;
   exact_shapes : int;
   exact_entries : int;
   prefix_entries : int;
@@ -694,13 +678,18 @@ type engine_stats = {
 }
 
 let engine_stats t =
+  let eng = t.engine in
+  let bucket_len b = List.length b.items in
   {
-    exact_shapes = List.length t.engine.shapes;
-    exact_entries = List.fold_left (fun acc s -> acc + s.population) 0 t.engine.shapes;
+    mac_entries = eng.mac_entries;
+    mac_keys = Mac_tbl.length eng.macs;
+    mac_largest_bucket = Mac_tbl.fold (fun _ b m -> max m (bucket_len b)) eng.macs 0;
+    exact_shapes = List.length eng.shapes;
+    exact_entries = List.fold_left (fun acc s -> acc + s.population) 0 eng.shapes;
     prefix_entries =
-      Prefix_trie.fold (fun _ b acc -> acc + List.length b.items) t.engine.dst_trie 0
-      + Prefix_trie.fold (fun _ b acc -> acc + List.length b.items) t.engine.src_trie 0;
-    residual_entries = t.engine.residual_len;
+      Prefix_trie.fold (fun _ b acc -> acc + bucket_len b) eng.dst_trie 0
+      + Prefix_trie.fold (fun _ b acc -> acc + bucket_len b) eng.src_trie 0;
+    residual_entries = eng.residual_len;
     rebuilds = t.rebuilds;
     snapshots = t.snapshots;
   }

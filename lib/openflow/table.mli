@@ -4,14 +4,16 @@
     million rules).
 
     Lookups go through a layered match engine rather than a linear scan:
-    an exact-match hash layer over the discrete fields SDX rules pin
-    (in_port, dst MAC/VMAC tag, ethertype, ...), a dst-IP
-    longest-prefix band backed by {!Sdx_net.Prefix_trie}, and a residual
-    priority-ordered scan, merged priority-correctly so the result (and
-    every per-entry counter) is identical to the linear scan's.  The
-    engine maintains itself incrementally on {!install}/{!remove} and
-    re-partitions wholesale past a staleness threshold; {!install_all}
-    is a single sort-and-build batch. *)
+    a hash from destination MAC (the VMAC or trunk tag §4.2 forwards
+    on) to the rules pinning it, then, for rules with no MAC pin, an
+    exact-match hash layer over the other discrete fields (in_port,
+    ethertype, ...), IP prefix bands backed by {!Sdx_net.Prefix_trie},
+    and a residual priority-ordered scan, merged priority-correctly so
+    the result (and every per-entry counter) is identical to the linear
+    scan's.  A lookup allocates nothing.  The engine maintains itself
+    incrementally on {!install}/{!remove} and re-partitions wholesale
+    past a staleness threshold; {!install_all} is a single
+    sort-and-build batch. *)
 
 open Sdx_net
 open Sdx_policy
@@ -55,20 +57,14 @@ val remove_where : t -> (Flow.t -> bool) -> int
 val lookup : t -> Packet.t -> Flow.t option
 (** Highest-priority matching entry; among equal priorities the earliest
     installed wins.  Dispatched through the layered engine; increments
-    the winning entry's packet counter. *)
+    the winning entry's packet counter.  Allocates nothing but the
+    1-in-64 latency sample. *)
 
 val lookup_linear : t -> Packet.t -> Flow.t option
 (** Reference semantics: a linear scan over the priority-sorted entry
     list.  Pure — touches no packet counter and no metric — so it can
     serve as the oracle for equivalence tests and as the baseline the
     [bench dataplane] target measures the engine against. *)
-
-val lookup_batch : t -> Packet.t array -> Flow.t option array
-(** [lookup] over a packet vector, on the owning domain: identical
-    results and identical per-entry / per-layer counter effects as
-    looking each packet up in order, but the engine layers are hoisted
-    out of the loop and the observability counters are flushed once per
-    batch rather than once per packet. *)
 
 (** {2 Read-copy-update snapshots}
 
@@ -99,7 +95,7 @@ val searcher : snapshot -> Packet.t -> Flow.t option
     one per reader domain and apply it per packet.  The partial
     application allocates the cursor, so hot loops must hold on to
     [let find = searcher snap] rather than calling [searcher snap pkt]
-    per packet. *)
+    per packet; applying [find] allocates nothing. *)
 
 val snapshot_lookup : snapshot -> Packet.t -> Flow.t option
 (** One-shot convenience over {!searcher} (allocates a cursor per
@@ -123,6 +119,9 @@ val hits : t -> priority:int -> pattern:Pattern.t -> int
 (** Packet counter of an entry; 0 when absent.  O(1). *)
 
 type engine_stats = {
+  mac_entries : int;  (** rules in the destination-MAC layer *)
+  mac_keys : int;  (** distinct destination MACs they pin *)
+  mac_largest_bucket : int;  (** most rules pinning one MAC *)
   exact_shapes : int;  (** distinct pinned-field shapes in the exact layer *)
   exact_entries : int;
   prefix_entries : int;

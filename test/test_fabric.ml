@@ -445,6 +445,35 @@ let test_topology_disconnected_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* The array-backed port maps: each trunk port names its link's ends,
+   the far end's port leads back, non-neighbors have no trunk, and ids
+   that cannot index an array are rejected. *)
+let test_topology_port_maps () =
+  let topo = fig1_topology () in
+  List.iter
+    (fun (a, b) ->
+      let pa = Topology.trunk_port topo ~from:a ~toward_neighbor:b in
+      let pb = Topology.trunk_port topo ~from:b ~toward_neighbor:a in
+      check_bool "trunk names its ends" true
+        (Topology.trunk_destination topo pa = Some (a, b)
+        && Topology.trunk_destination topo pb = Some (b, a));
+      check_bool "trunk ports are not physical" true
+        (Topology.home_of_port topo pa = None))
+    (Topology.spanning_tree_edges topo);
+  check_bool "physical port is no trunk" true (Topology.trunk_destination topo 2 = None);
+  check_bool "non-neighbors share no trunk" true
+    (try
+       ignore (Topology.trunk_port topo ~from:1 ~toward_neighbor:3);
+       false
+     with Not_found -> true);
+  check_bool "physical ports ascending" true
+    (Topology.physical_ports topo = [ (1, 1); (2, 2); (3, 2); (4, 3); (5, 3) ]);
+  let rejected f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check_bool "negative switch id rejected" true
+    (rejected (fun () -> Topology.create ~switches:[ -1 ] ~links:[] ~port_home:[]));
+  check_bool "negative port rejected" true
+    (rejected (fun () -> Topology.create ~switches:[ 1 ] ~links:[] ~port_home:[ (-3, 1) ]))
+
 (* The distributed fabric behaves exactly like the single big switch. *)
 let test_topology_equivalent_to_big_switch () =
   let runtime, classifier = fig1_classifier () in
@@ -1034,6 +1063,7 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_topology_structure;
           Alcotest.test_case "cycle breaks" `Quick test_topology_cycle_breaks;
+          Alcotest.test_case "port maps" `Quick test_topology_port_maps;
           Alcotest.test_case "disconnected rejected" `Quick
             test_topology_disconnected_rejected;
           Alcotest.test_case "equivalent to big switch" `Quick

@@ -97,7 +97,7 @@ let test_table_clear () =
   check_int "cleared" 0 (Table.size t);
   check_bool "no match after clear" true (Table.lookup t (Packet.make ()) = None)
 
-(* The engine partitions rules across its three layers and merges
+(* The engine partitions rules across its layers and merges
    priority-correctly between them. *)
 let test_table_engine_layers () =
   let t = Table.create () in
@@ -110,17 +110,18 @@ let test_table_engine_layers () =
        [ out 3 ]);
   Table.install t (flow ~priority:1 [ out 9 ]);
   let s = Table.engine_stats t in
-  check_int "exact layer" 1 s.Table.exact_entries;
+  check_int "dst_mac layer" 1 s.Table.mac_entries;
+  check_int "no exact-layer entry" 0 s.Table.exact_entries;
   check_int "prefix layer (dst + src tries)" 2 s.Table.prefix_entries;
   check_int "residual layer (catch-all)" 1 s.Table.residual_entries;
-  check_int "one shape" 1 s.Table.exact_shapes;
-  (* A packet matching both the exact and the prefix rule: the exact one
-     wins on priority, not on layer order. *)
+  check_int "no exact shape" 0 s.Table.exact_shapes;
+  (* A packet matching both the dst_mac and the prefix rule: the MAC
+     one wins on priority, not on layer order. *)
   let pkt = Packet.make ~dst_mac:vmac ~dst_ip:(Ipv4.of_string "10.1.2.3") () in
   (match Table.lookup t pkt with
   | Some f -> check_int "priority merge across layers" 30 f.priority
   | None -> Alcotest.fail "no match");
-  (* Same packet, exact rule removed: the prefix band serves it. *)
+  (* Same packet, MAC rule removed: the prefix band serves it. *)
   Table.remove t ~priority:30 ~pattern:(Pattern.make ~dst_mac:vmac ());
   (match Table.lookup t pkt with
   | Some f -> check_int "prefix band fallback" 20 f.priority
@@ -133,6 +134,106 @@ let test_table_engine_layers () =
   match Table.lookup t (Packet.make ~src_ip:(Ipv4.of_string "172.16.0.1") ()) with
   | Some f -> check_int "residual catch-all" 1 f.priority
   | None -> Alcotest.fail "no residual match"
+
+(* One MAC's bucket next to a higher-priority rule in another layer:
+   the priority decides across layers on every lookup path, before and
+   after a bulk rebuild, and the bucket goes with the MAC's last rule. *)
+let test_table_mac_layer () =
+  let t = Table.create () in
+  let vmac = Mac.of_int 0x020000000009 in
+  let net = Prefix.of_string "10.1.0.0/16" in
+  let both = Pattern.make ~dst_mac:vmac ~dst_ip:net () in
+  let mac_only = Pattern.make ~dst_mac:vmac () in
+  Table.install t (flow ~priority:20 ~pattern:both [ out 1 ]);
+  Table.install t (flow ~priority:30 ~pattern:(Pattern.make ~dst_ip:net ()) [ out 2 ]);
+  Table.install t (flow ~priority:10 ~pattern:mac_only [ out 3 ]);
+  let s = Table.engine_stats t in
+  check_int "both MAC rules in the MAC layer" 2 s.Table.mac_entries;
+  check_int "one MAC" 1 s.Table.mac_keys;
+  check_int "one bucket of two" 2 s.Table.mac_largest_bucket;
+  check_int "the dst_ip rule in the prefix band" 1 s.Table.prefix_entries;
+  let inside = Packet.make ~dst_mac:vmac ~dst_ip:(Ipv4.of_string "10.1.2.3") () in
+  let outside = Packet.make ~dst_mac:vmac ~dst_ip:(Ipv4.of_string "10.9.9.9") () in
+  let winner what expect =
+    let prio = Option.map (fun (f : Flow.t) -> f.priority) in
+    let snap = Table.snapshot t in
+    let find = Table.searcher snap in
+    List.iter
+      (fun (pkt, want) ->
+        check_bool (what ^ ": lookup") true (prio (Table.lookup t pkt) = want);
+        check_bool (what ^ ": searcher") true (prio (find pkt) = want);
+        check_bool (what ^ ": snapshot_linear") true
+          (prio (Table.snapshot_linear snap pkt) = want))
+      expect
+  in
+  winner "installed one by one" [ (inside, Some 30); (outside, Some 10) ];
+  (* A batch past the staleness budget takes the rebuild path. *)
+  let rebuilds = (Table.engine_stats t).Table.rebuilds in
+  let others =
+    List.init 200 (fun i ->
+        Table.Install
+          (flow ~priority:(i mod 40)
+             ~pattern:(Pattern.make ~dst_mac:(Mac.of_int (0x020000001000 + i)) ())
+             [ out 4 ]))
+  in
+  Table.apply t others;
+  check_bool "bulk apply rebuilt the engine" true
+    ((Table.engine_stats t).Table.rebuilds > rebuilds);
+  winner "after a bulk apply" [ (inside, Some 30); (outside, Some 10) ];
+  check_int "201 MACs" 201 (Table.engine_stats t).Table.mac_keys;
+  Table.remove t ~priority:20 ~pattern:both;
+  check_int "bucket kept while the MAC has a rule" 201
+    (Table.engine_stats t).Table.mac_keys;
+  Table.remove t ~priority:10 ~pattern:mac_only;
+  let s = Table.engine_stats t in
+  check_int "the MAC's last rule drops its bucket" 200 s.Table.mac_keys;
+  check_int "MAC layer entries" 200 s.Table.mac_entries;
+  winner "MAC rules gone" [ (inside, Some 30); (outside, None) ]
+
+(* The hot loop allocates nothing: a searcher hit or miss returns a
+   preallocated option, and [lookup] allocates only for its 1-in-64
+   latency sample.  Under the race detector every counter bump records
+   clocks, so [lookup] is only held to this with the detector off. *)
+let test_table_lookup_allocation () =
+  let t = Table.create () in
+  let mac i = Mac.of_int (0x020000000000 + i) in
+  List.iteri
+    (fun i pattern -> Table.install t (flow ~priority:(10 + i) ~pattern [ out (i mod 4) ]))
+    [
+      Pattern.make ~dst_mac:(mac 1) ();
+      Pattern.make ~dst_mac:(mac 2) ~dst_ip:(Prefix.of_string "10.0.0.0/8") ();
+      Pattern.make ~dst_port:80 ~proto:6 ();
+      Pattern.make ~dst_ip:(Prefix.of_string "10.1.0.0/16") ();
+      Pattern.make ~src_ip:(Prefix.of_string "192.168.0.0/16") ();
+    ];
+  let pkts =
+    Array.init 64 (fun i ->
+        Packet.make ~dst_mac:(mac (i mod 4))
+          ~dst_ip:(Ipv4.of_int (0x0A000000 lor (i lsl 14)))
+          ~src_ip:(Ipv4.of_string (if i mod 5 = 0 then "192.168.1.1" else "172.16.0.1"))
+          ~dst_port:(if i mod 3 = 0 then 80 else 22)
+          ())
+  in
+  let find = Table.searcher (Table.snapshot t) in
+  let hits = Array.fold_left (fun n p -> if find p = None then n else n + 1) 0 pkts in
+  check_bool "hits and misses both" true (hits > 0 && hits < Array.length pkts);
+  let calls = 10_000 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for i = 0 to calls - 1 do
+      ignore (f pkts.(i land 63))
+    done;
+    Gc.minor_words () -. w0
+  in
+  let w = words find in
+  check_bool (Printf.sprintf "searcher: %.0f words over %d lookups" w calls) true (w < 10.0);
+  if Sync.mode () = Sync.Off then begin
+    let w = words (Table.lookup t) in
+    check_bool
+      (Printf.sprintf "lookup: %.3f words per call" (w /. float_of_int calls))
+      true
+      (w /. float_of_int calls < 0.25)
+  end
 
 let test_table_engine_rebuilds () =
   let t = Table.create () in
@@ -341,34 +442,6 @@ let prop_install_all_equals_sequential =
       List.iter (Table.install seq) flows;
       Table.entries batch = Table.entries seq
       && List.for_all (fun pkt -> Table.lookup batch pkt = Table.lookup seq pkt) pkts)
-
-let prop_lookup_batch_equals_lookup =
-  QCheck2.Test.make
-    ~name:"lookup_batch = per-packet lookup (results, counters, oracle)"
-    ~count:200
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 0 60) gen_engine_flow)
-        (list_size (int_range 0 40) gen_engine_packet))
-    (fun (flows, pkts) ->
-      let a = Table.create () in
-      let b = Table.create () in
-      Table.install_all a flows;
-      Table.install_all b flows;
-      let arr = Array.of_list pkts in
-      let batch = Table.lookup_batch a arr in
-      let one_by_one = Array.map (Table.lookup b) arr in
-      batch = one_by_one
-      (* ... and agrees with the pure linear oracle ... *)
-      && Array.for_all Fun.id
-           (Array.mapi (fun i pkt -> batch.(i) = Table.lookup_linear a pkt) arr)
-      (* ... and leaves every per-entry packet counter exactly as the
-         per-packet path does. *)
-      && List.for_all
-           (fun (f : Flow.t) ->
-             Table.hits a ~priority:f.priority ~pattern:f.pattern
-             = Table.hits b ~priority:f.priority ~pattern:f.pattern)
-           flows)
 
 (* The RCU contract: a published snapshot is frozen.  A reader domain
    drains the packet vector against it while the owner domain keeps
@@ -738,6 +811,8 @@ let () =
           Alcotest.test_case "hits" `Quick test_table_hits;
           Alcotest.test_case "clear" `Quick test_table_clear;
           Alcotest.test_case "engine layers" `Quick test_table_engine_layers;
+          Alcotest.test_case "dst_mac layer" `Quick test_table_mac_layer;
+          Alcotest.test_case "lookups allocate nothing" `Quick test_table_lookup_allocation;
           Alcotest.test_case "engine rebuilds" `Quick test_table_engine_rebuilds;
           Alcotest.test_case "install_all batch" `Quick test_table_install_all_batch;
           Alcotest.test_case "overwrite resets counter" `Quick
@@ -747,7 +822,6 @@ let () =
             [
               prop_engine_equals_linear_oracle;
               prop_install_all_equals_sequential;
-              prop_lookup_batch_equals_lookup;
               prop_snapshot_frozen_under_churn;
             ] );
       ( "switch",
