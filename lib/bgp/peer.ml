@@ -60,6 +60,9 @@ let hold_expired t = event t Fsm.Hold_timer_expired
 let send_update t update =
   if Fsm.state t.fsm = Fsm.Established then transmit t (Wire.of_update update)
 
+let send_encoded t bytes =
+  if Fsm.state t.fsm = Fsm.Established then t.tx <- Bytes.copy bytes :: t.tx
+
 (* Extract one complete message from the head of [rx], if present: the
    declared length lives at bytes 16-17. *)
 let take_message t =

@@ -31,6 +31,11 @@ val send_update : t -> Update.t -> unit
 (** Queue an outgoing UPDATE (a re-advertisement toward the peer).
     Silently ignored unless the session is established. *)
 
+val send_encoded : t -> bytes -> unit
+(** Queue a copy of an already encoded message, so one encoding can be
+    sent on many sessions without the queued copies sharing bytes.
+    Silently ignored unless the session is established. *)
+
 val keepalive_due : t -> unit
 (** The keepalive timer fired: queue a KEEPALIVE if appropriate. *)
 

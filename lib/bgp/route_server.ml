@@ -6,10 +6,13 @@ type t = {
   export : advertiser:Asn.t -> receiver:Asn.t -> bool;
   route_filter : Route.t -> receiver:Asn.t -> bool;
   adj_in : (Asn.t, Rib.Adj_in.t) Hashtbl.t;
-  (* Candidate routes per prefix, keyed by advertiser; the per-receiver
-     best is derived on demand, which keeps state linear in the number of
-     announced routes rather than #prefixes x #participants. *)
-  by_prefix : (Prefix.t, Route.t Asn.Map.t) Hashtbl.t;
+  (* Candidate routes per prefix, one per advertiser, ranked by
+     [Decision.prefer] (best first) and kept ranked on every announce
+     and withdraw.  A receiver's best route is the first candidate the
+     receiver may see, so state stays linear in the number of announced
+     routes rather than #prefixes x #participants, and no per-receiver
+     question sorts or filters a fresh list. *)
+  by_prefix : (Prefix.t, Route.t list) Hashtbl.t;
   mutable prefix_index : unit Prefix_trie.t;
 }
 
@@ -52,87 +55,140 @@ let is_participant t asn = Asn.Set.mem asn t.peer_set
 let exports_to t ~advertiser ~receiver =
   (not (Asn.equal advertiser receiver)) && t.export ~advertiser ~receiver
 
+let ranked t prefix =
+  match Hashtbl.find_opt t.by_prefix prefix with None -> [] | Some l -> l
+
 let candidates t prefix =
-  match Hashtbl.find_opt t.by_prefix prefix with
-  | None -> []
-  | Some m ->
-      (* ascending advertiser order, same as [Asn.Map.bindings], without
-         materializing the intermediate pair list — this runs once per
-         covered prefix in both grouping pipelines. *)
-      List.rev (Asn.Map.fold (fun _ r acc -> r :: acc) m [])
+  List.sort
+    (fun (a : Route.t) (b : Route.t) -> Asn.compare a.learned_from b.learned_from)
+    (ranked t prefix)
+
+let rec find_from via = function
+  | [] -> None
+  | (r : Route.t) :: rest ->
+      if Asn.equal r.learned_from via then Some r else find_from via rest
+
+let route_from t ~via prefix = find_from via (ranked t prefix)
+
+let rec path_contains asn = function
+  | [] -> false
+  | a :: rest -> Asn.equal a asn || path_contains asn rest
 
 (* Standard BGP loop prevention: never hand a route to a receiver whose
    own AS number already appears in its path — one half of the §4.1
    forwarding-loop invariants. *)
-let loop_free (r : Route.t) ~receiver =
-  not (List.exists (Asn.equal receiver) r.as_path)
+let loop_free (r : Route.t) ~receiver = not (path_contains receiver r.as_path)
 
-let exported_candidates t ~receiver prefix =
-  List.filter
-    (fun (r : Route.t) ->
-      exports_to t ~advertiser:r.learned_from ~receiver
-      && loop_free r ~receiver
-      && t.route_filter r ~receiver)
-    (candidates t prefix)
+let exported t (r : Route.t) ~receiver =
+  exports_to t ~advertiser:r.learned_from ~receiver
+  && loop_free r ~receiver
+  && t.route_filter r ~receiver
 
-let best t ~receiver prefix = Decision.best (exported_candidates t ~receiver prefix)
+(* The first candidate in rank order that [receiver] may see, skipping
+   [skip]'s route. *)
+let rec first_exported t ~receiver ~skip = function
+  | [] -> None
+  | (r : Route.t) :: rest ->
+      if (not (Asn.equal r.learned_from skip)) && exported t r ~receiver then
+        Some r
+      else first_exported t ~receiver ~skip rest
+
+let best t ~receiver prefix =
+  (* A receiver never sees its own routes, so skipping them is free. *)
+  first_exported t ~receiver ~skip:receiver (ranked t prefix)
 
 let feasible t ~receiver prefix =
-  Decision.sort (exported_candidates t ~receiver prefix)
+  List.filter (fun r -> exported t r ~receiver) (ranked t prefix)
 
 let require_participant t asn =
   if not (is_participant t asn) then
     invalid_arg (Printf.sprintf "Route_server: unknown participant %s" (Asn.to_string asn))
 
-(* Receivers whose best route changes are found by recomputing the best
-   before and after; candidate sets per prefix are small (one route per
-   advertiser), so this costs O(#participants x #advertisers). *)
-let bests_snapshot t prefix =
-  List.map (fun receiver -> (receiver, best t ~receiver prefix)) t.peers
+let rec remove_from via = function
+  | [] -> []
+  | (r : Route.t) :: rest ->
+      if Asn.equal r.learned_from via then rest else r :: remove_from via rest
+
+let rec insert_ranked route = function
+  | [] -> [ route ]
+  | r :: rest as l ->
+      if Decision.prefer route r > 0 then route :: l
+      else r :: insert_ranked route rest
 
 let mutate_ribs t update =
   let peer = Update.peer update in
   let prefix = Update.prefix update in
   match update with
-  | Update.Announce route ->
+  | Update.Announce route -> (
       let adj = Hashtbl.find t.adj_in peer in
       Rib.Adj_in.add adj route;
-      let m =
-        Option.value (Hashtbl.find_opt t.by_prefix prefix) ~default:Asn.Map.empty
-      in
-      Hashtbl.replace t.by_prefix prefix (Asn.Map.add peer route m);
-      t.prefix_index <- Prefix_trie.add prefix () t.prefix_index
+      match Hashtbl.find_opt t.by_prefix prefix with
+      | None ->
+          Hashtbl.replace t.by_prefix prefix [ route ];
+          t.prefix_index <- Prefix_trie.add prefix () t.prefix_index
+      | Some l ->
+          Hashtbl.replace t.by_prefix prefix
+            (insert_ranked route (remove_from peer l)))
   | Update.Withdraw _ -> (
       let adj = Hashtbl.find t.adj_in peer in
       Rib.Adj_in.remove adj prefix;
       match Hashtbl.find_opt t.by_prefix prefix with
       | None -> ()
-      | Some m ->
-          let m = Asn.Map.remove peer m in
-          if Asn.Map.is_empty m then begin
-            Hashtbl.remove t.by_prefix prefix;
-            t.prefix_index <- Prefix_trie.remove prefix t.prefix_index
-          end
-          else Hashtbl.replace t.by_prefix prefix m)
+      | Some l -> (
+          match remove_from peer l with
+          | [] ->
+              Hashtbl.remove t.by_prefix prefix;
+              t.prefix_index <- Prefix_trie.remove prefix t.prefix_index
+          | l -> Hashtbl.replace t.by_prefix prefix l))
+
+(* [own] when [receiver] may see it, else [None]. *)
+let offered t own ~receiver =
+  match own with
+  | Some r when exported t r ~receiver -> own
+  | _ -> None
+
+let same_route a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> a == b || Route.equal a b
+  | _ -> false
+
+(* The better of a receiver's best other route and the advertiser's own
+   offer. *)
+let pick other own =
+  match (other, own) with
+  | None, r | r, None -> r
+  | Some o, Some r -> if Decision.prefer r o > 0 then own else other
+
+(* Whether [receiver]'s best route moved when [peer]'s route went from
+   [old_route] to [new_route].  Only [peer]'s route changed, so the best
+   among the other candidates is the same before and after: the
+   receiver's best moved iff the better of that route and [peer]'s
+   offer differs between the two states.  A receiver offered the same
+   route in both states, or none, is settled without walking the
+   candidates. *)
+let best_moved t ~peer ~old_route ~new_route ranked receiver =
+  let before = offered t old_route ~receiver in
+  let after = offered t new_route ~receiver in
+  (not (same_route before after))
+  &&
+  let other = first_exported t ~receiver ~skip:peer ranked in
+  not (same_route (pick other before) (pick other after))
 
 let apply t update =
   let peer = Update.peer update in
   require_participant t peer;
   let prefix = Update.prefix update in
-  let before = bests_snapshot t prefix in
+  let old_route = route_from t ~via:peer prefix in
   mutate_ribs t update;
-  let after = bests_snapshot t prefix in
+  let new_route =
+    match update with
+    | Update.Announce route -> Some route
+    | Update.Withdraw _ -> None
+  in
+  let ranked = ranked t prefix in
   let best_changed_for =
-    List.filter_map
-      (fun ((receiver, old_best), (_, new_best)) ->
-        let same =
-          match (old_best, new_best) with
-          | None, None -> true
-          | Some a, Some b -> Route.equal a b
-          | _ -> false
-        in
-        if same then None else Some receiver)
-      (List.combine before after)
+    List.filter (best_moved t ~peer ~old_route ~new_route ranked) t.peers
   in
   Sdx_obs.Registry.Counter.incr Obs.updates;
   Sdx_obs.Registry.Counter.incr
@@ -146,11 +202,10 @@ let apply t update =
 let apply_burst t updates = List.map (apply t) updates
 
 (* Notification-free bulk load for initial table builds: identical RIB
-   mutations to [apply] but without the per-update before/after
-   best-route diff, which costs O(participants x candidates) per update
-   and dominates million-prefix loads.  Nothing compiled exists yet at
-   load time, so there is no state the skipped change notifications
-   could have invalidated. *)
+   mutations to [apply] but without working out which receivers' best
+   routes changed.  Nothing compiled exists yet at load time, so there
+   is no state the skipped change notifications could have
+   invalidated. *)
 let load t update =
   require_participant t (Update.peer update);
   mutate_ribs t update;

@@ -40,16 +40,20 @@ val loop_free : Route.t -> receiver:Asn.t -> bool
 
 val apply : t -> Update.t -> change
 (** Process one update; [change.best_changed_for] is empty when the
-    update did not alter any participant's best route.
+    update did not alter any participant's best route.  Only the
+    advertiser's route changed, so each receiver is settled against that
+    route's old and new versions and the best other candidate it may
+    see: a receiver offered neither version costs two export checks, any
+    other a walk of the ranked list to its first exported candidate.
     @raise Invalid_argument if the update's peer is not a participant. *)
 
 val apply_burst : t -> Update.t list -> change list
 
 val load : t -> Update.t -> unit
 (** Notification-free bulk load: the same RIB mutations as {!apply} but
-    without computing which receivers' best routes changed — O(1) per
-    update instead of O(participants x candidates).  Only for initial
-    table builds, before any state derived from the server exists.
+    without working out which receivers' best routes changed, which
+    {!apply} does once per participant.  Only for initial table builds,
+    before any state derived from the server exists.
     @raise Invalid_argument if the update's peer is not a participant. *)
 
 val fold_adj_in :
@@ -75,10 +79,20 @@ val route_filter_passes : t -> Route.t -> receiver:Asn.t -> bool
     (export-policy and loop checks NOT included). *)
 
 val candidates : t -> Prefix.t -> Route.t list
-(** Every route currently announced for the prefix, one per advertiser. *)
+(** Every route currently announced for the prefix, one per advertiser,
+    in ascending advertiser order (sorted on each call). *)
+
+val ranked : t -> Prefix.t -> Route.t list
+(** The same routes, most preferred first: equal to
+    [Decision.sort (candidates t prefix)], but kept ranked as routes
+    arrive and leave, so reading it costs nothing. *)
+
+val route_from : t -> via:Asn.t -> Prefix.t -> Route.t option
+(** The route [via] currently announces for the prefix, if any. *)
 
 val best : t -> receiver:Asn.t -> Prefix.t -> Route.t option
-(** The route the server advertises to [receiver] for this prefix. *)
+(** The route the server advertises to [receiver] for this prefix: the
+    first route of {!ranked} exported to it. *)
 
 val feasible : t -> receiver:Asn.t -> Prefix.t -> Route.t list
 (** All routes exported to [receiver] for this prefix, best first.  SDX

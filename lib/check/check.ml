@@ -603,7 +603,7 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
           List.iter
             (fun ((g : Compile.group), prefix) ->
               let feas = Route_server.feasible server ~receiver:sender.asn prefix in
-              let candidates = Route_server.candidates server prefix in
+              let candidates = Route_server.ranked server prefix in
               let originated = originator_of config prefix <> None in
               (* No feasible route but other candidates remain: export
                  policy or loop prevention hides the prefix from this

@@ -384,6 +384,7 @@ let restrict_set restriction set =
 module Default_keys = struct
   type nonrec t = {
     config : Config.t;
+    receivers : Asn.t list;
     fp_ids : ((Asn.t * Ipv4.t) list, int) Hashtbl.t;
     variants_of_id : (int, (Ipv4.t option * Asn.t list) list) Hashtbl.t;
     (* The memo tables may be consulted from pool domains. *)
@@ -393,49 +394,65 @@ module Default_keys = struct
   let create config =
     {
       config;
+      receivers =
+        List.map (fun (p : Participant.t) -> p.asn) (Config.participants config);
       fp_ids = Hashtbl.create 256;
       variants_of_id = Hashtbl.create 256;
       lock = Sync.Mutex.create ();
     }
 
+  (* Each receiver's default is the next hop of the first fingerprint
+     entry whose advertiser exports to it.  Entries resolve their port
+     once, entries with equal defaults share a slot, and receivers are
+     grouped by slot, in participant order within a variant and variants
+     in order of their first receiver. *)
   let variants_of_fingerprint t fp =
     let server = Config.server t.config in
-    let receivers =
-      List.map (fun (p : Participant.t) -> p.asn) (Config.participants t.config)
+    let entries = Array.of_list fp in
+    let n = Array.length entries in
+    (* Slot [n] holds receivers no entry exports to.  A next hop that
+       resolves to no fabric port (an SDX-originated placeholder) gives
+       no default either. *)
+    let default_of =
+      Array.init (n + 1) (fun i ->
+          if i = n then None
+          else
+            let nh = snd entries.(i) in
+            if Option.is_some (Config.port_of_next_hop t.config nh) then Some nh
+            else None)
     in
-    let choice receiver =
-      let rec go = function
-        | [] -> None
-        | (advertiser, nh) :: rest ->
-            if Route_server.exports_to server ~advertiser ~receiver then
-              (* A next hop that resolves to no fabric port (an
-                 SDX-originated placeholder) gives no default. *)
-              if Option.is_some (Config.port_of_next_hop t.config nh) then
-                Some nh
-              else None
-            else go rest
-      in
-      go fp
+    let slot = Array.make (n + 1) 0 in
+    for i = 1 to n do
+      let j = ref 0 in
+      while not (Option.equal Ipv4.equal default_of.(!j) default_of.(i)) do
+        incr j
+      done;
+      slot.(i) <- !j
+    done;
+    let rec first receiver i =
+      if i = n then n
+      else if
+        Route_server.exports_to server ~advertiser:(fst entries.(i)) ~receiver
+      then i
+      else first receiver (i + 1)
     in
-    let by_nh = Hashtbl.create 8 in
+    let members = Array.make (n + 1) [] in
     let order = ref [] in
     List.iter
-      (fun r ->
-        let nh = choice r in
-        (match Hashtbl.find_opt by_nh nh with
-        | None ->
-            order := nh :: !order;
-            Hashtbl.replace by_nh nh [ r ]
-        | Some rs -> Hashtbl.replace by_nh nh (r :: rs)))
-      receivers;
-    List.rev_map (fun nh -> (nh, List.rev (Hashtbl.find by_nh nh))) !order
+      (fun receiver ->
+        let s = slot.(first receiver 0) in
+        if members.(s) = [] then order := s :: !order;
+        members.(s) <- receiver :: members.(s))
+      t.receivers;
+    List.rev_map (fun s -> (default_of.(s), List.rev members.(s))) !order
+
+  let fingerprint t prefix =
+    List.map
+      (fun (r : Route.t) -> (r.learned_from, r.next_hop))
+      (Route_server.ranked (Config.server t.config) prefix)
 
   let key_of_prefix t prefix =
-    let server = Config.server t.config in
-    let sorted = Decision.sort (Route_server.candidates server prefix) in
-    let fp =
-      List.map (fun (r : Route.t) -> (r.learned_from, r.next_hop)) sorted
-    in
+    let fp = fingerprint t prefix in
     Sync.Mutex.lock t.lock;
     let id =
       match Hashtbl.find_opt t.fp_ids fp with
@@ -460,13 +477,7 @@ module Default_keys = struct
   (* Variants for a single prefix, bypassing the fingerprint memo — used
      by the incremental fast path, which must reflect the post-update
      routes even though the memo may hold stale entries. *)
-  let variants_of_prefix t prefix =
-    let server = Config.server t.config in
-    let sorted = Decision.sort (Route_server.candidates server prefix) in
-    let fp =
-      List.map (fun (r : Route.t) -> (r.learned_from, r.next_hop)) sorted
-    in
-    variants_of_fingerprint t fp
+  let variants_of_prefix t prefix = variants_of_fingerprint t (fingerprint t prefix)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -687,12 +698,8 @@ let route_from_via config ~via group_prefixes =
   let rec go = function
     | [] -> None
     | p :: rest -> (
-        match
-          List.find_opt
-            (fun (r : Route.t) -> Asn.equal r.learned_from via)
-            (Route_server.candidates server p)
-        with
-        | Some r -> Some r
+        match Route_server.route_from server ~via p with
+        | Some _ as r -> r
         | None -> go rest)
   in
   go group_prefixes
@@ -1131,11 +1138,7 @@ let export_vectors config ospecs ~run =
                  (fun prefix () ->
                    if not (Hashtbl.mem seen prefix) then begin
                      Hashtbl.add seen prefix ();
-                     match
-                       List.find_opt
-                         (fun (r : Route.t) -> Asn.equal r.learned_from via)
-                         (Route_server.candidates server prefix)
-                     with
+                     match Route_server.route_from server ~via prefix with
                      | Some route ->
                          if covers spec route then members := prefix :: !members
                      | None -> ()
@@ -1555,7 +1558,7 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
           let fp =
             List.map
               (fun (r : Route.t) -> (r.learned_from, r.next_hop))
-              (Decision.sort (Route_server.candidates server head))
+              (Route_server.ranked server head)
           in
           Class_tbl.replace class_intern (Option.value mem ~default:[], fp) g)
         grouped);
@@ -1807,7 +1810,7 @@ let compile_update_batch t config vnh_alloc prefixes =
   let alive, dead =
     List.partition
       (fun p ->
-        Route_server.candidates server p <> []
+        Route_server.ranked server p <> []
         || originator_of config p <> None)
       prefixes
   in
@@ -1821,7 +1824,6 @@ let compile_update_batch t config vnh_alloc prefixes =
      the result is ascending, matching the base class signatures. *)
   let ospec_arr = Array.of_list t.ospecs in
   let membership prefix =
-    let cands = Route_server.candidates server prefix in
     List.filter_map
       (fun spec ->
         match spec.via with
@@ -1836,22 +1838,17 @@ let compile_update_batch t config vnh_alloc prefixes =
               allowed
               && Route_server.exports_to server ~advertiser:via
                    ~receiver:spec.sender.asn
-              && List.exists
-                   (fun (r : Route.t) ->
-                     Asn.equal r.learned_from via
-                     && Route_server.loop_free r ~receiver:spec.sender.asn
+              && (match Route_server.route_from server ~via prefix with
+                 | Some r ->
+                     Route_server.loop_free r ~receiver:spec.sender.asn
                      && Route_server.route_filter_passes server r
-                          ~receiver:spec.sender.asn)
-                   cands
+                          ~receiver:spec.sender.asn
+                 | None -> false)
             then Some spec.spec_id
             else None)
       t.ospecs
   in
-  let fingerprint prefix =
-    List.map
-      (fun (r : Route.t) -> (r.learned_from, r.next_hop))
-      (Decision.sort (Route_server.candidates server prefix))
-  in
+
   (* Origin-band ids, in the same [nspecs + j] slots the base compile's
      export-vector pass assigns: [originated_sets] iterates the static
      participant config, so the band indexing is stable across compiles
@@ -1876,7 +1873,10 @@ let compile_update_batch t config vnh_alloc prefixes =
   let order = ref [] in
   List.iter
     (fun prefix ->
-      let s = (membership prefix @ origin_band prefix, fingerprint prefix) in
+      let s =
+        ( membership prefix @ origin_band prefix,
+          Default_keys.fingerprint keys prefix )
+      in
       match Class_tbl.find_opt t.class_intern s with
       | Some g -> (
           match Hashtbl.find_opt t.by_prefix prefix with

@@ -41,15 +41,28 @@ let outbox t asn = Peer.pending_output (session t asn)
 
 (* Re-advertise one prefix's new state (announcement with VNH next hop,
    or withdrawal) to every established session except the update's
-   source. *)
+   source.  Receivers with the same best route get the same message, so
+   each distinct message is encoded once per call and every receiver
+   queues its own copy of the bytes. *)
 let readvertise t ~from prefix =
+  let encoded = ref [] in
+  let encode msg =
+    match List.assoc_opt msg !encoded with
+    | Some bytes -> bytes
+    | None ->
+        let bytes = Wire.encode msg in
+        encoded := (msg, bytes) :: !encoded;
+        bytes
+  in
   List.iter
     (fun receiver ->
       if not (Asn.equal receiver from) then begin
-        let peer = session t receiver in
-        match Runtime.announcement t.runtime ~receiver prefix with
-        | Some route -> Peer.send_update peer (Update.announce route)
-        | None -> Peer.send_update peer (Update.withdraw ~peer:receiver prefix)
+        let update =
+          match Runtime.announcement t.runtime ~receiver prefix with
+          | Some route -> Update.announce route
+          | None -> Update.withdraw ~peer:receiver prefix
+        in
+        Peer.send_encoded (session t receiver) (encode (Wire.of_update update))
       end)
     (established t)
 

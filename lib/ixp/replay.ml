@@ -264,11 +264,7 @@ let soak ?(config = default_soak_config) ?check ?check_incremental ?on_commit
     let ps = List.filteri (fun i _ -> i < config.storm_size) ps in
     List.filter_map
       (fun p ->
-        Option.map
-          (fun r -> (p, r))
-          (List.find_opt
-             (fun (r : Route.t) -> Asn.equal r.learned_from asn)
-             (Route_server.candidates server p)))
+        Option.map (fun r -> (p, r)) (Route_server.route_from server ~via:asn p))
       ps
   in
   let random_peer () = specs.(Rng.int rng n_specs).Population.asn in

@@ -282,15 +282,14 @@ module Mutex = struct
     mutable l_holder : int;  (* model mode: vthread holding it, -1 free *)
   }
 
-  type t = { rm : RMutex.t; st : state option }
+  (* sdx-owner: st is set once, by the holder of rm (see [recorded]). *)
+  type t = { rm : RMutex.t; name : string; mutable st : state option }
+
+  let new_state name =
+    { l_id = fresh_loc (); l_name = name; l_session = !session; l_vc = Vclock.empty; l_holder = -1 }
 
   let create ?(name = "mutex") () =
-    let st =
-      if enabled () then
-        Some { l_id = fresh_loc (); l_name = name; l_session = !session; l_vc = Vclock.empty; l_holder = -1 }
-      else None
-    in
-    { rm = RMutex.create (); st }
+    { rm = RMutex.create (); name; st = (if enabled () then Some (new_state name) else None) }
 
   let fresh st =
     if st.l_session <> !session then begin
@@ -299,48 +298,60 @@ module Mutex = struct
       st.l_holder <- -1
     end
 
+  (* The state to record edges on, for a caller holding [rm].  A mutex
+     created while the detector was off gets its state on its first
+     recorded operation: a lock created lazily before recording began
+     (the shared domain pool, say) must still order the accesses it
+     guards once recording is on.  Model mode leaves such mutexes
+     invisible. *)
+  let recorded t =
+    match t.st with
+    | None when !mode_ref = Record ->
+        let st = new_state t.name in
+        t.st <- Some st;
+        t.st
+    | st -> st
+
   let lock t =
     match t.st with
-    | None -> RMutex.lock t.rm
-    | Some st when !mode_ref = Off -> ignore st; RMutex.lock t.rm
-    | Some st ->
-        if in_model () then begin
-          model_yield { op_loc = st.l_id; op_write = true; op_desc = "lock " ^ st.l_name };
-          locked (fun () -> fresh st);
-          if st.l_holder >= 0 then
-            Effect.perform
-              (Block
-                 ( { op_loc = st.l_id; op_write = true; op_desc = "lock(blocked) " ^ st.l_name },
-                   fun () -> st.l_holder < 0 ));
-          locked (fun () ->
-              st.l_holder <- current_tid_locked ();
-              ignore (acquire_edge_locked (fun () -> st.l_vc)))
-        end
-        else begin
-          RMutex.lock t.rm;
-          locked (fun () ->
-              fresh st;
-              ignore (acquire_edge_locked (fun () -> st.l_vc)))
-        end
+    | Some st when in_model () ->
+        model_yield { op_loc = st.l_id; op_write = true; op_desc = "lock " ^ st.l_name };
+        locked (fun () -> fresh st);
+        if st.l_holder >= 0 then
+          Effect.perform
+            (Block
+               ( { op_loc = st.l_id; op_write = true; op_desc = "lock(blocked) " ^ st.l_name },
+                 fun () -> st.l_holder < 0 ));
+        locked (fun () ->
+            st.l_holder <- current_tid_locked ();
+            ignore (acquire_edge_locked (fun () -> st.l_vc)))
+    | _ when !mode_ref = Off -> RMutex.lock t.rm
+    | _ -> (
+        RMutex.lock t.rm;
+        match recorded t with
+        | None -> ()
+        | Some st ->
+            locked (fun () ->
+                fresh st;
+                ignore (acquire_edge_locked (fun () -> st.l_vc))))
 
   let unlock t =
     match t.st with
-    | None -> RMutex.unlock t.rm
-    | Some st when !mode_ref = Off -> ignore st; RMutex.unlock t.rm
-    | Some st ->
-        if in_model () then begin
-          model_yield { op_loc = st.l_id; op_write = true; op_desc = "unlock " ^ st.l_name };
-          locked (fun () ->
-              fresh st;
-              ignore (release_edge_locked (fun () -> st.l_vc) (fun vc -> st.l_vc <- vc));
-              st.l_holder <- -1)
-        end
-        else begin
-          locked (fun () ->
-              fresh st;
-              ignore (release_edge_locked (fun () -> st.l_vc) (fun vc -> st.l_vc <- vc)));
-          RMutex.unlock t.rm
-        end
+    | Some st when in_model () ->
+        model_yield { op_loc = st.l_id; op_write = true; op_desc = "unlock " ^ st.l_name };
+        locked (fun () ->
+            fresh st;
+            ignore (release_edge_locked (fun () -> st.l_vc) (fun vc -> st.l_vc <- vc));
+            st.l_holder <- -1)
+    | _ when !mode_ref = Off -> RMutex.unlock t.rm
+    | _ ->
+        (match recorded t with
+        | None -> ()
+        | Some st ->
+            locked (fun () ->
+                fresh st;
+                ignore (release_edge_locked (fun () -> st.l_vc) (fun vc -> st.l_vc <- vc))));
+        RMutex.unlock t.rm
 
   let protect t f =
     lock t;
@@ -381,41 +392,42 @@ module Condition = struct
 
   (* The happens-before carried by a condition is exactly the one its
      mutex carries (wait releases and re-acquires it), so Record mode
-     only needs the mutex edges around the real wait. *)
+     only needs the mutex edges around the real wait, whether or not
+     the condition itself has state.  The mode is read again after the
+     wait: a waiter that went to sleep before recording began still
+     learns its waker's clock. *)
   let wait t (m : Mutex.t) =
     match t.st with
-    | None -> RCondition.wait t.rc m.Mutex.rm
-    | Some st when !mode_ref = Off -> ignore st; RCondition.wait t.rc m.Mutex.rm
-    | Some st ->
-        if in_model () then begin
-          model_yield { op_loc = st.c_id; op_write = true; op_desc = "wait " ^ st.c_name };
-          locked (fun () -> fresh st);
-          let gen = st.c_gen in
-          Mutex.unlock m;
-          Effect.perform
-            (Block
-               ( { op_loc = st.c_id; op_write = true; op_desc = "wait(blocked) " ^ st.c_name },
-                 fun () -> st.c_gen > gen ));
-          Mutex.lock m
-        end
-        else begin
-          (match m.Mutex.st with
-          | Some lst when !mode_ref <> Off ->
-              locked (fun () ->
-                  Mutex.fresh lst;
-                  ignore
-                    (release_edge_locked
-                       (fun () -> lst.Mutex.l_vc)
-                       (fun vc -> lst.Mutex.l_vc <- vc)))
-          | _ -> ());
-          RCondition.wait t.rc m.Mutex.rm;
-          match m.Mutex.st with
-          | Some lst when !mode_ref <> Off ->
+    | Some st when in_model () ->
+        model_yield { op_loc = st.c_id; op_write = true; op_desc = "wait " ^ st.c_name };
+        locked (fun () -> fresh st);
+        let gen = st.c_gen in
+        Mutex.unlock m;
+        Effect.perform
+          (Block
+             ( { op_loc = st.c_id; op_write = true; op_desc = "wait(blocked) " ^ st.c_name },
+               fun () -> st.c_gen > gen ));
+        Mutex.lock m
+    | None when in_model () -> RCondition.wait t.rc m.Mutex.rm
+    | _ ->
+        (if !mode_ref <> Off then
+           match Mutex.recorded m with
+           | None -> ()
+           | Some lst ->
+               locked (fun () ->
+                   Mutex.fresh lst;
+                   ignore
+                     (release_edge_locked
+                        (fun () -> lst.Mutex.l_vc)
+                        (fun vc -> lst.Mutex.l_vc <- vc))));
+        RCondition.wait t.rc m.Mutex.rm;
+        if !mode_ref <> Off then
+          match Mutex.recorded m with
+          | None -> ()
+          | Some lst ->
               locked (fun () ->
                   Mutex.fresh lst;
                   ignore (acquire_edge_locked (fun () -> lst.Mutex.l_vc)))
-          | _ -> ()
-        end
 
   (* Model mode gives [signal] broadcast semantics: every current
      waiter's predicate sees the new generation.  The tree only uses

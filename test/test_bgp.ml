@@ -531,6 +531,160 @@ let test_peering_through_route_server () =
     (Route_server.best server ~receiver:(asn 2) (pfx "21.0.0.0/16") = None)
 
 (* ------------------------------------------------------------------ *)
+(* Route server against the two-snapshot oracle                        *)
+
+(* Five peers, four overlapping prefixes, a random export matrix and the
+   community conventions as the route filter.  AS paths may run through
+   other peers (loop prevention), and with two local preferences, two
+   origins and short paths many ties fall through to MED, advertiser and
+   next hop.  The oracle recomputes every receiver's best route from a
+   plain model of the candidates before and after each update, and
+   diffs the two snapshots. *)
+let oracle_peers = List.init 5 (fun i -> asn (i + 1))
+
+let oracle_prefixes =
+  [ pfx "20.0.0.0/16"; pfx "20.1.0.0/16"; pfx "20.0.0.0/8"; pfx "21.0.0.0/16" ]
+
+let oracle_rs_asn = asn 65535
+
+let gen_oracle_update =
+  let open QCheck2.Gen in
+  let* peer = map asn (int_range 1 5) in
+  let* prefix = oneofl oracle_prefixes in
+  let* withdraw = int_range 0 3 in
+  if withdraw = 0 then return (Update.withdraw ~peer prefix)
+  else
+    let* local_pref = oneofl [ 100; 200 ] in
+    let* med = int_range 0 2 in
+    let* origin = oneofl [ Route.Igp; Route.Egp ] in
+    (* ASes 1-5 are peers, so a tail through them trips loop prevention
+       for that receiver; 6 and 7 are outsiders. *)
+    let* tail = list_size (int_range 0 2) (map asn (int_range 1 7)) in
+    let* nh = int_range 1 3 in
+    let* communities =
+      list_size (int_range 0 2)
+        (frequency
+           [
+             (1, return Peering.no_export);
+             (3, map (fun k -> Peering.do_not_announce_to (asn k)) (int_range 1 5));
+             ( 3,
+               map
+                 (fun k -> Peering.announce_only_to ~rs_asn:oracle_rs_asn (asn k))
+                 (int_range 1 5) );
+             (2, return (65000, 1));
+           ])
+    in
+    return
+      (Update.announce
+         (Route.make ~prefix
+            ~next_hop:(ip (Printf.sprintf "10.0.0.%d" nh))
+            ~as_path:(peer :: tail) ~local_pref ~med ~origin ~communities
+            ~learned_from:peer ()))
+
+let prop_route_server_oracle =
+  QCheck2.Test.make ~name:"ranked server = two-snapshot oracle"
+    ~count:300
+    ~print:(fun (_, updates) ->
+      String.concat "\n" (List.map (Format.asprintf "%a" Update.pp) updates))
+    QCheck2.Gen.(
+      pair
+        (array_size (return 25) (map (fun k -> k > 0) (int_range 0 4)))
+        (list_size (int_range 1 40) gen_oracle_update))
+    (fun (matrix, updates) ->
+      let export ~advertiser ~receiver =
+        matrix.((5 * (Asn.to_int advertiser - 1)) + Asn.to_int receiver - 1)
+      in
+      let route_filter = Peering.community_filter ~rs_asn:oracle_rs_asn in
+      let server = Route_server.create ~export ~route_filter oracle_peers in
+      (* The model: each prefix's routes by advertiser. *)
+      let model = Hashtbl.create 8 in
+      let routes_of prefix =
+        Asn.Map.bindings
+          (Option.value (Hashtbl.find_opt model prefix) ~default:Asn.Map.empty)
+        |> List.map snd
+      in
+      let exported (r : Route.t) ~receiver =
+        (not (Asn.equal r.learned_from receiver))
+        && export ~advertiser:r.learned_from ~receiver
+        && (not (List.exists (Asn.equal receiver) r.as_path))
+        && route_filter r ~receiver
+      in
+      let exported_routes ~receiver prefix =
+        List.filter (exported ~receiver) (routes_of prefix)
+      in
+      let bests_snapshot prefix =
+        List.map
+          (fun receiver -> (receiver, Decision.best (exported_routes ~receiver prefix)))
+          oracle_peers
+      in
+      let same a b =
+        match (a, b) with
+        | None, None -> true
+        | Some a, Some b -> Route.equal a b
+        | _ -> false
+      in
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let check_views () =
+        List.iter
+          (fun prefix ->
+            let routes = routes_of prefix in
+            if not (List.equal Route.equal (Route_server.candidates server prefix) routes)
+            then fail "candidates of %a not in advertiser order" Prefix.pp prefix;
+            if not (List.equal Route.equal (Route_server.ranked server prefix)
+                      (Decision.sort routes))
+            then fail "ranked %a differs from Decision.sort" Prefix.pp prefix;
+            List.iter
+              (fun receiver ->
+                let mine = exported_routes ~receiver prefix in
+                if not (same (Route_server.best server ~receiver prefix) (Decision.best mine))
+                then fail "best %a for %a" Prefix.pp prefix Asn.pp receiver;
+                if not (List.equal Route.equal
+                          (Route_server.feasible server ~receiver prefix)
+                          (Decision.sort mine))
+                then fail "feasible %a for %a" Prefix.pp prefix Asn.pp receiver;
+                if not (same (Route_server.route_from server ~via:receiver prefix)
+                          (List.find_opt
+                             (fun (r : Route.t) -> Asn.equal r.learned_from receiver)
+                             routes))
+                then fail "route_from %a via %a" Prefix.pp prefix Asn.pp receiver)
+              oracle_peers)
+          oracle_prefixes
+      in
+      let apply update =
+        let prefix = Update.prefix update in
+        let before = bests_snapshot prefix in
+        let change = Route_server.apply server update in
+        let m = Option.value (Hashtbl.find_opt model prefix) ~default:Asn.Map.empty in
+        (match update with
+        | Update.Announce r -> Hashtbl.replace model prefix (Asn.Map.add r.learned_from r m)
+        | Update.Withdraw { peer; _ } -> Hashtbl.replace model prefix (Asn.Map.remove peer m));
+        let after = bests_snapshot prefix in
+        let expected =
+          List.filter_map
+            (fun ((receiver, b), (_, a)) -> if same b a then None else Some receiver)
+            (List.combine before after)
+        in
+        if not (Prefix.equal change.prefix prefix) then fail "change names another prefix";
+        if not (List.equal Asn.equal change.best_changed_for expected) then
+          fail "%a: best changed for [%s], oracle says [%s]" Update.pp update
+            (String.concat " " (List.map Asn.to_string change.best_changed_for))
+            (String.concat " " (List.map Asn.to_string expected))
+      in
+      List.iter
+        (fun update ->
+          apply update;
+          check_views ();
+          match update with
+          | Update.Announce r ->
+              (* An identical route, announced again, moves nobody. *)
+              let again = Route_server.apply server (Update.announce { r with med = r.med }) in
+              if again.best_changed_for <> [] then fail "re-announcement moved a best route";
+              check_views ()
+          | Update.Withdraw _ -> ())
+        updates;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* RPKI                                                                *)
 
 let test_rpki_validation () =
@@ -871,7 +1025,8 @@ let () =
           Alcotest.test_case "lookup_best" `Quick test_server_lookup_best;
           Alcotest.test_case "fold/prefixes" `Quick test_server_fold_and_prefixes;
           Alcotest.test_case "burst" `Quick test_server_burst;
-        ] );
+        ]
+        @ qsuite [ prop_route_server_oracle ] );
       ( "as_path_regex",
         [
           Alcotest.test_case "youtube example" `Quick test_as_path_regex;

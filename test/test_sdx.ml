@@ -1058,6 +1058,68 @@ let test_gateway_table_transfer () =
     (Gateway.outbox gw Fig1.asn_a);
   check_int "full table received" 3 !received
 
+(* Re-advertisement bytes: every established receiver except the sender
+   gets exactly the encoding of its own announcement (or withdrawal),
+   and receivers sent the same message still hold their own bytes. *)
+let test_gateway_readvertisement_bytes () =
+  let gw, clients, _, _ = gateway_world () in
+  let all = [ Fig1.asn_a; Fig1.asn_b; Fig1.asn_c; Fig1.asn_d ] in
+  (* D's session drops, so it is not established when the UPDATE
+     arrives. *)
+  check_bool "garbage tears D down" true
+    (Result.is_error (Gateway.deliver gw ~from:Fig1.asn_d (Bytes.make 19 '\000')));
+  check_bool "D not established" false
+    (List.mem Fig1.asn_d (Gateway.established gw));
+  List.iter (fun asn -> ignore (Gateway.outbox gw asn)) all;
+  let client_b = List.assoc Fig1.asn_b clients in
+  let runtime = Gateway.runtime gw in
+  let deliver_from_b update =
+    Peer.send_update client_b update;
+    List.iter
+      (fun data ->
+        match Gateway.deliver gw ~from:Fig1.asn_b data with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+      (Peer.pending_output client_b);
+    let queued = List.map (fun asn -> (asn, Gateway.outbox gw asn)) all in
+    List.iter
+      (fun (asn, out) ->
+        let expected =
+          if Asn.equal asn Fig1.asn_b || Asn.equal asn Fig1.asn_d then []
+          else
+            let update =
+              match Runtime.announcement runtime ~receiver:asn Fig1.p1 with
+              | Some route -> Update.announce route
+              | None -> Update.withdraw ~peer:asn Fig1.p1
+            in
+            [ Wire.encode (Wire.of_update update) ]
+        in
+        check_bool
+          (Asn.to_string asn ^ " outbox is its own message")
+          true
+          (List.equal Bytes.equal out expected))
+      queued;
+    (* A and C share a best route, so they are sent one message... *)
+    check_bool "A and C sent the same message" true
+      (List.equal Bytes.equal
+         (List.assoc Fig1.asn_a queued)
+         (List.assoc Fig1.asn_c queued));
+    (* ...in bytes of their own. *)
+    let bytes = List.concat_map snd queued in
+    List.iteri
+      (fun i a ->
+        List.iteri
+          (fun j b -> if i < j then check_bool "no shared bytes" false (a == b))
+          bytes)
+      bytes
+  in
+  deliver_from_b
+    (Update.announce
+       (Route.make ~prefix:Fig1.p1 ~next_hop:(ip "172.0.0.2")
+          ~as_path:[ Fig1.asn_b; Asn.of_int 65001 ]
+          ~learned_from:Fig1.asn_b ()));
+  deliver_from_b (Update.withdraw ~peer:Fig1.asn_b Fig1.p1)
+
 (* ------------------------------------------------------------------ *)
 (* Scenario files                                                      *)
 
@@ -1354,6 +1416,8 @@ let () =
           Alcotest.test_case "session loss flushes" `Quick
             test_gateway_session_loss_flushes;
           Alcotest.test_case "table transfer" `Quick test_gateway_table_transfer;
+          Alcotest.test_case "re-advertisement bytes" `Quick
+            test_gateway_readvertisement_bytes;
         ] );
       ( "scenario",
         [
