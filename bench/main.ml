@@ -1360,8 +1360,8 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
   let canon outs = List.sort compare outs in
   let m_oracle = min packets 20_000 in
   let oracle = Array.init m_oracle (fun i -> canon (oracle_read pkts.(i))) in
-  Format.printf "  %6s %8s %13s %13s %11s %9s %16s %9s@." "edges" "workers"
-    "logical rules" "largest edge" "core rules" "total" "aggregate pkt/s"
+  Format.printf "  %6s %8s %13s %13s %11s %9s %9s %16s %9s@." "edges" "workers"
+    "logical rules" "largest edge" "core rules" "transit" "total" "aggregate pkt/s"
     "mismatch";
   let sweep =
     List.map
@@ -1376,6 +1376,18 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
             0 counts
         in
         let core_rules = List.assoc 0 counts in
+        (* Transit-band copies over all switches: the slices' copies on
+           their reach. *)
+        let transit_rules =
+          List.fold_left
+            (fun n s ->
+              Sdx_openflow.Table.entries
+                (Sdx_openflow.Switch.table (Fabric.switch fab s) 0)
+              |> List.filter (fun (f : Sdx_openflow.Flow.t) ->
+                     f.priority >= Fabric.transit_base)
+              |> List.length |> ( + ) n)
+            0 (Fabric.switches fab)
+        in
         let snap = Fabric.snapshots fab in
         (* One reader domain per edge: the parallelism sharding buys. *)
         let workers = max 1 (min domains edges) in
@@ -1398,21 +1410,21 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
         in
         let mismatches = List.fold_left ( + ) 0 per_worker_bad in
         let aggregate = float_of_int (workers * packets) /. wall in
-        Format.printf "  %6d %8d %13d %13d %11d %9d %16.0f %9d@." edges
-          workers logical_rules largest_edge core_rules
+        Format.printf "  %6d %8d %13d %13d %11d %9d %9d %16.0f %9d@." edges
+          workers logical_rules largest_edge core_rules transit_rules
           (Fabric.total_rules fab) aggregate mismatches;
-        (edges, workers, largest_edge, core_rules, Fabric.total_rules fab,
-         aggregate, mismatches))
+        (edges, workers, largest_edge, core_rules, transit_rules,
+         Fabric.total_rules fab, aggregate, mismatches))
       [ 1; 2; 4 ]
   in
   let field f = List.map f sweep in
   let find_edges e =
-    List.find (fun (edges, _, _, _, _, _, _) -> edges = e) sweep
+    List.find (fun (edges, _, _, _, _, _, _, _) -> edges = e) sweep
   in
-  let _, _, e1_largest, _, _, e1_pps, _ = find_edges 1 in
-  let _, _, e4_largest, _, _, e4_pps, _ = find_edges 4 in
+  let _, _, e1_largest, _, _, _, e1_pps, _ = find_edges 1 in
+  let _, _, e4_largest, _, _, _, e4_pps, _ = find_edges 4 in
   let total_mismatches =
-    List.fold_left ( + ) 0 (field (fun (_, _, _, _, _, _, m) -> m))
+    List.fold_left ( + ) 0 (field (fun (_, _, _, _, _, _, _, m) -> m))
   in
   (* Churn soak over the 2-edge fabric: every 8th burst commits through
      the two-phase protocol with probe traffic injected inside each phase
@@ -1500,13 +1512,13 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
     participants prefixes packets logical_rules
     (String.concat ",\n"
        (List.map
-          (fun (edges, workers, largest, core, total, pps, bad) ->
+          (fun (edges, workers, largest, core, transit, total, pps, bad) ->
             Printf.sprintf
               "    {\"sweep_edges\": %d, \"sweep_workers\": %d, \
                \"sweep_largest_edge_rules\": %d, \"sweep_core_rules\": %d, \
-               \"sweep_total_rules\": %d, \"sweep_aggregate_pps\": %.0f, \
-               \"sweep_mismatches\": %d}"
-              edges workers largest core total pps bad)
+               \"sweep_transit_rules\": %d, \"sweep_total_rules\": %d, \
+               \"sweep_aggregate_pps\": %.0f, \"sweep_mismatches\": %d}"
+              edges workers largest core transit total pps bad)
           sweep)
      ^ "\n")
     e1_largest e4_largest e1_pps e4_pps total_mismatches r.Replay.soak_updates

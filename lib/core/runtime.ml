@@ -31,6 +31,11 @@ type t = {
      consumed: blocks stacked on top of an unverified rebuild are
      covered by the pending full check. *)
   mutable last_dirty : dirty option;
+  (* The base band's flows as [flows] last laid them out, with the
+     classifier (compared physically: classifiers are immutable) and top
+     priority they came from, so unchanged rules stay the same values
+     from call to call. *)
+  mutable base_flows : (Classifier.t * int * Sdx_openflow.Flow.t list) option;
 }
 
 and dirty = {
@@ -166,6 +171,7 @@ let create ?(optimized = true) ?rpki ?domains ?vnh_pool
       churn_migrated = 0;
       churn_retired = 0;
       last_dirty = None;
+      base_flows = None;
     }
   in
   run_check_hook t;
@@ -203,6 +209,7 @@ let reoptimize t =
     Compile.compile ~optimized:t.optimized ?domains:t.domains t.config t.vnh
   in
   t.compiled <- compiled;
+  t.base_flows <- None;
   t.extras <- [];
   t.reoptimizes <- t.reoptimizes + 1;
   let stats = Compile.stats compiled in
@@ -249,7 +256,14 @@ let rec flows t =
       Log.warn (fun m ->
           m "base classifier (%d rules) overlaps the fast-path priority band"
             count);
-    let base = Sdx_openflow.Flow.of_classifier ~base_priority:top base_cls in
+    let base =
+      match t.base_flows with
+      | Some (cls, top', base) when cls == base_cls && top' = top -> base
+      | _ ->
+          let base = Sdx_openflow.Flow.of_classifier ~base_priority:top base_cls in
+          t.base_flows <- Some (base_cls, top, base);
+          base
+    in
     let extra_flows =
       List.concat_map
         (fun (block, floor, _) ->

@@ -75,7 +75,9 @@ val flows : t -> Sdx_openflow.Flow.t list
     fast-path block keeps the priorities it was assigned when installed
     (new blocks stack above older ones) — so successive calls differ only
     in the entries an update actually touched, and
-    {!Sdx_openflow.Connection.sync} sends minimal flow-mods.  When the
+    {!Sdx_openflow.Connection.sync} sends minimal flow-mods.  Until the
+    base classifier is recompiled, its entries are the same values from
+    call to call, so a diff can compare them physically first.  When the
     fast-path priority space fills up, {!handle_update} re-optimizes
     automatically. *)
 

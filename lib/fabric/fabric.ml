@@ -13,35 +13,42 @@ open Sdx_openflow
      or at every edge (port-unpinned rules), with remote outputs
      rewritten to trunk ports and their frames re-addressed into the
      {!Vtag} space;
-   - a *transit* copy of every port-unpinned dst-MAC rule, installed on
-     every switch in a priority band far above the ingress band, matching
-     the tagged address and forwarding toward (or delivering at) the
-     destination's home switch.
+   - a *transit* copy of every port-unpinned dst-MAC rule whose MAC some
+     trunk frame is stamped for, in a priority band far above the
+     ingress band, matching the tagged address and forwarding toward
+     (or delivering at) the destination's home switch.
 
-   The transit copies of one destination MAC form its *slice*, and each
-   slice carries its own version parity in its tags.  A commit flips
-   only the slices whose rules changed (as {!Runtime.flows} emits them),
-   closed over slices whose copies re-stamp toward a flipped MAC:
+   The transit copies of one stamped destination MAC form its *slice*.
+   A slice sits only on its *reach*: the switches a frame tagged for
+   its MAC can arrive at, the first hops of the ingress copies that
+   stamp it, closed over the slice copies that forward or re-stamp
+   frames onward.  Each slice carries its own version parity in its
+   tags.  A commit flips only the slices that are new or whose rules (as
+   {!Runtime.flows} emits them) or reach changed, closed over slices
+   whose copies re-stamp toward a flipped MAC:
 
-   1. install the flipped (and new) slices' copies at their new parity,
-      cookie-tagged by that tag (make-before-break: inert until
-      something stamps the new parity); barrier every connection;
+   1. install the flipped (and new) slices' copies at their new parity
+      on their new reach, cookie-tagged by that tag (make-before-break:
+      inert until something stamps the new parity); barrier every
+      connection;
    2. add, overwrite or delete the ingress rules that are new, changed
       or gone, or that stamp a flipped MAC; barrier;
    3. delete the flipped and departed slices' old-parity copies with one
-      [delete_cookie] each; barrier.
+      [delete_cookie] each on their old reach; barrier.
 
    In-flight frames carrying an old parity still match that parity's
    copies until phase 3, and phase 3 only starts after phase 2's
    barriers prove no edge stamps it anymore.  The closure is what keeps
    a packet on one version: an unflipped slice only ever re-stamps
-   toward unflipped slices, whose rules read the same in both rulesets.
-   An unchanged ruleset sends no flow-mod at all. *)
+   toward unflipped slices, whose rules and reach read the same in both
+   rulesets.  An unchanged ruleset sends no flow-mod at all. *)
 
 let transit_base = 16_000_000
 (* The transit bands sit above every ingress priority (the runtime's
-   bands top out in the tens of thousands); both parities share the
-   offset because their patterns are disjoint in the tag octet. *)
+   bands top out at its fast-path ceiling, 65,000, or at the base
+   classifier's rule count if that is larger: 76,927 at the 500x50k
+   headline); both parities share the offset because their patterns are
+   disjoint in the tag octet. *)
 
 let g_mixed = Sdx_obs.Registry.counter "sdx_fabric_mixed_version_packets_total"
 let g_transit_miss = Sdx_obs.Registry.counter "sdx_fabric_transit_misses_total"
@@ -60,7 +67,7 @@ type commit_stats = {
 let total_mods s = s.install_mods + s.flip_mods + s.gc_mods
 
 type phase =
-  | Installed of int  (** new slice copies everywhere, old rules live *)
+  | Installed of int  (** new slice copies on their reach, old rules live *)
   | Flipped of int  (** every edge now stamps the new parities *)
   | Collected of int  (** the superseded slice copies deleted *)
   | Synced_member of int
@@ -92,18 +99,29 @@ type walker = {
   on_trunk_tag : int -> int -> unit;  (* tag index, parity *)
 }
 
+(* A stamped MAC's slice: its port-unpinned dst-MAC rules in emission
+   order, its reach as switch bits (see [bit_of]), and its parity. *)
+type slice = { rules : Flow.t list; reach : int; parity : int }
+
+module Macs = Hashtbl.Make (Mac)
+
 type t = {
   topo : Topology.t;
   members : member list;  (* ascending switch id *)
   by_id : member option array;  (* switch id -> member *)
   tags : Vtag.t;
   trunked : bool;  (* false for the degenerate single-switch layout *)
+  ids : int array;  (* switch ids, ascending *)
+  bits : int array;  (* switch id -> its reach bit *)
+  slot : int array;  (* switch id -> its index in [ids] *)
+  edge_bits : int;  (* the switches hosting physical ports *)
+  (* The next switch on the tree path from one switch toward another
+     (slot * switch count + slot), memoized: -1 until first read. *)
+  hops : int array;
   (* The last committed ruleset, the baseline of the next diff: logical
-     flows by (priority, pattern), each slice's rules in emission order,
-     and each slice's parity. *)
+     flows by (priority, pattern), and the slices. *)
   mutable committed : Flow.t Table.KeyTbl.t;
-  mutable slices : (Mac.t, Flow.t list) Hashtbl.t;
-  mutable parities : (Mac.t, int) Hashtbl.t;
+  mutable slices : slice Macs.t;
   mutable version : int;
   mutable commits : int;
   mutable next_xid : int;
@@ -137,6 +155,11 @@ let note_tag mon dest parity =
   else if List.exists (fun (d, b) -> d = dest && b <> bit) mon.more then mon.mixed <- true
   else mon.more <- (dest, bit) :: mon.more
 
+(* A switch's reach bit.  Past [Sys.int_size - 1] switches bits repeat,
+   so a reach can only name a superset of its switches: copies on a few
+   switches no frame visits, never a switch without its copy. *)
+let bit_of i = 1 lsl (i mod (Sys.int_size - 1))
+
 let create ?capacity topo =
   let members =
     List.map
@@ -146,6 +169,9 @@ let create ?capacity topo =
       (Topology.switches topo)
   in
   let by_id = by_switch topo None (List.map (fun m -> (m.id, Some m)) members) in
+  let ids = Array.of_list (Topology.switches topo) in
+  let n = Array.length ids in
+  let bits = by_switch topo 0 (List.mapi (fun i s -> (s, bit_of i)) (Array.to_list ids)) in
   let monitor =
     { anomaly = false; missed = false; dest = -1; bits = 0; more = []; mixed = false }
   in
@@ -158,9 +184,14 @@ let create ?capacity topo =
     by_id;
     tags = Vtag.create ();
     trunked = Topology.spanning_tree_edges topo <> [];
+    ids;
+    bits;
+    slot = by_switch topo (-1) (List.mapi (fun i s -> (s, i)) (Array.to_list ids));
+    edge_bits =
+      List.fold_left (fun acc s -> acc lor bits.(s)) 0 (Topology.edge_switches topo);
+    hops = Array.make (n * n) (-1);
     committed = Table.KeyTbl.create 16;
-    slices = Hashtbl.create 16;
-    parities = Hashtbl.create 16;
+    slices = Macs.create 16;
     version = 0;
     commits = 0;
     next_xid = 1;
@@ -231,8 +262,19 @@ let home_of t (m : Mods.t) =
    (0 for an address with no slice). *)
 let tag t mac =
   Vtag.stamp t.tags
-    ~version:(Option.value (Hashtbl.find_opt t.parities mac) ~default:0)
+    ~version:(match Macs.find_opt t.slices mac with Some sl -> sl.parity | None -> 0)
     mac
+
+(* The next switch on the tree path from [s] toward [h] ([s] itself when
+   it is [h]), memoized. *)
+let next t s h =
+  let i = (t.slot.(s) * Array.length t.ids) + t.slot.(h) in
+  let hop = t.hops.(i) in
+  if hop >= 0 then hop
+  else
+    let hop = Option.value (Topology.next_hop t.topo ~from:s ~toward:h) ~default:s in
+    t.hops.(i) <- hop;
+    hop
 
 (* Rewrite one action atom for switch [s]: local ports stay; remote
    ports leave on the trunk toward their home, with the frame stamped
@@ -242,10 +284,9 @@ let localize_mod t s (pattern : Pattern.t) (m : Mods.t) =
   | None -> m (* no output, the blackhole, or a port that no longer exists *)
   | Some home when home = s -> m
   | Some home ->
-      let hop = Option.get (Topology.next_hop t.topo ~from:s ~toward:home) in
       {
         m with
-        port = Some (Topology.trunk_port t.topo ~from:s ~toward_neighbor:hop);
+        port = Some (Topology.trunk_port t.topo ~from:s ~toward_neighbor:(next t s home));
         dst_mac = Some (tag t (trunk_target pattern m));
       }
 
@@ -270,11 +311,12 @@ let stamps t flipped s (f : Flow.t) =
   List.exists
     (fun m ->
       match home_of t m with
-      | Some home when home <> s -> Hashtbl.mem flipped (trunk_target f.pattern m)
+      | Some home when home <> s -> Macs.mem flipped (trunk_target f.pattern m)
       | _ -> false)
     f.actions
 
-(* The slice a logical rule belongs to: port-unpinned dst-MAC rules. *)
+(* The MAC whose slice a logical rule joins if that MAC is stamped:
+   port-unpinned dst-MAC rules. *)
 let slice_of (f : Flow.t) =
   match (f.Flow.pattern.Pattern.port, f.Flow.pattern.Pattern.dst_mac) with
   | None, Some mac -> Some mac
@@ -300,19 +342,72 @@ let slice_copies t s mac rules =
       })
     rules
 
-(* The other slices [rules]' copies re-stamp toward. *)
-let restamp_targets t mac rules =
-  List.concat_map
-    (fun (f : Flow.t) ->
-      List.filter_map
-        (fun m ->
-          match home_of t m with
-          | Some _ ->
-              let target = trunk_target f.pattern (restore mac m) in
-              if Mac.equal target mac then None else Some target
-          | None -> None)
-        f.actions)
-    rules
+(* ------------------------------------------------------------------ *)
+(* Reach *)
+
+(* The bit of the next hop from switch [s] toward switch [h]; 0 when
+   [s] is [h]. *)
+let step t s h = if s = h then 0 else t.bits.(next t s h)
+
+(* The bits of the next hops toward [h] from the switches in [reach]. *)
+let onward t reach h =
+  let acc = ref 0 in
+  for i = 0 to Array.length t.ids - 1 do
+    let s = t.ids.(i) in
+    if t.bits.(s) land reach <> 0 then acc := !acc lor step t s h
+  done;
+  !acc
+
+(* The switches [f]'s ingress copies sit on, as bits. *)
+let ingress_bits t (f : Flow.t) =
+  match f.pattern.Pattern.port with
+  | None -> t.edge_bits
+  | Some p -> ( match Topology.home_of_port t.topo p with Some s -> t.bits.(s) | None -> 0)
+
+(* [k target bits] for each trunk frame [f]'s copies on the switches in
+   [from] send: the MAC it is stamped for and the switches it goes to
+   next. *)
+let iter_stamps t from (f : Flow.t) k =
+  List.iter
+    (fun m ->
+      match home_of t m with
+      | None -> ()
+      | Some h ->
+          let bits = onward t from h in
+          if bits <> 0 then k (trunk_target f.pattern m) bits)
+    f.actions
+
+(* What a commit gathers about one destination MAC: its port-unpinned
+   dst-MAC rules (newest first until [index] reverses them) and the
+   switches frames tagged for it arrive at. *)
+type dest = { mutable fs : Flow.t list; mutable reach : int }
+
+let dest dests mac =
+  match Macs.find_opt dests mac with
+  | Some d -> d
+  | None ->
+      let d = { fs = []; reach = 0 } in
+      Macs.add dests mac d;
+      d
+
+(* Close the reach seeded by the ingress copies over the slice copies: a
+   frame arriving tagged for a MAC at a switch in its reach leaves by
+   that MAC's rules, stamped for their trunk targets. *)
+let close_reach t dests =
+  let work = Queue.create () in
+  Macs.iter (fun mac d -> if d.fs <> [] && d.reach <> 0 then Queue.push (mac, d) work) dests;
+  while not (Queue.is_empty work) do
+    let mac, d = Queue.pop work in
+    List.iter
+      (fun f ->
+        iter_stamps t d.reach f (fun target bits ->
+            let d' = if Mac.equal target mac then d else dest dests target in
+            if d'.reach lor bits <> d'.reach then begin
+              d'.reach <- d'.reach lor bits;
+              if d'.fs <> [] then Queue.push (target, d') work
+            end))
+      d.fs
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase commit *)
@@ -329,126 +424,151 @@ let barrier_all t =
     t.members;
   List.length t.members
 
-(* What a commit sends: each member's phase-1 and phase-2 messages, and
-   the phase-3 cookie deletes every member gets. *)
-type plan = {
-  per_member : (member * Message.t list * Message.t list) list;
+(* What a commit sends one member, phase by phase. *)
+type sends = {
+  member : member;
+  installs : Message.t list;
+  ingress : Message.t list;
   collects : Message.t list;
 }
 
-let plan_is_empty p =
-  p.collects = [] && List.for_all (fun (_, i, g) -> i = [] && g = []) p.per_member
+let plan_is_empty = List.for_all (fun p -> p.installs = [] && p.ingress = [] && p.collects = [])
 
 (* The new ruleset by slot (last occurrence wins, as sequential ADDs
-   would), and its slices' rules in emission order, with the slice MACs
-   in order of first emission. *)
+   would), whether some slot occurs twice, and the stamped MACs in order
+   of first emission with their rules (in emission order) and reach. *)
 let index t flows =
-  let by_key = Table.KeyTbl.create (max 16 (Table.KeyTbl.length t.committed)) in
-  let slices = Hashtbl.create (max 16 (Hashtbl.length t.slices)) in
+  let n = List.length flows in
+  let by_key = Table.KeyTbl.create (max 16 n) in
+  let dests = Macs.create (if t.trunked then max 16 n else 1) in
   let order = ref [] in
   List.iter
     (fun (f : Flow.t) ->
       check_priority f;
       Table.KeyTbl.replace by_key (f.priority, f.pattern) f;
-      match slice_of f with
-      | Some mac when t.trunked -> (
-          match Hashtbl.find_opt slices mac with
-          | Some rules -> Hashtbl.replace slices mac (f :: rules)
-          | None ->
-              Hashtbl.replace slices mac [ f ];
-              order := mac :: !order)
-      | _ -> ())
+      if t.trunked then begin
+        (match slice_of f with
+        | Some mac ->
+            let d = dest dests mac in
+            if d.fs = [] then order := (mac, d) :: !order;
+            d.fs <- f :: d.fs
+        | None -> ());
+        iter_stamps t (ingress_bits t f) f (fun target bits ->
+            let d = dest dests target in
+            d.reach <- d.reach lor bits)
+      end)
     flows;
-  Hashtbl.filter_map_inplace (fun _ rules -> Some (List.rev rules)) slices;
-  (by_key, slices, List.rev !order)
+  if t.trunked then begin
+    List.iter (fun (_, d) -> d.fs <- List.rev d.fs) !order;
+    close_reach t dests
+  end;
+  ( by_key,
+    Table.KeyTbl.length by_key < n,
+    List.filter (fun (_, d) -> d.reach <> 0) (List.rev !order) )
 
-(* Slices that are new or whose rules changed, closed over the slices
-   whose copies re-stamp toward a flipped MAC. *)
-let flipped_slices t slices order =
-  let flipped = Hashtbl.create 16 and dependents = Hashtbl.create 16 in
+(* Slices that are new or whose rules or reach changed, closed over the
+   slices whose copies re-stamp toward a flipped MAC. *)
+let flipped_slices t order =
+  let flipped = Macs.create 16 and dependents = Macs.create 16 in
   let work = Queue.create () in
   let flip mac =
-    if not (Hashtbl.mem flipped mac) then begin
-      Hashtbl.replace flipped mac ();
+    if not (Macs.mem flipped mac) then begin
+      Macs.replace flipped mac ();
       Queue.push mac work
     end
   in
+  let same (a : Flow.t) b = a == b || a = b in
   List.iter
-    (fun mac ->
-      let rules = Hashtbl.find slices mac in
-      (match Hashtbl.find_opt t.slices mac with
-      | Some old when List.equal ( = ) old rules -> ()
+    (fun (mac, d) ->
+      (match Macs.find_opt t.slices mac with
+      | Some old when old.reach = d.reach && List.equal same old.rules d.fs -> ()
       | _ -> flip mac);
       List.iter
-        (fun target -> Hashtbl.add dependents target mac)
-        (restamp_targets t mac rules))
+        (fun f ->
+          iter_stamps t d.reach f (fun target _ ->
+              if not (Mac.equal target mac) then Macs.add dependents target mac))
+        d.fs)
     order;
   while not (Queue.is_empty work) do
-    List.iter flip (Hashtbl.find_all dependents (Queue.pop work))
+    List.iter flip (Macs.find_all dependents (Queue.pop work))
   done;
   flipped
 
 (* Diff [flows] against the committed ruleset.  Nothing is sent and the
-   fabric's bookkeeping (committed flows, slices, parities) moves to the
-   new ruleset only once the whole plan is built, so a ruleset rejected
-   with [Invalid_argument] leaves the fabric as it was. *)
+   fabric's bookkeeping (committed flows and slices) moves to the new
+   ruleset only once the whole plan is built, so a ruleset rejected with
+   [Invalid_argument] leaves the fabric as it was. *)
 let plan t flows =
-  let by_key, slices, order = index t flows in
-  let flipped = flipped_slices t slices order in
-  (* Old-parity copies to collect: those of slices whose MAC left the
-     ruleset, and of flipped slices that had some. *)
+  let by_key, shadowed, order = index t flows in
+  let flipped = flipped_slices t order in
+  let old_slices = t.slices in
+  let slices = Macs.create (max 16 (List.length order)) in
+  let flips =
+    List.filter_map
+      (fun (mac, d) ->
+        let flip = Macs.mem flipped mac in
+        let parity =
+          match Macs.find_opt old_slices mac with
+          | Some old when flip -> 1 - old.parity
+          | Some old -> old.parity
+          | None -> 0
+        in
+        let sl = { rules = d.fs; reach = d.reach; parity } in
+        Macs.replace slices mac sl;
+        if flip then Some (mac, sl) else None)
+      order
+  in
+  (* Old-parity copies to collect, with the reach they sit on: those of
+     slices that left, and of flipped slices that had some. *)
   let collects =
-    Hashtbl.fold
-      (fun mac _ acc -> if Hashtbl.mem slices mac then acc else mac :: acc)
-      t.slices
-      (List.filter (fun mac -> Hashtbl.mem flipped mac && Hashtbl.mem t.parities mac) order)
-    |> List.map (fun mac -> Message.delete_cookie (Mac.to_int (tag t mac)))
+    Macs.fold
+      (fun mac (old : slice) acc ->
+        if Macs.mem slices mac && not (Macs.mem flipped mac) then acc
+        else
+          let cookie = Mac.to_int (Vtag.stamp t.tags ~version:old.parity mac) in
+          (old.reach, Message.delete_cookie cookie) :: acc)
+      old_slices []
   in
   (* The ingress diff: the last occurrence of each slot that is new or
      changed ([true]), or unchanged but possibly stamping a flipped MAC
-     ([false]); newest first. *)
+     ([false]); newest first.  [kept] counts the committed slots the new
+     ruleset still has. *)
+  let kept = ref 0 in
   let candidates =
     List.fold_left
       (fun acc (f : Flow.t) ->
         let key = (f.priority, f.pattern) in
-        if Table.KeyTbl.find by_key key != f then acc
+        if shadowed && Table.KeyTbl.find by_key key != f then acc
         else
           match Table.KeyTbl.find_opt t.committed key with
-          | Some old when old = f ->
-              if Hashtbl.length flipped = 0 then acc else (f, false) :: acc
-          | _ -> (f, true) :: acc)
+          | Some old ->
+              incr kept;
+              if old == f || old = f then if flips = [] then acc else (f, false) :: acc
+              else (f, true) :: acc
+          | None -> (f, true) :: acc)
       [] flows
   in
   let gone =
-    Table.KeyTbl.fold
-      (fun key f acc -> if Table.KeyTbl.mem by_key key then acc else f :: acc)
-      t.committed []
+    if !kept = Table.KeyTbl.length t.committed then []
+    else
+      Table.KeyTbl.fold
+        (fun key f acc -> if Table.KeyTbl.mem by_key key then acc else f :: acc)
+        t.committed []
   in
-  let old_parities = t.parities in
-  let parities = Hashtbl.create (Hashtbl.length slices) in
-  List.iter
-    (fun mac ->
-      let old = Hashtbl.find_opt old_parities mac in
-      Hashtbl.replace parities mac
-        (match old with
-        | Some p when Hashtbl.mem flipped mac -> 1 - p
-        | Some p -> p
-        | None -> 0))
-    order;
   (* Copies and stamps below read the new parities. *)
-  t.parities <- parities;
+  t.slices <- slices;
   match
     List.map
-      (fun m ->
-        let s = m.id in
+      (fun member ->
+        let s = member.id and here = t.bits.(member.id) in
         let installs =
           List.concat_map
-            (fun mac ->
-              if not (Hashtbl.mem flipped mac) then []
+            (fun (mac, (sl : slice)) ->
+              if sl.reach land here = 0 then []
               else
                 let cookie = Mac.to_int (tag t mac) in
-                List.map (Message.add ~cookie) (slice_copies t s mac (Hashtbl.find slices mac)))
-            order
+                List.map (Message.add ~cookie) (slice_copies t s mac sl.rules))
+            flips
         in
         let ingress =
           List.fold_left
@@ -461,15 +581,19 @@ let plan t flows =
               (fun f -> if ingress_at t s f then Some (Message.delete f) else None)
               gone
         in
-        (m, installs, ingress))
+        let collects =
+          List.filter_map
+            (fun (reach, msg) -> if reach land here <> 0 then Some msg else None)
+            collects
+        in
+        { member; installs; ingress; collects })
       t.members
   with
-  | per_member ->
+  | sends ->
       t.committed <- by_key;
-      t.slices <- slices;
-      { per_member; collects }
+      sends
   | exception e ->
-      t.parities <- old_parities;
+      t.slices <- old_slices;
       raise e
 
 (* Hand one switch its messages as one batch; the flow-mods it applied. *)
@@ -482,24 +606,24 @@ let sum f l = List.fold_left (fun n x -> n + f x) 0 l
 
 let commit ?(protocol = `Two_phase) ?(on_phase = fun (_ : phase) -> ()) t flows
     =
-  let p = plan t flows in
-  let v = if plan_is_empty p then t.version else t.version + 1 in
+  let sends = plan t flows in
+  let v = if plan_is_empty sends then t.version else t.version + 1 in
   let stats =
     match protocol with
     | `Two_phase ->
         (* Phase 1: make-before-break.  New-parity copies are inert
            until an ingress rule stamps that parity. *)
-        let install_mods = sum (fun (m, installs, _) -> send m installs) p.per_member in
+        let install_mods = sum (fun p -> send p.member p.installs) sends in
         let b1 = barrier_all t in
         on_phase (Installed v);
         (* Phase 2: flip the edges.  Rules that only change their stamps
            keep their (priority, pattern), so they overwrite in place. *)
-        let flip_mods = sum (fun (m, _, ingress) -> send m ingress) p.per_member in
+        let flip_mods = sum (fun p -> send p.member p.ingress) sends in
         let b2 = barrier_all t in
         on_phase (Flipped v);
         (* Phase 3: no edge stamps an old parity anymore (the phase-2
            barriers proved it), so the old-parity copies are garbage. *)
-        let gc_mods = sum (fun m -> send m p.collects) t.members in
+        let gc_mods = sum (fun p -> send p.member p.collects) sends in
         let b3 = barrier_all t in
         on_phase (Collected (v - 1));
         { version = v; install_mods; flip_mods; gc_mods; barriers = b1 + b2 + b3 }
@@ -514,12 +638,12 @@ let commit ?(protocol = `Two_phase) ?(on_phase = fun (_ : phase) -> ()) t flows
         let barriers = ref 0 in
         let flip_mods =
           sum
-            (fun (m, installs, ingress) ->
-              let n = send m (installs @ ingress @ p.collects) in
+            (fun p ->
+              let n = send p.member (p.installs @ p.ingress @ p.collects) in
               barriers := !barriers + barrier_all t;
-              on_phase (Synced_member m.id);
+              on_phase (Synced_member p.member.id);
               n)
-            p.per_member
+            sends
         in
         { version = v; install_mods = 0; flip_mods; gc_mods = 0; barriers = !barriers }
   in
@@ -534,7 +658,7 @@ let commit ?(protocol = `Two_phase) ?(on_phase = fun (_ : phase) -> ()) t flows
 
 (* The frames [pkt] delivers from switch [s] on, consed onto [acc].  A
    walk allocates the frames it forwards and their list cells, nothing
-   else. *)
+   else: one record per hop, built at the far end of a trunk. *)
 let rec at_switch w hops s (pkt : Packet.t) acc =
   if hops > w.max_hops then begin
     w.on_anomaly ();
@@ -557,19 +681,20 @@ and apply_actions w hops s pkt actions acc =
   match actions with
   | [] -> acc
   | (m : Mods.t) :: rest ->
-      let out = Mods.apply m pkt in
       let acc =
         match m.Mods.port with
-        | None -> out :: acc
+        | None -> Mods.apply m pkt :: acc
         | Some p -> (
             match Topology.trunk_destination w.w_topo p with
             | Some (_owner, neighbor) ->
-                (match Vtag.parity out.Packet.dst_mac with
-                | Some parity -> w.on_trunk_tag (Vtag.index out.Packet.dst_mac) parity
+                let dst = Option.value m.Mods.dst_mac ~default:pkt.Packet.dst_mac in
+                (match Vtag.parity dst with
+                | Some parity -> w.on_trunk_tag (Vtag.index dst) parity
                 | None -> w.on_anomaly () (* untagged frame on a trunk *));
-                let in_port = Topology.trunk_port w.w_topo ~from:neighbor ~toward_neighbor:s in
-                at_switch w (hops + 1) neighbor { out with port = in_port } acc
+                let port = Topology.trunk_port w.w_topo ~from:neighbor ~toward_neighbor:s in
+                at_switch w (hops + 1) neighbor (Mods.apply_at m ~port pkt) acc
             | None ->
+                let out = Mods.apply m pkt in
                 if p <> blackhole && Vtag.is_tagged out.Packet.dst_mac then
                   w.on_anomaly () (* delivered frame leaks its tag *);
                 out :: acc)

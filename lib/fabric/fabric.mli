@@ -6,22 +6,27 @@
     {!Topology} switch.  Logical rules split into an ingress band
     (port-pinned rules at their home edge, unpinned rules at every edge)
     whose remote outputs re-address frames into the {!Vtag} space, and a
-    transit band (every port-unpinned dst-MAC rule, on every switch, far
-    above the ingress priorities) forwarding on tags only.  The transit
-    copies of one destination MAC form its slice; each slice carries its
-    own tag parity.
+    transit band (far above the ingress priorities) forwarding on tags
+    only.  A destination MAC some trunk frame is stamped for gets a
+    slice: transit copies of its port-unpinned dst-MAC rules, installed
+    only on its reach, the switches a frame tagged for it can arrive at
+    (the first hops of the ingress copies that stamp it, closed over the
+    slice copies that forward or re-stamp frames onward).  A MAC nothing
+    stamps, such as a VMAC whose every rule re-addresses its frames to a
+    port MAC, gets no copy.  Each slice carries its own tag parity.
 
     {!commit} diffs the new logical ruleset against the last committed
-    one and flips only the slices whose rules changed, closed over the
-    slices whose copies re-stamp toward a flipped MAC, in three
-    barrier-separated phases — install the flipped slices' new-parity
-    copies (cookie-tagged, make-before-break), add, overwrite or delete
-    the ingress rules that changed or stamp a flipped MAC, then delete
-    the old-parity copies by cookie — so a frame stamped with an old
-    parity keeps matching old rules until every edge provably stamps the
-    new one, and an unchanged ruleset sends no flow-mod.  {!process}
-    doubles as the protocol's monitor: it counts packets that meet a
-    mixed ruleset (tag with no transit rule, tag falling through to the
+    one and flips only the slices that are new or whose rules or reach
+    changed, closed over the slices whose copies re-stamp toward a
+    flipped MAC, in three barrier-separated phases — install the flipped
+    slices' new-parity copies on their new reach (cookie-tagged,
+    make-before-break), add, overwrite or delete the ingress rules that
+    changed or stamp a flipped MAC, then delete the old-parity copies by
+    cookie on their old reach — so a frame stamped with an old parity
+    keeps matching old rules until every edge provably stamps the new
+    one, and an unchanged ruleset sends no flow-mod.  {!process} doubles
+    as the protocol's monitor: it counts packets that meet a mixed
+    ruleset (tag with no transit rule, tag falling through to the
     ingress band, one destination tagged with both parities on one
     delivery tree, or a tag leaking out of a delivered frame). *)
 
@@ -58,7 +63,7 @@ type commit_stats = {
 val total_mods : commit_stats -> int
 
 type phase =
-  | Installed of int  (** new slice copies everywhere, old rules live *)
+  | Installed of int  (** new slice copies on their reach, old rules live *)
   | Flipped of int  (** every edge now stamps the new parities *)
   | Collected of int  (** the superseded slice copies deleted *)
   | Synced_member of int

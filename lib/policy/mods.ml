@@ -31,10 +31,10 @@ let make ?port ?src_mac ?dst_mac ?eth_type ?src_ip ?dst_ip ?proto ?src_port
     ?dst_port () =
   { port; src_mac; dst_mac; eth_type; src_ip; dst_ip; proto; src_port; dst_port }
 
-let apply t (p : Packet.t) : Packet.t =
+let apply_at t ~port (p : Packet.t) : Packet.t =
   let set field v = Option.value v ~default:field in
   {
-    Packet.port = set p.port t.port;
+    Packet.port;
     src_mac = set p.src_mac t.src_mac;
     dst_mac = set p.dst_mac t.dst_mac;
     eth_type = set p.eth_type t.eth_type;
@@ -44,6 +44,8 @@ let apply t (p : Packet.t) : Packet.t =
     src_port = set p.src_port t.src_port;
     dst_port = set p.dst_port t.dst_port;
   }
+
+let apply t (p : Packet.t) = apply_at t ~port:(Option.value t.port ~default:p.port) p
 
 let then_ a b =
   let pick xa xb = if Option.is_some xb then xb else xa in

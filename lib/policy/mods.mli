@@ -37,6 +37,11 @@ val make :
 
 val apply : t -> Packet.t -> Packet.t
 
+val apply_at : t -> port:int -> Packet.t -> Packet.t
+(** [apply_at t ~port p] is [apply t p] relocated to [port], built as
+    one record: what a frame crossing a link looks like on the far
+    side. *)
+
 val then_ : t -> t -> t
 (** [then_ a b] is the modification equivalent to applying [a] and then
     [b]; assignments in [b] win on fields both set. *)

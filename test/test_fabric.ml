@@ -9,6 +9,13 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let ip = Ipv4.of_string
 
+(* An int in [a, b] that shrinks inside the range ([QCheck.int_range]
+   shrinks toward 0 whatever its bounds). *)
+let in_range a b =
+  QCheck.make ~print:string_of_int
+    ~shrink:(fun n -> QCheck.Iter.filter (fun k -> k >= a) (QCheck.Shrink.int n))
+    (QCheck.Gen.int_range a b)
+
 (* ------------------------------------------------------------------ *)
 (* Border router                                                       *)
 
@@ -544,12 +551,13 @@ let test_edge_core_structure () =
 
 (* A Fig1 network on a sharded fabric next to the same world on the
    default single switch. *)
-let mk_sharded_world edges =
+let mk_world topology =
   let runtime = Fig1.make_runtime () in
   let single = Network.create (Sdx_core.Runtime.create (Fig1.make_config ())) in
-  let topology = Topology.edge_core ~edges ~ports:[ 1; 2; 3; 4; 5 ] in
   let sharded = Network.create ~topology runtime in
   (single, sharded)
+
+let mk_sharded_world edges = mk_world (Topology.edge_core ~edges ~ports:[ 1; 2; 3; 4; 5 ])
 
 let delivery_key (d : Network.delivery) =
   (Asn.to_int d.receiver, d.receiver_port, d.packet)
@@ -596,10 +604,10 @@ let prop_sharded_matches_single =
   let worlds = List.map (fun e -> (e, mk_sharded_world e)) [ 1; 2; 3 ] in
   QCheck.Test.make ~count:300 ~name:"sharded fabric = single switch"
     QCheck.(
-      quad (int_range 0 2)
-        (int_range 0 3)
-        (int_range 1 6)
-        (pair (int_range 0 255) small_nat))
+      quad (in_range 0 2)
+        (in_range 0 3)
+        (in_range 1 6)
+        (pair (in_range 0 255) small_nat))
     (fun (world_i, sender_i, third_octet, (last_octet, port_seed)) ->
       let _, (single, sharded) = List.nth worlds world_i in
       let from =
@@ -785,21 +793,44 @@ let fabric_flow_mods fab =
     (fun n s -> n + Sdx_openflow.Connection.flow_mods_applied (Fabric.connection fab s))
     0 (Fabric.switches fab)
 
-(* Every switch holds exactly one parity of each slice the ruleset has,
-   and nothing of slices whose MAC has left it. *)
+(* Every switch holds exactly one parity of every slice whose reach
+   includes it, and no other transit copy.  A slice is the transit copies
+   of one MAC's port-unpinned dst-MAC rules; its reach is read off the
+   installed tables: a switch is in it when some installed rule sends a
+   frame tagged for that MAC over a trunk into the switch. *)
 let slices_exact net =
   let fab = Network.fabric net in
-  let expected =
-    List.sort_uniq Mac.compare
-      (List.filter_map
-         (fun (f : Sdx_openflow.Flow.t) ->
-           match (f.pattern.Sdx_policy.Pattern.port, f.pattern.dst_mac) with
-           | None, Some mac -> Some mac
-           | _ -> None)
-         (Sdx_core.Runtime.flows (Network.runtime net)))
-  in
+  let topo = Fabric.topo fab in
+  let entries s = Sdx_openflow.Table.entries (Sdx_openflow.Switch.table (Fabric.switch fab s) 0) in
+  let sliced = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Sdx_openflow.Flow.t) ->
+      match (f.pattern.Sdx_policy.Pattern.port, f.pattern.dst_mac) with
+      | None, Some mac -> Hashtbl.replace sliced mac ()
+      | _ -> ())
+    (Sdx_core.Runtime.flows (Network.runtime net));
+  let reached = Hashtbl.create 16 in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (f : Sdx_openflow.Flow.t) ->
+          List.iter
+            (fun (m : Sdx_policy.Mods.t) ->
+              match (Option.map (Topology.trunk_destination topo) m.port, m.dst_mac) with
+              | Some (Some (_, next)), Some tag -> (
+                  match Fabric.untag fab tag with
+                  | Some mac when Hashtbl.mem sliced mac -> Hashtbl.replace reached (next, mac) ()
+                  | _ -> ())
+              | _ -> ())
+            f.actions)
+        (entries s))
+    (Fabric.switches fab);
   List.for_all
     (fun s ->
+      let expected =
+        List.sort Mac.compare
+          (Hashtbl.fold (fun (s', mac) () acc -> if s' = s then mac :: acc else acc) reached [])
+      in
       let parities = Hashtbl.create 16 in
       let well_formed =
         List.for_all
@@ -815,7 +846,7 @@ let slices_exact net =
                     Hashtbl.replace parities mac (seen lor (1 lsl p));
                     true
                 | _ -> false))
-          (Sdx_openflow.Table.entries (Sdx_openflow.Switch.table (Fabric.switch fab s) 0))
+          (entries s)
       in
       well_formed
       && Hashtbl.fold (fun _ bits ok -> ok && bits <> 3) parities true
@@ -823,35 +854,55 @@ let slices_exact net =
          = expected)
     (Fabric.switches fab)
 
-(* qcheck: random Figure 1 churn, each step committed to a sharded
-   fabric with probes in every phase window and to the single switch. *)
+(* Random Figure 1 churn, each step committed to a sharded fabric with
+   probes in every phase window and to the single switch. *)
+let churned_commits_consistent topology ops =
+  let single, sharded = mk_world topology in
+  let fab = Network.fabric sharded in
+  List.for_all
+    (fun op ->
+      apply_churn_op (Network.runtime single) op;
+      apply_churn_op (Network.runtime sharded) op;
+      Network.sync single;
+      let before = fabric_flow_mods fab in
+      let stats = Network.commit sharded ~on_phase:(fun _ -> inject_probes sharded) in
+      let counted = Fabric.total_mods stats = fabric_flow_mods fab - before in
+      (* The routers learn the new next hops; the fabric already has
+         the ruleset. *)
+      Network.sync sharded;
+      counted
+      && Network.last_sync_flow_mods sharded = 0
+      && Fabric.mixed_version_packets fab = 0
+      && slices_exact sharded
+      && List.for_all
+           (fun (from, src, dst, dst_port) ->
+             let pkt = Packet.make ~src_ip:(ip src) ~dst_ip:(ip dst) ~dst_port () in
+             inject_sorted single ~from pkt = inject_sorted sharded ~from pkt)
+           probe_cases)
+    ops
+
+let churn_ops = QCheck.list_of_size QCheck.Gen.(int_range 1 8) arb_churn_op
+
 let prop_churned_commits_consistent =
   QCheck.Test.make ~count:60 ~name:"per-destination commits under churn"
-    QCheck.(pair (int_range 2 3) (list_of_size Gen.(int_range 1 8) arb_churn_op))
+    QCheck.(pair (in_range 2 3) churn_ops)
     (fun (edges, ops) ->
-      let single, sharded = mk_sharded_world edges in
-      let fab = Network.fabric sharded in
-      List.for_all
-        (fun op ->
-          apply_churn_op (Network.runtime single) op;
-          apply_churn_op (Network.runtime sharded) op;
-          Network.sync single;
-          let before = fabric_flow_mods fab in
-          let stats = Network.commit sharded ~on_phase:(fun _ -> inject_probes sharded) in
-          let counted = Fabric.total_mods stats = fabric_flow_mods fab - before in
-          (* The routers learn the new next hops; the fabric already has
-             the ruleset. *)
-          Network.sync sharded;
-          counted
-          && Network.last_sync_flow_mods sharded = 0
-          && Fabric.mixed_version_packets fab = 0
-          && slices_exact sharded
-          && List.for_all
-               (fun (from, src, dst, dst_port) ->
-                 let pkt = Packet.make ~src_ip:(ip src) ~dst_ip:(ip dst) ~dst_port () in
-                 inject_sorted single ~from pkt = inject_sorted sharded ~from pkt)
-               probe_cases)
-        ops)
+      churned_commits_consistent (Topology.edge_core ~edges ~ports:[ 1; 2; 3; 4; 5 ]) ops)
+
+(* Two cores in a line (switches 0 and 1), each edge hanging off one of
+   them in turn, the five ports round-robin over the edges.  A frame
+   between edges on different cores crosses three trunks, so the reach
+   of its destination's slice grows hop by hop through the closure. *)
+let two_core_line edges =
+  let edge_ids = List.init edges (fun i -> i + 2) in
+  Topology.create ~switches:(0 :: 1 :: edge_ids)
+    ~links:((0, 1) :: List.map (fun e -> (e mod 2, e)) edge_ids)
+    ~port_home:(List.init 5 (fun i -> (i + 1, 2 + (i mod edges))))
+
+let prop_line_commits_consistent =
+  QCheck.Test.make ~count:40 ~name:"per-destination commits over a two-core line"
+    QCheck.(pair (in_range 2 3) churn_ops)
+    (fun (edges, ops) -> churned_commits_consistent (two_core_line edges) ops)
 
 (* A slice whose copies re-stamp toward a flipped MAC must flip too.
    Frames for [vmac] entering at port 1 leave their edge tagged for
@@ -884,17 +935,20 @@ let test_fabric_flip_closure () =
   ignore (Fabric.commit fab (ruleset 10));
   probe ();
   let stats = Fabric.commit fab (ruleset 11) ~on_phase:(fun _ -> probe ()) in
-  (* Both slices flip: one copy each on three switches, in and out. *)
-  check_int "installed both slices" 6 stats.Fabric.install_mods;
-  check_int "collected both old parities" 6 stats.Fabric.gc_mods;
+  (* Both slices flip, each copied only where frames tagged for it
+     arrive: [vmac]'s on the core, where its copy re-stamps them toward
+     [mac_b]; [mac_b]'s on the core (the edge-1 ingress copies of the
+     unpinned rules stamp it) and at its home edge. *)
+  check_int "installed both slices" 3 stats.Fabric.install_mods;
+  check_int "collected both old parities" 3 stats.Fabric.gc_mods;
   check_int "no transit miss" 0 (Fabric.transit_misses fab);
   check_int "no mixed-version packet" 0 (Fabric.mixed_version_packets fab);
   (* Changing only [vmac]'s rule flips its slice alone: probes now carry
      [vmac]'s tag and [mac_b]'s at different parities on one delivery
      tree, which is consistent — each destination has one version. *)
   let stats = Fabric.commit fab (ruleset ~v_priority:21 11) ~on_phase:(fun _ -> probe ()) in
-  check_int "installed the one slice" 3 stats.Fabric.install_mods;
-  check_int "collected its old parity" 3 stats.Fabric.gc_mods;
+  check_int "installed the one slice" 1 stats.Fabric.install_mods;
+  check_int "collected its old parity" 1 stats.Fabric.gc_mods;
   check_int "still no mixed-version packet" 0 (Fabric.mixed_version_packets fab)
 
 (* A ruleset the fabric cannot split (a pinned rule sending to a remote
@@ -919,10 +973,138 @@ let test_fabric_rejected_ruleset_changes_nothing () =
   check_int "the old ruleset is still the committed one" 0
     (Fabric.total_mods (Fabric.commit fab (closure_ruleset 10)));
   (* The parities are the committed ones too: the flip installs both
-     slices at the other parity and collects exactly their old copies. *)
+     slices at the other parity and collects exactly their old copies,
+     three on their reach (see the flip-closure test). *)
   let stats = Fabric.commit fab (closure_ruleset 11) in
-  check_int "installed both slices" 6 stats.Fabric.install_mods;
-  check_int "collected both old parities" 6 stats.Fabric.gc_mods
+  check_int "installed both slices" 3 stats.Fabric.install_mods;
+  check_int "collected both old parities" 3 stats.Fabric.gc_mods
+
+(* A VMAC whose every rule re-addresses its frames is never stamped:
+   trunk frames carry the port MACs its rules rewrite to.  It gets no
+   transit copy anywhere, and frames toward it still deliver as on the
+   single switch. *)
+let test_fabric_unstamped_vmac_has_no_copies () =
+  let open Sdx_policy in
+  let flow priority pattern actions = Sdx_openflow.Flow.make ~priority ~pattern ~actions in
+  let port_mac p = Mac.of_int (0xaa0000000000 + p) in
+  let vmac = Mac.of_string "02:00:00:00:00:09" in
+  let ruleset =
+    flow 20
+      (Pattern.make ~dst_mac:vmac ~dst_port:80 ())
+      [ Mods.make ~dst_mac:(port_mac 2) ~port:2 () ]
+    :: flow 15 (Pattern.make ~dst_mac:vmac ()) [ Mods.make ~dst_mac:(port_mac 3) ~port:3 () ]
+    :: List.map
+         (fun p -> flow 10 (Pattern.make ~dst_mac:(port_mac p) ()) [ Mods.make ~port:p () ])
+         [ 1; 2; 3 ]
+  in
+  let ports = [ 1; 2; 3 ] in
+  let single = Fabric.create (Topology.single ~ports) in
+  let sharded = Fabric.create (Topology.edge_core ~edges:2 ~ports) in
+  ignore (Fabric.commit single ruleset);
+  ignore (Fabric.commit sharded ruleset);
+  let transit_macs s =
+    List.filter_map
+      (fun (f : Sdx_openflow.Flow.t) ->
+        if f.priority < Fabric.transit_base then None
+        else Option.bind f.pattern.dst_mac (Fabric.untag sharded))
+      (Sdx_openflow.Table.entries (Sdx_openflow.Switch.table (Fabric.switch sharded s) 0))
+  in
+  List.iter
+    (fun s ->
+      check_bool (Printf.sprintf "no copy of the VMAC on switch %d" s) false
+        (List.mem vmac (transit_macs s)))
+    (Fabric.switches sharded);
+  check_bool "the port MACs it re-addresses to have copies" true
+    (List.mem (port_mac 2) (transit_macs 0) && List.mem (port_mac 3) (transit_macs 0));
+  List.iter
+    (fun (port, dst_port) ->
+      let pkt = Packet.make ~port ~dst_mac:vmac ~dst_port () in
+      check_bool
+        (Printf.sprintf "port %d, dst port %d: as the single switch" port dst_port)
+        true
+        (Fabric.process single pkt = Fabric.process sharded pkt))
+    [ (1, 80); (1, 22); (2, 80); (2, 22); (3, 80); (3, 22) ];
+  check_int "no mixed-version packet" 0 (Fabric.mixed_version_packets sharded)
+
+(* A slice flips when only its reach changes.  Two cores in a line, an
+   edge on each with a port: [vmac] is stamped by pinned rules only, so
+   adding one at port 3 sends its tag through core 1 as well as core 0,
+   with [vmac]'s rules unchanged.  Without a flip, frames from port 3
+   would meet no [vmac] copy at core 1 between phases 2 and 3. *)
+let test_fabric_reach_change_flips () =
+  let open Sdx_policy in
+  let flow priority pattern actions = Sdx_openflow.Flow.make ~priority ~pattern ~actions in
+  let vmac = closure_vmac and mac_b = closure_mac_b in
+  let topo =
+    Topology.create ~switches:[ 0; 1; 2; 3; 4 ]
+      ~links:[ (0, 1); (0, 2); (1, 3); (1, 4) ]
+      ~port_home:[ (1, 2); (2, 3); (3, 4) ]
+  in
+  let fab = Fabric.create topo in
+  let pinned port = flow 30 (Pattern.make ~port ~dst_mac:vmac ()) [ Mods.make ~port:2 () ] in
+  let base =
+    [
+      flow 20 (Pattern.make ~dst_mac:vmac ()) [ Mods.make ~dst_mac:mac_b ~port:2 () ];
+      flow 10 (Pattern.make ~dst_mac:mac_b ()) [ Mods.make ~port:2 () ];
+    ]
+  in
+  let copies_of mac s =
+    List.length
+      (List.filter
+         (fun (f : Sdx_openflow.Flow.t) ->
+           f.priority >= Fabric.transit_base
+           && Option.bind f.pattern.dst_mac (Fabric.untag fab) = Some mac)
+         (Sdx_openflow.Table.entries (Sdx_openflow.Switch.table (Fabric.switch fab s) 0)))
+  in
+  let probe () =
+    List.iter
+      (fun port ->
+        let outs = Fabric.process fab (Packet.make ~port ~dst_mac:vmac ()) in
+        check_bool
+          (Printf.sprintf "from port %d: delivered at port 2" port)
+          true
+          (List.map (fun (p : Packet.t) -> (p.port, p.dst_mac)) outs = [ (2, mac_b) ]))
+      [ 1; 3 ]
+  in
+  ignore (Fabric.commit fab (pinned 1 :: base));
+  probe ();
+  check_int "vmac copied on core 0" 1 (copies_of vmac 0);
+  check_int "not on core 1" 0 (copies_of vmac 1);
+  let stats = Fabric.commit fab (pinned 1 :: pinned 3 :: base) ~on_phase:(fun _ -> probe ()) in
+  check_int "installed vmac on both cores" 2 stats.Fabric.install_mods;
+  check_int "collected its copy on core 0" 1 stats.Fabric.gc_mods;
+  check_int "now on core 1" 1 (copies_of vmac 1);
+  let stats = Fabric.commit fab (pinned 1 :: base) ~on_phase:(fun _ -> probe ()) in
+  check_int "a shrinking reach flips too" 1 stats.Fabric.install_mods;
+  check_int "collected both old copies" 2 stats.Fabric.gc_mods;
+  check_int "gone from core 1" 0 (copies_of vmac 1);
+  check_int "no transit miss" 0 (Fabric.transit_misses fab);
+  check_int "no mixed-version packet" 0 (Fabric.mixed_version_packets fab)
+
+(* A frame crossing two trunks (edge, core, edge) is built once per
+   hop: three frame records and the delivery's list cell, 33 words. *)
+let test_fabric_two_trunk_walk_allocation () =
+  let open Sdx_policy in
+  let fab = Fabric.create (Topology.edge_core ~edges:2 ~ports:[ 1; 2 ]) in
+  ignore
+    (Fabric.commit fab
+       [
+         Sdx_openflow.Flow.make ~priority:10
+           ~pattern:(Pattern.make ~dst_mac:closure_mac_b ())
+           ~actions:[ Mods.make ~port:2 () ];
+       ]);
+  let pkt = Packet.make ~port:1 ~dst_mac:closure_mac_b () in
+  check_bool "delivered at port 2" true
+    (List.map (fun (p : Packet.t) -> p.port) (Fabric.process fab pkt) = [ 2 ]);
+  if Sdx_sanitize.Sync.mode () = Sdx_sanitize.Sync.Off then begin
+    let walks = 1_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to walks do
+      ignore (Fabric.process fab pkt)
+    done;
+    let per_walk = (Gc.minor_words () -. w0) /. float_of_int walks in
+    check_bool (Printf.sprintf "%.1f minor words per walk" per_walk) true (per_walk < 40.0)
+  end
 
 let test_fabric_unchanged_commit_sends_nothing () =
   let w =
@@ -1083,6 +1265,11 @@ let () =
           Alcotest.test_case "flip closure" `Quick test_fabric_flip_closure;
           Alcotest.test_case "rejected ruleset changes nothing" `Quick
             test_fabric_rejected_ruleset_changes_nothing;
+          Alcotest.test_case "unstamped VMAC has no copies" `Quick
+            test_fabric_unstamped_vmac_has_no_copies;
+          Alcotest.test_case "reach change flips" `Quick test_fabric_reach_change_flips;
+          Alcotest.test_case "two-trunk walk allocation" `Quick
+            test_fabric_two_trunk_walk_allocation;
           Alcotest.test_case "unchanged commit sends nothing" `Quick
             test_fabric_unchanged_commit_sends_nothing;
           Alcotest.test_case "commit skips unchanged" `Quick
@@ -1092,5 +1279,10 @@ let () =
           Alcotest.test_case "steering drops counted" `Quick
             test_fabric_steering_drops_counted;
         ]
-        @ qsuite [ prop_sharded_matches_single; prop_churned_commits_consistent ] );
+        @ qsuite
+            [
+              prop_sharded_matches_single;
+              prop_churned_commits_consistent;
+              prop_line_commits_consistent;
+            ] );
     ]
