@@ -1265,6 +1265,8 @@ let run_soak ~seed ~updates ~participants ~prefixes ~pool_bits
     \  \"incremental_errors\": %d,\n\
     \  \"equiv_divergences\": %d,\n\
     \  \"reoptimizations\": %d,\n\
+    \  \"reoptimize_p50_ms\": %.3f,\n\
+    \  \"reoptimize_max_ms\": %.3f,\n\
     \  \"vnh_reclaimed\": %d,\n\
     \  \"vnh_peak_live\": %d,\n\
     \  \"vnh_capacity\": %d,\n\
@@ -1286,7 +1288,10 @@ let run_soak ~seed ~updates ~participants ~prefixes ~pool_bits
     r.soak_withdraw_storms r.soak_session_flaps r.soak_duplicate_trains
     r.soak_same_prefix_trains r.soak_checkpoints r.soak_check_errors
     r.soak_incremental_checks r.soak_incremental_errors
-    r.soak_equiv_divergences r.soak_reoptimizations r.soak_vnh_reclaimed
+    r.soak_equiv_divergences r.soak_reoptimizations
+    (1e3 *. r.soak_reoptimize_p50_s)
+    (1e3 *. r.soak_reoptimize_max_s)
+    r.soak_vnh_reclaimed
     r.soak_vnh_peak_live r.soak_vnh_capacity r.soak_peak_extra_rules
     r.soak_peak_fastpath_blocks r.soak_groups_minted r.soak_group_migrations
     r.soak_groups_retired r.soak_retired_tombstones r.soak_elapsed_s

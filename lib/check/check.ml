@@ -1246,8 +1246,8 @@ let incremental_passes = [ "isolation"; "bgp"; "arp"; "lints" ]
    always runs in full; lints run shallow (band layout + provenance
    coverage).  The loop pass is skipped entirely: its obligations derive
    from policies and the fabric topology, which BGP bursts never touch —
-   policy changes go through [Runtime.reoptimize], which resets the
-   dirty-set and forces a full check.  RIB-induced staleness of rules
+   policy changes go through [Runtime.set_policies]' full recompile,
+   which resets the dirty-set and forces a full check.  RIB-induced staleness of rules
    the burst did NOT touch (e.g. a withdrawal invalidating an old
    block's diversion) is caught by the periodic full checkpoints, not
    here. *)

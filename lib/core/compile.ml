@@ -221,9 +221,30 @@ type provenance =
   | Catch_all
   | Unattributed
 
+(* One rule block of the optimized classifier, named by what it is
+   composed from: a via-clause applied to one class, a direct clause,
+   one class's default forwarding, or one participant's untagged
+   layer. *)
+type slot =
+  | Via_slot of ospec * group
+  | Direct_slot of ospec
+  | Default_slot of group
+  | Untagged_slot of Participant.t
+
+(* The same blocks keyed by ids, so a stored block survives its class's
+   membership changes. *)
+type block_key =
+  | Via_block of int * int  (* spec id, group id *)
+  | Direct_block of int  (* spec id *)
+  | Default_block of int  (* group id *)
+  | Untagged_block of Asn.t
+
 type t = {
-  classifier : Classifier.t;
-  groups_ : group list;
+  (* sdx-owner: [classifier], [groups_] and everything the rebuild
+     rewrites are written only by the coordinating thread, between pool
+     batches. *)
+  mutable classifier : Classifier.t;
+  mutable groups_ : group list;
   by_prefix : (Prefix.t, group) Hashtbl.t;
   arp_ : Sdx_arp.Responder.t;
   (* sdx-owner: stats_, next_group_id, blocks_, batch_groups_ and
@@ -232,6 +253,7 @@ type t = {
      [shards_lock]. *)
   mutable stats_ : stats;
   ospecs : ospec list;
+  ospec_arr : ospec array;  (* [ospecs] indexed by [spec_id] *)
   memoize : bool;
   mode : [ `Fdd | `Crossproduct ];
   epoch : int;
@@ -260,13 +282,10 @@ type t = {
      attribution still resolves their ids.  [compact_retired] drops the
      ones no live provenance references any more. *)
   mutable retired_groups_ : group list;
-  (* sdx-owner: [spec_groups] and [class_intern] are written only by the
-     coordinating thread (base compile, then the incremental fast path
-     between pool batches); build fan-outs never touch them. *)
-  (* Covering groups per via-spec id, in group order — replaces the
-     per-spec [Prefix.Set.mem] scan over every group when the grouping
-     pipeline produced class signatures ([None] under naive grouping). *)
-  spec_groups : (int, group list) Hashtbl.t option;
+  (* sdx-owner: [class_intern], [class_keys] and [block_store] are
+     written only by the coordinating thread (base compile, then the
+     fast path and the rebuild between pool batches); build fan-outs
+     never touch them. *)
   (* Canonical class table of the incremental fast path: signature
      (via-spec membership, preference-ordered route fingerprint,
      originator) to the live group carrying it.  Two prefixes with equal
@@ -274,6 +293,16 @@ type t = {
      prefix whose signature is already interned is rebound to the
      existing class instead of minting a VNH and re-emitting rules. *)
   class_intern : group Class_tbl.t;
+  class_keys : (int, Class_key.t) Hashtbl.t;  (* the inverse, by group id *)
+  (* Every live block as last composed, for [rebuild] to lay out again;
+     kept only when [rebuildable] (an optimized, interned compile). *)
+  block_store : (block_key, Classifier.t) Hashtbl.t;
+  rebuildable : bool;
+  (* The address every [Default] clause that rewrites [dst_ip] resolves
+     through a Loc-RIB, the one route lookup a block makes outside its
+     class key, with the participant whose inbound pipeline holds the
+     clause ([None] for a direct outbound clause). *)
+  default_rewrites : (Asn.t option * Ipv4.t) list;
 }
 
 let classifier t = t.classifier
@@ -502,6 +531,10 @@ let resolve_default config ~receiver (mods : Mods.t) =
           match Config.port_of_next_hop config route.next_hop with
           | None -> None
           | Some (_, port, n) -> Some (deliver_mods mods port n)))
+
+(* The address a clause hands to [resolve_default], if any. *)
+let default_rewrite (c : Ppolicy.clause) =
+  match c.target with Ppolicy.Default -> c.mods.Mods.dst_ip | _ -> None
 
 (* Delivery to a middlebox host's first port, bypassing BGP checks. *)
 let redirect_mods config (mods : Mods.t) mbox_asn =
@@ -960,6 +993,65 @@ let participant_untagged_rules t shard config (p : Participant.t) =
   let blocks = List.map per_port p.ports in
   (List.concat_map fst blocks, List.concat_map snd blocks)
 
+let originator_of config prefix =
+  List.find_opt
+    (fun (p : Participant.t) -> List.exists (Prefix.equal prefix) p.originated)
+    (Config.participants config)
+
+let compose_slot t shard config = function
+  | Via_slot (spec, g) -> clause_group_rules t shard config spec g
+  | Direct_slot spec -> clause_direct_rules t shard config spec
+  | Default_slot g ->
+      let originator = originator_of config (List.hd g.prefixes) in
+      group_default_rules t shard config g ~originator
+  | Untagged_slot p -> participant_untagged_rules t shard config p
+
+let slot_key = function
+  | Via_slot (spec, g) -> Via_block (spec.spec_id, g.id)
+  | Direct_slot spec -> Direct_block spec.spec_id
+  | Default_slot g -> Default_block g.id
+  | Untagged_slot p -> Untagged_block p.asn
+
+let slot_provenance = function
+  | Via_slot (spec, g) ->
+      Outbound { sender = spec.sender.asn; via = spec.via; group = Some g.id }
+  | Direct_slot spec -> Outbound { sender = spec.sender.asn; via = None; group = None }
+  | Default_slot g -> Group_default { group = g.id }
+  | Untagged_slot p -> Untagged { owner = p.asn }
+
+(* The optimized classifier's block order: for each outbound clause in
+   collection order, its block per covering class (classes in [groups]
+   order) or its one direct block; then each class's default block; then
+   each participant's untagged layer.  The catch-all follows. *)
+let slots t config ~groups ~groups_by_spec =
+  List.concat_map
+    (fun spec ->
+      match spec.via with
+      | Some _ -> List.map (fun g -> Via_slot (spec, g)) (groups_by_spec spec)
+      | None -> [ Direct_slot spec ])
+    t.ospecs
+  @ List.map (fun g -> Default_slot g) groups
+  @ List.map (fun p -> Untagged_slot p) (Config.participants config)
+
+(* The classes each via-spec covers, in [groups] order, read off the
+   class keys (origin-band ids name no clause). *)
+let covering_groups t groups =
+  let nspecs = Array.length t.ospec_arr in
+  let tbl = Hashtbl.create 256 in
+  List.iter
+    (fun g ->
+      match Hashtbl.find_opt t.class_keys g.id with
+      | Some (ids, _) ->
+          List.iter
+            (fun i ->
+              if i < nspecs then
+                Hashtbl.replace tbl i
+                  (g :: Option.value (Hashtbl.find_opt tbl i) ~default:[]))
+            ids
+      | None -> ())
+    (List.rev groups);
+  fun spec -> Option.value (Hashtbl.find_opt tbl spec.spec_id) ~default:[]
+
 (* ------------------------------------------------------------------ *)
 (* Collecting outbound specs and originated prefixes.                  *)
 
@@ -1012,11 +1104,6 @@ let originated_sets config =
       match p.originated with
       | [] -> None
       | prefixes -> Some (p, Prefix.Set.of_list prefixes))
-    (Config.participants config)
-
-let originator_of config prefix =
-  List.find_opt
-    (fun (p : Participant.t) -> List.exists (Prefix.equal prefix) p.originated)
     (Config.participants config)
 
 (* ------------------------------------------------------------------ *)
@@ -1271,68 +1358,29 @@ let drop_all_rule = Classifier.drop_all
    server state, so the blocks are built as a job list handed to [run]
    (sequential or a domain pool) and concatenated in the original
    order: the output is structurally identical either way. *)
-let build_optimized t config ~run =
-  let groups_by_spec spec =
-    match t.spec_groups with
-    | Some tbl -> Option.value (Hashtbl.find_opt tbl spec.spec_id) ~default:[]
-    | None ->
-        (* Naive grouping left no class signatures behind; fall back to
-           the eager per-spec reachability sets. *)
-        List.filter
-          (fun g ->
-            Prefix.Set.mem (List.hd g.prefixes) (Lazy.force spec.prefix_set))
-          t.groups_
-  in
-  let sender_jobs =
-    profile_stage "senderjobs" @@ fun () ->
-    List.concat_map
-      (fun spec ->
-        match spec.via with
-        | Some via ->
-            List.map
-              (fun g ->
-                ( Outbound
-                    { sender = spec.sender.asn; via = Some via; group = Some g.id },
-                  fun () -> clause_group_rules t (shard_of t) config spec g ))
-              (groups_by_spec spec)
-        | None ->
-            [
-              ( Outbound { sender = spec.sender.asn; via = None; group = None },
-                fun () -> clause_direct_rules t (shard_of t) config spec );
-            ])
-      t.ospecs
-  in
-  let default_jobs =
-    List.map
-      (fun g ->
-        ( Group_default { group = g.id },
-          fun () ->
-            let originator = originator_of config (List.hd g.prefixes) in
-            group_default_rules t (shard_of t) config g ~originator ))
-      t.groups_
-  in
-  let untagged_jobs =
-    List.map
-      (fun (p : Participant.t) ->
-        ( Untagged { owner = p.asn },
-          fun () -> participant_untagged_rules t (shard_of t) config p ))
-      (Config.participants config)
-  in
-  let jobs =
+let build_optimized t config ~groups_by_spec ~run =
+  let slots =
     profile_stage "joblist" (fun () ->
-        sender_jobs @ default_jobs @ untagged_jobs)
+        slots t config ~groups:t.groups_ ~groups_by_spec)
   in
   (if Lazy.force profile_on then
-     Printf.eprintf "[profile] jobs: sender=%d default=%d untagged=%d\n%!"
-       (List.length sender_jobs) (List.length default_jobs)
-       (List.length untagged_jobs));
+     Printf.eprintf "[profile] jobs: %d over %d groups\n%!" (List.length slots)
+       (List.length t.groups_));
   (* The composition stage — fanning the rule-generation jobs out and
      merging shard diagrams back — is timed on its own: it is the stage
      the FDD core replaces, so both engines report a comparable
      [compose_s] (see the compile bench). *)
   let compose_t0 = Unix.gettimeofday () in
-  let results = profile_stage "run" (fun () -> run (List.map snd jobs)) in
+  let results =
+    profile_stage "run" (fun () ->
+        run
+          (List.map (fun s () -> compose_slot t (shard_of t) config s) slots))
+  in
   let blocks = List.map fst results in
+  if t.rebuildable then
+    List.iter2
+      (fun s rules -> Hashtbl.replace t.block_store (slot_key s) rules)
+      slots blocks;
   (* Shard-merge pass: hash-cons every block diagram (built in whichever
      shard manager its job's domain owned) into the main manager, so the
      post-merge node/table metrics describe one shared population. *)
@@ -1344,7 +1392,7 @@ let build_optimized t config ~run =
   let merge_s = Unix.gettimeofday () -. merge_t0 in
   let compose_s = Unix.gettimeofday () -. compose_t0 in
   let provs =
-    List.map2 (fun (p, _) rules -> (p, List.length rules)) jobs blocks
+    List.map2 (fun s rules -> (slot_provenance s, List.length rules)) slots blocks
     @ [ (Catch_all, List.length drop_all_rule) ]
   in
   (List.concat blocks @ drop_all_rule, provs, merge_s, compose_s)
@@ -1523,29 +1571,11 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
   List.iter
     (fun g -> List.iter (fun p -> Hashtbl.replace by_prefix p g) g.prefixes)
     groups_;
-  (* Interned grouping leaves its class signatures behind: the covering
-     groups per via-spec (what [build_optimized] fans out over — the
-     origin band is filtered off, origin bits name no clause), and the
-     canonical class table the incremental fast path migrates into,
-     keyed on the full set-bit list plus default fingerprint. *)
-  let nspecs = List.length ospecs in
-  let spec_groups =
-    match grouping with
-    | `Naive -> None
-    | `Interned ->
-        let tbl = Hashtbl.create 256 in
-        List.iter
-          (fun (g, mem) ->
-            List.iter
-              (fun i ->
-                if i < nspecs then
-                  Hashtbl.replace tbl i
-                    (g :: Option.value (Hashtbl.find_opt tbl i) ~default:[]))
-              (Option.value mem ~default:[]))
-          (List.rev grouped);
-        Some tbl
-  in
+  (* Interned grouping leaves its class signatures behind: the canonical
+     class table the incremental fast path migrates into, keyed on the
+     full set-bit list plus default fingerprint, and its inverse. *)
   let class_intern = Class_tbl.create 1024 in
+  let class_keys = Hashtbl.create 1024 in
   (match grouping with
   | `Naive -> ()
   | `Interned ->
@@ -1560,8 +1590,24 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
               (fun (r : Route.t) -> (r.learned_from, r.next_hop))
               (Route_server.ranked server head)
           in
-          Class_tbl.replace class_intern (Option.value mem ~default:[], fp) g)
+          let key = (Option.value mem ~default:[], fp) in
+          Class_tbl.replace class_intern key g;
+          Hashtbl.replace class_keys g.id key)
         grouped);
+  let default_rewrites =
+    List.concat_map
+      (fun (p : Participant.t) ->
+        List.filter_map
+          (fun c -> Option.map (fun addr -> (Some p.asn, addr)) (default_rewrite c))
+          p.inbound)
+      (Config.participants config)
+    @ List.filter_map
+        (fun s ->
+          match s.via with
+          | None -> Option.map (fun addr -> (None, addr)) (default_rewrite s.clause)
+          | Some _ -> None)
+        ospecs
+  in
   let epoch = Sync.Atomic.fetch_and_add epoch_counter 1 in
   let main_shard = fresh_shard () in
   (* Seed the coordinating domain's slot so jobs the submitter drains
@@ -1576,6 +1622,7 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
       arp_ = Sdx_arp.Responder.create ();
       stats_ = zero_stats;
       ospecs;
+      ospec_arr = Array.of_list ospecs;
       memoize;
       mode = ir;
       epoch;
@@ -1589,12 +1636,29 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
       blocks_ = [];
       batch_groups_ = [];
       retired_groups_ = [];
-      spec_groups;
       class_intern;
+      class_keys;
+      block_store = Hashtbl.create 1024;
+      rebuildable = optimized && grouping = `Interned;
+      default_rewrites;
     }
   in
+  let groups_by_spec =
+    match grouping with
+    | `Interned -> covering_groups t groups_
+    | `Naive ->
+        (* Naive grouping left no class signatures behind; fall back to
+           the eager per-spec reachability sets. *)
+        fun spec ->
+          List.filter
+            (fun g ->
+              Prefix.Set.mem (List.hd g.prefixes) (Lazy.force spec.prefix_set))
+            groups_
+  in
   let classifier, blocks, merge_s, compose_s =
-    if optimized then profile_stage "blocks" (fun () -> build_optimized t config ~run)
+    if optimized then
+      profile_stage "blocks" (fun () ->
+          build_optimized t config ~groups_by_spec ~run)
     else begin
       let t0 = Unix.gettimeofday () in
       let c = build_naive t config in
@@ -1604,7 +1668,7 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
   in
   register_arp t config;
   let elapsed = Unix.gettimeofday () -. t0 in
-  let t = { t with classifier } in
+  t.classifier <- classifier;
   t.blocks_ <- blocks;
   let shards = t.shards_ in
   let sum f = List.fold_left (fun n s -> n + f s) 0 shards in
@@ -1769,6 +1833,82 @@ type batch_delta = {
   batch_elapsed_s : float;
 }
 
+(* A prefix's class key against the live Loc-RIBs.  The via-band ids
+   are the clauses covering the prefix, under the predicate the
+   export-vector pass evaluates at compile time (destination
+   restriction, export policy, loop prevention, route filter), so a
+   route that became reachable through a diversion target since the last
+   build diverts exactly as a fresh compile would, and a withdrawn one
+   stops diverting.  The origin-band ids take the [nspecs + j] slots the
+   export-vector pass assigns ([originated_sets] iterates the static
+   participant config, so the indexing is stable), and [spec_id] is
+   collection-ordered, so the list ascends like a fresh compile's.  The
+   key reads only the prefix's own routes and the static config. *)
+let class_key_fn t config keys =
+  let server = Config.server config in
+  let membership prefix =
+    List.filter_map
+      (fun spec ->
+        match spec.via with
+        | None -> None
+        | Some via ->
+            let allowed =
+              match spec.restriction with
+              | None -> true
+              | Some allowed -> List.exists (Prefix.overlaps prefix) allowed
+            in
+            if
+              allowed
+              && Route_server.exports_to server ~advertiser:via
+                   ~receiver:spec.sender.asn
+              && (match Route_server.route_from server ~via prefix with
+                 | Some r ->
+                     Route_server.loop_free r ~receiver:spec.sender.asn
+                     && Route_server.route_filter_passes server r
+                          ~receiver:spec.sender.asn
+                 | None -> false)
+            then Some spec.spec_id
+            else None)
+      t.ospecs
+  in
+  let nspecs = Array.length t.ospec_arr in
+  let origin_sets = originated_sets config in
+  let origin_band prefix =
+    let rec go j = function
+      | [] -> []
+      | (_, set) :: rest ->
+          if Prefix.Set.mem prefix set then (nspecs + j) :: go (j + 1) rest
+          else go (j + 1) rest
+    in
+    go 0 origin_sets
+  in
+  fun prefix ->
+    ( membership prefix @ origin_band prefix,
+      Default_keys.fingerprint keys prefix )
+
+let remove_member (g : group) p =
+  g.prefixes <- List.filter (fun q -> not (Prefix.equal q p)) g.prefixes
+
+(* Forgets a class that lost its last member: its key, its stored blocks
+   and its delivery-port memo.  Its VNH and ARP binding are the
+   caller's to release. *)
+let forget_class t (g : group) =
+  (match Hashtbl.find_opt t.class_keys g.id with
+  | Some ((ids, _) as key) ->
+      Class_tbl.remove t.class_intern key;
+      Hashtbl.remove t.class_keys g.id;
+      List.iter
+        (fun i ->
+          if i < Array.length t.ospec_arr then begin
+            Hashtbl.remove t.block_store (Via_block (i, g.id));
+            Option.iter
+              (fun via -> Hashtbl.remove t.main_shard.delivery (via, g.id))
+              t.ospec_arr.(i).via
+          end)
+        ids
+  | None -> ());
+  Hashtbl.remove t.block_store (Default_block g.id)
+
 (* Burst-batched fast path: one [Default_keys] instance and one pass
    over the route-server state serve the whole burst.  Duplicate
    prefixes are coalesced (only the final route state matters within a
@@ -1814,56 +1954,7 @@ let compile_update_batch t config vnh_alloc prefixes =
         || originator_of config p <> None)
       prefixes
   in
-  (* Ids of the via-clauses covering [prefix], recomputed against the
-     live Loc-RIBs — the same predicate the export-vector pass evaluates
-     at base compile time (destination restriction, export policy, loop
-     prevention, route filter) — so a route that became reachable
-     through a diversion target since the last re-optimization diverts
-     on the fast path exactly as a from-scratch recompile would, and a
-     withdrawn one stops diverting.  [spec_id] is collection-ordered, so
-     the result is ascending, matching the base class signatures. *)
-  let ospec_arr = Array.of_list t.ospecs in
-  let membership prefix =
-    List.filter_map
-      (fun spec ->
-        match spec.via with
-        | None -> None
-        | Some via ->
-            let allowed =
-              match spec.restriction with
-              | None -> true
-              | Some allowed -> List.exists (Prefix.overlaps prefix) allowed
-            in
-            if
-              allowed
-              && Route_server.exports_to server ~advertiser:via
-                   ~receiver:spec.sender.asn
-              && (match Route_server.route_from server ~via prefix with
-                 | Some r ->
-                     Route_server.loop_free r ~receiver:spec.sender.asn
-                     && Route_server.route_filter_passes server r
-                          ~receiver:spec.sender.asn
-                 | None -> false)
-            then Some spec.spec_id
-            else None)
-      t.ospecs
-  in
-
-  (* Origin-band ids, in the same [nspecs + j] slots the base compile's
-     export-vector pass assigns: [originated_sets] iterates the static
-     participant config, so the band indexing is stable across compiles
-     and bursts. *)
-  let nspecs = Array.length ospec_arr in
-  let origin_sets = originated_sets config in
-  let origin_band prefix =
-    let rec go j = function
-      | [] -> []
-      | (_, set) :: rest ->
-          if Prefix.Set.mem prefix set then (nspecs + j) :: go (j + 1) rest
-          else go (j + 1) rest
-    in
-    go 0 origin_sets
-  in
+  let key_of = class_key_fn t config keys in
   (* Pure classification: split the burst into signature hits (rebinds
      into live classes) and fresh classes (which need VNHs).  Nothing is
      mutated until the whole burst is known to fit the VNH pool. *)
@@ -1873,10 +1964,7 @@ let compile_update_batch t config vnh_alloc prefixes =
   let order = ref [] in
   List.iter
     (fun prefix ->
-      let s =
-        ( membership prefix @ origin_band prefix,
-          Default_keys.fingerprint keys prefix )
-      in
+      let s = key_of prefix in
       match Class_tbl.find_opt t.class_intern s with
       | Some g -> (
           match Hashtbl.find_opt t.by_prefix prefix with
@@ -1933,9 +2021,6 @@ let compile_update_batch t config vnh_alloc prefixes =
      class is spliced out of its [prefixes] (and merged, sorted, into
      the target's on migration), so the checker and the build-time views
      read live membership, not a snapshot. *)
-  let remove_member (g : group) p =
-    g.prefixes <- List.filter (fun q -> not (Prefix.equal q p)) g.prefixes
-  in
   let unbind p =
     match Hashtbl.find_opt t.by_prefix p with
     | Some g0 -> remove_member g0 p
@@ -1952,9 +2037,9 @@ let compile_update_batch t config vnh_alloc prefixes =
       g.prefixes <- List.merge Prefix.compare [ p ] g.prefixes;
       Hashtbl.replace t.by_prefix p g)
     migrations;
-  let grouped =
+  let groups =
     List.map2
-      (fun ((mem, _) as s, members) (vnh, vmac) ->
+      (fun (s, members) (vnh, vmac) ->
         let key_id = Default_keys.key_of_prefix keys (List.hd !members) in
         let g =
           {
@@ -1968,22 +2053,21 @@ let compile_update_batch t config vnh_alloc prefixes =
         t.next_group_id <- t.next_group_id + 1;
         t.batch_groups_ <- g :: t.batch_groups_;
         Class_tbl.replace t.class_intern s g;
+        Hashtbl.replace t.class_keys g.id s;
         List.iter
           (fun p ->
             unbind p;
             Hashtbl.replace t.by_prefix p g)
           g.prefixes;
         Sdx_arp.Responder.register t.arp_ vnh vmac;
-        (g, mem))
+        g)
       wanted reserved
   in
-  let groups = List.map fst grouped in
   (* Retire previously-minted fast-path groups this burst left with no
      bound prefix: their rules (in older, lower-priority blocks) are
      shadowed by the new block, so the VNH goes back on the free-list
      and the ARP responder stops answering for it.  Base-compile groups
-     keep their allocation until the next re-optimization, which resets
-     the whole pool anyway. *)
+     keep their allocation until the next re-optimization drops them. *)
   let fastpath_ids = Hashtbl.create 16 in
   List.iter (fun g -> Hashtbl.replace fastpath_ids g.id ()) t.batch_groups_;
   let retired =
@@ -1996,7 +2080,11 @@ let compile_update_batch t config vnh_alloc prefixes =
   List.iter
     (fun (g : group) ->
       Sdx_arp.Responder.unregister t.arp_ g.vnh;
-      ignore (Vnh.release vnh_alloc g.vnh))
+      ignore (Vnh.release vnh_alloc g.vnh);
+      (* A retired class must also leave the canonical table: its VNH is
+         back on the free-list, so interning into it later would bind
+         prefixes to an unregistered VMAC. *)
+      forget_class t g)
     retired;
   (match retired with
   | [] -> ()
@@ -2006,16 +2094,6 @@ let compile_update_batch t config vnh_alloc prefixes =
       t.batch_groups_ <-
         List.filter (fun g -> not (Hashtbl.mem retired_ids g.id)) t.batch_groups_;
       t.retired_groups_ <- retired @ t.retired_groups_;
-      (* A retired class must also leave the canonical table: its VNH is
-         back on the free-list, so interning into it later would bind
-         prefixes to an unregistered VMAC. *)
-      let dead_keys =
-        Class_tbl.fold
-          (fun k (g : group) acc ->
-            if Hashtbl.mem retired_ids g.id then k :: acc else acc)
-          t.class_intern []
-      in
-      List.iter (fun k -> Class_tbl.remove t.class_intern k) dead_keys;
       Sdx_obs.Registry.Counter.add Obs.vnhs_retired (List.length retired);
       Sdx_obs.Registry.Gauge.set_int Obs.retired_tombstones
         (List.length t.retired_groups_));
@@ -2030,33 +2108,24 @@ let compile_update_batch t config vnh_alloc prefixes =
      in [t.main_shard]: its pipeline caches (classifier and FDD alike)
      persist across bursts, which is what keeps per-burst latency flat.
      It must not consult the DLS slot — a later compile's epoch would
-     have evicted this run's shard. *)
-  let sender_blocks_for g mem =
-    List.filter_map
-      (fun i ->
-        (* origin-band ids name no via-clause: nothing to build. *)
-        if i >= nspecs then None
-        else
-          let spec = ospec_arr.(i) in
-          match spec.via with
-          | Some via ->
-              Some
-                ( Outbound
-                    { sender = spec.sender.asn; via = Some via; group = Some g.id },
-                  fst (clause_group_rules t t.main_shard config spec g) )
-          | None -> None)
-      mem
-  in
+     have evicted this run's shard.  Each block is stored as the class's
+     own, for the rebuild to lay out again. *)
   let blocks =
     List.concat_map
-      (fun (g, mem) ->
-        let originator = originator_of config (List.hd g.prefixes) in
-        sender_blocks_for g mem
-        @ [
-            ( Group_default { group = g.id },
-              fst (group_default_rules t t.main_shard config g ~originator) );
-          ])
-      grouped
+      (fun g ->
+        let ids, _ = Hashtbl.find t.class_keys g.id in
+        (* origin-band ids name no via-clause: nothing to build. *)
+        List.filter_map
+          (fun i ->
+            if i < Array.length t.ospec_arr then Some (Via_slot (t.ospec_arr.(i), g))
+            else None)
+          ids
+        @ [ Default_slot g ])
+      groups
+    |> List.map (fun s ->
+           let rules = fst (compose_slot t t.main_shard config s) in
+           Hashtbl.replace t.block_store (slot_key s) rules;
+           (slot_provenance s, rules))
   in
   let rules = List.concat_map snd blocks in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -2108,3 +2177,220 @@ let compact_retired t ~live =
   let after = List.length t.retired_groups_ in
   Sdx_obs.Registry.Gauge.set_int Obs.retired_tombstones after;
   before - after
+
+(* ------------------------------------------------------------------ *)
+(* The rebuild: re-optimization from the fast path's own state.        *)
+
+(* Whether a [Default] clause's rewritten destination lies in one of
+   [prefixes]: only then can their routes change what [resolve_default]
+   returns. *)
+let covers_rewrite prefixes addr = List.exists (Prefix.mem addr) prefixes
+
+let rewrites_into t prefixes =
+  List.exists (fun (_, addr) -> covers_rewrite prefixes addr) t.default_rewrites
+
+(* The participants whose inbound pipeline a default block of [g] runs
+   through. *)
+let default_owners config g =
+  let originator = originator_of config (List.hd g.prefixes) in
+  List.filter_map
+    (fun (nh_opt, _) ->
+      match nh_opt with
+      | Some nh ->
+          Option.map
+            (fun ((owner : Participant.t), _, _) -> owner.asn)
+            (Config.port_of_next_hop config nh)
+      | None -> Option.map (fun (o : Participant.t) -> o.asn) originator)
+    g.default_variants
+
+(* Drops every cached composition built on a [stale] participant's
+   inbound pipeline, from the shared extraction caches and from the
+   coordinating shard the fast path composes in. *)
+let forget_pipelines t stale =
+  let keep_owner (owner, _) v = if stale owner then None else Some v in
+  Pipeline_cache.filter_map_inplace keep_owner t.main_shard.fdd_pipelines;
+  Pipeline_cache.filter_map_inplace keep_owner t.main_shard.cls_pipelines;
+  Hashtbl.filter_map_inplace keep_owner t.shared_pipes;
+  Hashtbl.filter_map_inplace
+    (fun (spec_id, _) v ->
+      match t.ospec_arr.(spec_id).via with
+      | Some via when stale via -> None
+      | _ -> Some v)
+    t.shared_bodies
+
+(* Two prefixes with equal class keys get equal blocks (up to the
+   class's VMAC): the sender blocks read the clause, the via's inbound
+   pipeline and the via's next hop for the class (an entry of the
+   fingerprint); the default block reads the variants (a function of
+   the fingerprint) and the first originator (of the origin band).  The
+   one exception is [resolve_default], which looks a [Default] clause's
+   rewritten address up in a Loc-RIB: every block built on such a
+   pipeline, and every direct clause of that kind, is recomposed when a
+   touched prefix covers the address.  Every other live block is laid
+   out as stored. *)
+let rebuild t config vnh_alloc ~touched =
+  if not t.rebuildable then
+    invalid_arg "Compile.rebuild: needs an optimized, interned compile";
+  let t0 = Unix.gettimeofday () in
+  let shard = t.main_shard in
+  let seq0 = shard.seq_ops
+  and memo0 = shard.memo_hits
+  and build0 = shard.build_s
+  and extract0 = shard.extract_s
+  and fdd_memo0 = (Fdd.stats shard.fdd).Fdd.memo_hits in
+  let keys = Default_keys.create config in
+  let key_of = class_key_fn t config keys in
+  let touched = List.sort_uniq Prefix.compare touched in
+  let rekeyed = List.map (fun p -> (p, key_of p)) touched in
+  let t_group = Unix.gettimeofday () in
+  (* Move each re-keyed prefix to the live class holding its key; a
+     prefix whose export vector is empty leaves every class, as a fresh
+     compile never groups it; the rest wait for a fresh class. *)
+  let fresh = Class_tbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun (p, ((ids, _) as key)) ->
+      let old = Hashtbl.find_opt t.by_prefix p in
+      let target = if ids = [] then None else Class_tbl.find_opt t.class_intern key in
+      match (old, target) with
+      | Some g0, Some g when g0.id = g.id -> ()
+      | _ -> (
+          Option.iter
+            (fun g0 ->
+              remove_member g0 p;
+              Hashtbl.remove t.by_prefix p)
+            old;
+          match target with
+          | Some g ->
+              g.prefixes <- List.merge Prefix.compare [ p ] g.prefixes;
+              Hashtbl.replace t.by_prefix p g
+          | None when ids = [] -> ()
+          | None -> (
+              match Class_tbl.find_opt fresh key with
+              | Some members -> members := p :: !members
+              | None ->
+                  let members = ref [ p ] in
+                  Class_tbl.replace fresh key members;
+                  order := (key, members) :: !order)))
+    rekeyed;
+  (* Drop the classes left without members, then hand the pool every VNH
+     no survivor holds (tombstones' and any other stray allocation
+     included), so the survivors keep theirs and live VNHs equal
+     classes. *)
+  let kept, dropped =
+    List.partition
+      (fun g -> g.prefixes <> [])
+      (t.groups_ @ List.rev t.batch_groups_)
+  in
+  List.iter
+    (fun g ->
+      Sdx_arp.Responder.unregister t.arp_ g.vnh;
+      forget_class t g)
+    dropped;
+  Vnh.retain vnh_alloc (List.map (fun g -> g.vnh) kept);
+  let by_smallest_member a b = Prefix.compare (List.hd a.prefixes) (List.hd b.prefixes) in
+  let minted =
+    List.map
+      (fun (key, members) ->
+        let vnh, vmac = Vnh.fresh vnh_alloc in
+        let g =
+          {
+            id = t.next_group_id;
+            vnh;
+            vmac;
+            prefixes = members;
+            default_variants =
+              Default_keys.variants keys
+                (Default_keys.key_of_prefix keys (List.hd members));
+          }
+        in
+        t.next_group_id <- t.next_group_id + 1;
+        Class_tbl.replace t.class_intern key g;
+        Hashtbl.replace t.class_keys g.id key;
+        List.iter (fun p -> Hashtbl.replace t.by_prefix p g) members;
+        Sdx_arp.Responder.register t.arp_ vnh vmac;
+        g)
+      (List.sort
+         (fun (_, a) (_, b) -> Prefix.compare (List.hd a) (List.hd b))
+         (List.map
+            (fun (key, members) -> (key, List.sort Prefix.compare !members))
+            !order))
+  in
+  let groups = List.sort by_smallest_member (kept @ minted) in
+  let compose_t0 = Unix.gettimeofday () in
+  let group_s = compose_t0 -. t_group in
+  let rewritten addr = covers_rewrite touched addr in
+  let stale_owners =
+    List.filter_map
+      (fun (owner, addr) -> if rewritten addr then owner else None)
+      t.default_rewrites
+  in
+  let stale owner = List.exists (Asn.equal owner) stale_owners in
+  if stale_owners <> [] then forget_pipelines t stale;
+  let is_stale = function
+    | Direct_slot spec ->
+        Option.fold ~none:false ~some:rewritten (default_rewrite spec.clause)
+    | _ when stale_owners = [] -> false
+    | Via_slot (spec, _) -> stale (Option.get spec.via)
+    | Default_slot g -> List.exists stale (default_owners config g)
+    | Untagged_slot p -> stale p.asn
+  in
+  let composed = ref 0 in
+  let blocks =
+    List.map
+      (fun s ->
+        let key = slot_key s in
+        match Hashtbl.find_opt t.block_store key with
+        | Some rules when not (is_stale s) -> (s, rules)
+        | _ ->
+            incr composed;
+            let rules = fst (compose_slot t shard config s) in
+            Hashtbl.replace t.block_store key rules;
+            (s, rules))
+      (slots t config ~groups ~groups_by_spec:(covering_groups t groups))
+  in
+  let compose_s = Unix.gettimeofday () -. compose_t0 in
+  let classifier = List.concat_map snd blocks @ drop_all_rule in
+  t.classifier <- classifier;
+  t.blocks_ <-
+    List.map (fun (s, rules) -> (slot_provenance s, List.length rules)) blocks
+    @ [ (Catch_all, List.length drop_all_rule) ];
+  t.groups_ <- groups;
+  t.batch_groups_ <- [];
+  t.retired_groups_ <- [];
+  t.shards_ <- [ shard ];
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let fdd = Fdd.stats shard.fdd in
+  let stats =
+    {
+      group_count = List.length groups;
+      rule_count = Classifier.rule_count classifier;
+      elapsed_s = elapsed;
+      compose_s;
+      reachability_s = t_group -. t0;
+      group_s;
+      seq_ops = shard.seq_ops - seq0;
+      memo_hits = shard.memo_hits - memo0;
+      fdd_build_s = shard.build_s -. build0;
+      fdd_merge_s = 0.;
+      fdd_extract_s = shard.extract_s -. extract0;
+      fdd_nodes = fdd.Fdd.nodes;
+      fdd_memo_hits = fdd.Fdd.memo_hits - fdd_memo0;
+      fdd_table_size = fdd.Fdd.unique_table_size;
+    }
+  in
+  t.stats_ <- stats;
+  Sdx_obs.Registry.Gauge.set_int Obs.rules stats.rule_count;
+  Sdx_obs.Registry.Gauge.set_int Obs.groups stats.group_count;
+  Sdx_obs.Registry.Gauge.set_int Obs.retired_tombstones 0;
+  Sdx_obs.Trace.record ~name:"rebuild" ~start_s:t0 ~dur_s:elapsed
+    ~attrs:
+      [
+        ("rekeyed", string_of_int (List.length touched));
+        ("minted", string_of_int (List.length minted));
+        ("dropped", string_of_int (List.length dropped));
+        ("composed", string_of_int !composed);
+        ("rules", string_of_int stats.rule_count);
+      ]
+    ();
+  stats

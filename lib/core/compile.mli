@@ -116,7 +116,8 @@ val compile :
     partition, kept as the grouping oracle.  Both produce structurally
     identical groups (same ids, members, VNHs, variants), but only
     [`Interned] seeds the class table the incremental fast path
-    migrates prefixes through.
+    migrates prefixes through, and (with [optimized]) keeps the blocks
+    {!rebuild} lays out again.
 
     [domains] controls the pool the independent rule blocks of the
     optimized path are fanned across: [Some 1] forces a fully sequential
@@ -256,8 +257,8 @@ val compile_update_batch :
 
     Transactional: [Error `Vnh_exhausted] means the pool could not cover
     the burst and {e nothing} — bindings, groups, ARP entries, allocator
-    — was changed; the caller is expected to fall back to a full
-    re-optimization. *)
+    — was changed; the caller is expected to fall back to a
+    re-optimization ({!rebuild}). *)
 
 val compact_retired : t -> live:int list -> int
 (** Drops retired-group tombstones whose ids are not in [live] (the
@@ -265,3 +266,28 @@ val compact_retired : t -> live:int list -> int
     returns how many were dropped.  Never re-registers anything: a
     compacted tombstone's VNH and ARP binding were already released at
     retirement. *)
+
+val rebuild : t -> Config.t -> Vnh.t -> touched:Prefix.t list -> stats
+(** The background re-optimization (§4.3.2) from the state the fast path
+    keeps, in place: re-keys the [touched] prefixes (every prefix an
+    update reached since the last build, whether or not its best route
+    moved), ungroups those whose export vector is empty, drops classes
+    left without members (VNH released, ARP binding removed), mints a
+    class only for a key no live class holds, and lays the base
+    classifier out from the stored blocks in {!compile}'s order, with
+    the fast-path groups folded in and the tombstones gone.  Only new
+    blocks and blocks that resolve a [Default] clause's rewritten
+    address inside a touched prefix are composed.  The result equals a
+    fresh {!compile} of the same route-server state up to renaming group
+    ids, VNHs and VMACs; a class that survives keeps its VNH, VMAC and
+    ARP binding.  The returned stats (also {!stats}) describe this
+    rebuild alone.
+    @raise Invalid_argument unless [t] came from an optimized, interned
+    {!compile}.
+    @raise Failure when the pool cannot hold every class, as {!compile}
+    would. *)
+
+val rewrites_into : t -> Prefix.t list -> bool
+(** Whether a [Default] clause rewrites a destination into one of these
+    prefixes: a best-route change there moves where that clause
+    delivers, which only {!rebuild} (or {!compile}) recomposes. *)

@@ -17,6 +17,7 @@ type t = {
   rejected : (Asn.t * Prefix.t) list;
   ceiling : int;  (* per-instance fast-path priority ceiling *)
   mutable reoptimizes : int;
+  mutable last_reoptimize_s : float;  (* wall time of the latest run *)
   (* Cumulative fast-path churn since [create]: groups minted by bursts,
      prefixes migrated into already-interned classes (no rules emitted),
      and groups retired.  Survives re-optimization — these describe the
@@ -36,6 +37,10 @@ type t = {
      priority they came from, so unchanged rules stay the same values
      from call to call. *)
   mutable base_flows : (Classifier.t * int * Sdx_openflow.Flow.t list) option;
+  (* Every prefix an update reached since the last build, whether or not
+     its best route moved: the prefixes whose class key may have changed,
+     which [reoptimize] re-keys. *)
+  touched : (Prefix.t, unit) Hashtbl.t;
 }
 
 and dirty = {
@@ -167,11 +172,13 @@ let create ?(optimized = true) ?rpki ?domains ?vnh_pool
       rejected;
       ceiling = extras_ceiling;
       reoptimizes = 0;
+      last_reoptimize_s = 0.;
       churn_minted = 0;
       churn_migrated = 0;
       churn_retired = 0;
       last_dirty = None;
       base_flows = None;
+      touched = Hashtbl.create 64;
     }
   in
   run_check_hook t;
@@ -202,32 +209,51 @@ let extra_rule_count t =
 
 let rule_count t = base_rule_count t + extra_rule_count t
 
-let reoptimize t =
+(* The background stage, around whichever build [build] runs: the
+   fast-path stack is folded into the new base classifier and dropped,
+   and the call ends with a major GC cycle. *)
+let background_stage t build =
+  let t0 = Unix.gettimeofday () in
   t.last_dirty <- None;
-  Vnh.reset t.vnh;
-  let compiled =
-    Compile.compile ~optimized:t.optimized ?domains:t.domains t.config t.vnh
-  in
-  t.compiled <- compiled;
+  let stats = build () in
+  Hashtbl.reset t.touched;
   t.base_flows <- None;
   t.extras <- [];
   t.reoptimizes <- t.reoptimizes + 1;
-  let stats = Compile.stats compiled in
   Sdx_obs.Registry.Counter.incr Obs.reoptimizations;
-  Sdx_obs.Registry.Histogram.observe Obs.reoptimize_seconds stats.Compile.elapsed_s;
   Sdx_obs.Registry.Gauge.set_int Obs.fastpath_blocks 0;
   Sdx_obs.Registry.Gauge.set_int Obs.extra_rules 0;
   Sdx_obs.Registry.Gauge.set_int Obs.vnh_live (Vnh.allocated t.vnh);
   Sdx_obs.Registry.Gauge.set_int Obs.vnh_reclaimed (Vnh.reclaimed_total t.vnh);
   run_check_hook t;
-  (* Finish the major cycle now that the previous compilation is
-     garbage.  Left to the allocation-paced collector, where the cycle
-     ended relative to the next allocation peak varied from run to
-     run: replaying the perfbench churn feed on a 2-core host, peak RSS
-     was 131 or 159 MB depending on the seed, and is 81 MB for every
-     seed with this, at about 30 ms per re-optimization at 300x10k. *)
+  (* Finish the major cycle at a fixed point of the update stream.  Left
+     to the allocation-paced collector, where the cycle ends relative to
+     the next allocation peak varies from run to run: replaying the
+     perfbench churn feed on a 2-core host, ten seeds read a peak RSS of
+     68 MB with this and 122-126 MB without.  It is most of what a
+     re-optimization costs at 300x10k, about 22 of 23 ms: the rebuild
+     before it takes under a millisecond. *)
   Gc.major ();
+  t.last_reoptimize_s <- Unix.gettimeofday () -. t0;
+  Sdx_obs.Registry.Histogram.observe Obs.reoptimize_seconds t.last_reoptimize_s;
   stats
+
+(* A from-scratch compile over a reset VNH pool: the initial build's
+   pipeline, for policy changes, compiler failures and the unoptimized
+   ablation. *)
+let full_recompile t =
+  background_stage t (fun () ->
+      Vnh.reset t.vnh;
+      t.compiled <-
+        Compile.compile ~optimized:t.optimized ?domains:t.domains t.config t.vnh;
+      Compile.stats t.compiled)
+
+let reoptimize t =
+  if not t.optimized then full_recompile t
+  else
+    background_stage t (fun () ->
+        Compile.rebuild t.compiled t.config t.vnh
+          ~touched:(Hashtbl.fold (fun p () acc -> p :: acc) t.touched []))
 
 let rec flows t =
   let base_cls = Compile.classifier t.compiled in
@@ -287,15 +313,17 @@ let next_extras_floor t =
 (* The fast path could not serve this burst — the VNH pool ran dry
    mid-reservation, or the batch compiler failed outright.  The route
    server has already absorbed the updates, so the only safe direction
-   is forward: a full recompile reads the post-update RIBs and rebuilds
-   a consistent table (the batch compiler is transactional, so no
-   half-installed state needs undoing). *)
-let fallback_recompile t reason =
+   is forward: a rebuild reads the post-update RIBs and lays out a
+   consistent table (the batch compiler is transactional, so no
+   half-installed state needs undoing).  A compiler failure distrusts
+   the state the rebuild would start from, so it compiles from
+   scratch. *)
+let fallback t reason ~recompile =
   Log.warn (fun m ->
-      m "fast path abandoned (%s); falling forward into a full recompile"
-        reason);
+      m "fast path abandoned (%s); falling forward into a %s" reason
+        (if recompile then "full recompile" else "re-optimization"));
   Sdx_obs.Registry.Counter.incr Obs.fastpath_fallbacks;
-  ignore (reoptimize t)
+  ignore (if recompile then full_recompile t else reoptimize t)
 
 (* A burst is handled as a unit: every update is applied to the route
    server first, then the prefixes whose best route moved go through one
@@ -306,7 +334,10 @@ let handle_burst t updates =
   let t0 = Unix.gettimeofday () in
   let changes =
     List.map
-      (fun u -> (u, Route_server.apply (Config.server t.config) u))
+      (fun u ->
+        let c = Route_server.apply (Config.server t.config) u in
+        Hashtbl.replace t.touched c.Route_server.prefix ();
+        (u, c))
       updates
   in
   let changed_prefixes =
@@ -329,15 +360,23 @@ let handle_burst t updates =
   let installed =
     match changed_prefixes with
     | [] -> 0
+    | prefixes when Compile.rewrites_into t.compiled prefixes ->
+        (* A [Default] clause resolves its rewritten destination through
+           a route this burst moved: the blocks built on it are stale,
+           and the fast path only composes the burst's own classes. *)
+        Log.info (fun m ->
+            m "burst moves a rewritten destination; re-optimizing in place");
+        ignore (reoptimize t);
+        0
     | prefixes -> (
         match
           Compile.compile_update_batch t.compiled t.config t.vnh prefixes
         with
         | exception exn ->
-            fallback_recompile t (Printexc.to_string exn);
+            fallback t (Printexc.to_string exn) ~recompile:true;
             0
         | Error `Vnh_exhausted ->
-            fallback_recompile t "VNH pool exhausted";
+            fallback t "VNH pool exhausted" ~recompile:false;
             0
         | Ok batch ->
             let floor = next_extras_floor t in
@@ -453,6 +492,7 @@ let handle_update t update =
 let fast_path_block_count t = List.length t.extras
 let vnh t = t.vnh
 let reoptimize_count t = t.reoptimizes
+let last_reoptimize_seconds t = t.last_reoptimize_s
 
 type churn = {
   churn_groups_minted : int;
@@ -476,8 +516,9 @@ let set_policies t asn ~inbound ~outbound =
   in
   t.config <- config;
   (* Policy changes take the slow path (§4.3 tunes the incremental
-     engine for BGP updates, which are far more frequent). *)
-  reoptimize t
+     engine for BGP updates, which are far more frequent): new clauses
+     mean new class keys, so nothing stored survives. *)
+  full_recompile t
 
 let announce t ~peer ~port ?as_path prefix =
   let p = Config.participant t.config peer in

@@ -3,8 +3,8 @@
 
     BGP updates take the fast path: the affected prefix gets a fresh VNH
     and only the related policy slice is recompiled and stacked above the
-    base rules.  {!reoptimize} is the background stage: a full
-    recompilation that rebuilds optimal prefix groups and retires the
+    base rules.  {!reoptimize} is the background stage: it rebuilds
+    optimal prefix groups from the fast path's own state and retires the
     stacked rules. *)
 
 open Sdx_net
@@ -26,7 +26,7 @@ val create :
     each originated prefix must validate as [Valid] for its owner
     (§3.2's ownership check); prefixes that fail are not originated and
     a warning is logged.  [domains] is threaded through to
-    {!Compile.compile} for the initial build and every {!reoptimize}.
+    {!Compile.compile} for the initial build and every full recompile.
     [vnh_pool] overrides the VNH allocator's address pool (soak tests
     use tiny pools to hit lifecycle boundaries quickly), and
     [extras_ceiling] lowers this instance's fast-path priority ceiling
@@ -71,7 +71,8 @@ val set_check_hook : (t -> unit) option -> unit
 
 val flows : t -> Sdx_openflow.Flow.t list
 (** The same ruleset as prioritized OpenFlow entries, with a stable
-    layout: the base classifier descends from priority 30,000 and each
+    layout: the base classifier descends from priority max(30,000, its
+    rule count) and each
     fast-path block keeps the priorities it was assigned when installed
     (new blocks stack above older ones) — so successive calls differ only
     in the entries an update actually touched, and
@@ -115,12 +116,14 @@ val handle_burst : t -> Update.t list -> update_stats list
     burst equals the installed rules.
 
     Never raises and never leaves RIB and data plane divergent: an
-    exhausted VNH pool or a batch-compiler failure falls forward into
-    {!reoptimize} (the route server already holds the burst, so the full
-    recompile lands on the post-update state), a burst that would cross
-    the priority ceiling re-optimizes in place, and a burst that leaves
-    the VNH pool past {!vnh_pressure_threshold} does the same before the
-    pool can run dry. *)
+    exhausted VNH pool falls forward into {!reoptimize} and a
+    batch-compiler failure into a full recompile (the route server
+    already holds the burst, so either lands on the post-update state),
+    a burst that would cross the priority ceiling re-optimizes in place,
+    a burst that leaves the VNH pool past {!vnh_pressure_threshold} does
+    the same before the pool can run dry, and so does a burst that moves
+    the best route a [Default] clause's rewritten destination resolves
+    through. *)
 
 val fast_path_block_count : t -> int
 (** Number of fast-path blocks currently stacked above the base
@@ -135,7 +138,11 @@ val reoptimize_count : t -> int
 (** Background-stage runs since creation, whether explicit
     ({!reoptimize}, {!set_policies}) or triggered by the degradation
     ladder (priority ceiling, VNH pressure, fast-path fallback, band
-    overlap). *)
+    overlap, a moved [Default] rewrite). *)
+
+val last_reoptimize_seconds : t -> float
+(** Wall time of the latest background-stage run, end to end (the
+    [sdx_runtime_reoptimize_seconds] observation); 0 before the first. *)
 
 type churn = {
   churn_groups_minted : int;
@@ -160,17 +167,23 @@ val retired_tombstone_count : t -> int
     extras stack rather than growing with total churn. *)
 
 val reoptimize : t -> Compile.stats
-(** Background re-optimization: recomputes groups and the classifier
-    from scratch and clears the incremental rule stack, then finishes
-    the major GC cycle so the superseded compilation is reclaimed at a
-    fixed point of the update stream. *)
+(** Background re-optimization ({!Compile.rebuild}): re-keys every prefix
+    an update reached since the last build, folds the fast-path classes
+    into the base classifier, drops empty classes and mints only classes
+    whose key is new, and clears the incremental rule stack; then
+    finishes the major GC cycle at a fixed point of the update stream.
+    The base classifier equals a fresh {!Compile.compile} of the same
+    route-server state up to renaming group ids, VNHs and VMACs, and a
+    class that survives keeps its VNH and VMAC.  Returns the rebuild's
+    own stats.  A runtime created with [~optimized:false] recompiles
+    from scratch instead. *)
 
 val set_policies :
   t -> Asn.t -> inbound:Ppolicy.t -> outbound:Ppolicy.t -> Compile.stats
 (** A participant (re)installs its SDX application: policies are
-    replaced, everything is recompiled, and BGP state is untouched —
-    §4.3 treats policy changes as full recompilations since they are far
-    rarer than BGP updates.
+    replaced, everything is recompiled from scratch over a reset VNH
+    pool, and BGP state is untouched — §4.3 treats policy changes as
+    full recompilations since they are far rarer than BGP updates.
     @raise Invalid_argument if the new policies fail validation. *)
 
 val announce : t -> peer:Asn.t -> port:int -> ?as_path:Asn.t list -> Prefix.t -> update_stats

@@ -102,3 +102,10 @@ let reset t =
   t.free_list <- [];
   Hashtbl.reset t.free_set;
   t.live_ <- 0
+
+let retain t live =
+  let keep = Hashtbl.create 64 in
+  List.iter (fun ip -> if is_virtual t ip then Hashtbl.replace keep (index_of t ip) ()) live;
+  for i = 1 to t.next do
+    if not (Hashtbl.mem keep i) then ignore (release t (fst (pair t i)))
+  done

@@ -24,12 +24,13 @@ val create : ?pool:Prefix.t -> unit -> t
 val alloc : t -> [ `Fresh of Ipv4.t * Mac.t | `Exhausted ]
 (** Pops the free-list first, then extends the high-water mark.
     [`Exhausted] means every index is live — the caller must degrade
-    (the runtime falls back to a full re-optimization, which {!reset}s
-    the pool) rather than crash. *)
+    (the runtime falls back to a re-optimization, which hands back every
+    VNH no class holds) rather than crash. *)
 
 val fresh : t -> Ipv4.t * Mac.t
 (** {!alloc}, for callers that have already ruled exhaustion out (the
-    base compiler runs against a freshly {!reset} pool).
+    base compiler runs against a freshly {!reset} pool, the rebuild
+    against one {!retain}ed to its surviving classes).
     @raise Failure when the pool is exhausted. *)
 
 val release : t -> Ipv4.t -> bool
@@ -68,8 +69,14 @@ val stats : t -> stats
 
 val reset : t -> unit
 (** Returns every allocation to the pool and clears the free-list (used
-    by the background re-optimization, which rebuilds the VNH assignment
-    from scratch).  Cumulative counters are kept. *)
+    by full compiles, which rebuild the VNH assignment from scratch).
+    Cumulative counters are kept. *)
+
+val retain : t -> Ipv4.t list -> unit
+(** [retain t live] {!release}s every allocation not in [live], in
+    ascending index order: the re-optimization's reconciliation, which
+    keeps each surviving class's VNH where {!reset} would renumber them
+    all. *)
 
 val is_virtual : t -> Ipv4.t -> bool
 (** Whether the address lies in the allocator's pool (so a next-hop can

@@ -180,6 +180,8 @@ type soak_result = {
   soak_commit_errors : int;
   soak_equiv_divergences : int;
   soak_reoptimizations : int;
+  soak_reoptimize_p50_s : float;
+  soak_reoptimize_max_s : float;
   soak_vnh_reclaimed : int;
   soak_vnh_peak_live : int;
   soak_vnh_capacity : int;
@@ -214,6 +216,15 @@ let soak ?(config = default_soak_config) ?check ?check_incremental ?on_commit
   let equiv = ref 0 in
   let peak_extras = ref 0 in
   let peak_blocks = ref 0 in
+  (* Wall time of every background-stage run the soak set off. *)
+  let reopt_s = ref [] in
+  let timing_reopts f =
+    let before = Runtime.reoptimize_count runtime in
+    let r = f () in
+    if Runtime.reoptimize_count runtime > before then
+      reopt_s := Runtime.last_reoptimize_seconds runtime :: !reopt_s;
+    r
+  in
   (* Withdraw storms leave the session down for a few bursts; the
      captured routes come back through this queue so the table never
      erodes permanently. *)
@@ -222,7 +233,7 @@ let soak ?(config = default_soak_config) ?check ?check_incremental ?on_commit
     match us with
     | [] -> ()
     | us ->
-        ignore (Runtime.handle_burst runtime us);
+        timing_reopts (fun () -> ignore (Runtime.handle_burst runtime us));
         incr bursts;
         updates_done := !updates_done + List.length us;
         peak_extras := max !peak_extras (Runtime.extra_rule_count runtime);
@@ -243,7 +254,7 @@ let soak ?(config = default_soak_config) ?check ?check_incremental ?on_commit
         (match on_commit with
         | Some f ->
             incr commits;
-            commit_errors := !commit_errors + f ()
+            commit_errors := !commit_errors + timing_reopts f
         | None -> ())
   in
   let flush_pending () =
@@ -372,6 +383,11 @@ let soak ?(config = default_soak_config) ?check ?check_incremental ?on_commit
     soak_commit_errors = !commit_errors;
     soak_equiv_divergences = !equiv;
     soak_reoptimizations = Runtime.reoptimize_count runtime;
+    soak_reoptimize_p50_s =
+      (match List.sort Float.compare !reopt_s with
+      | [] -> 0.
+      | sorted -> List.nth sorted (List.length sorted / 2));
+    soak_reoptimize_max_s = List.fold_left Float.max 0. !reopt_s;
     soak_vnh_reclaimed = vnh.Vnh.reclaimed_total;
     soak_vnh_peak_live = vnh.Vnh.peak_live;
     soak_vnh_capacity = vnh.Vnh.capacity;
@@ -394,7 +410,7 @@ let pp_soak_result fmt r =
      checkpoints: %d (%d check errors, %d forwarding divergences)@,\
      inline checks: %d (%d errors)@,\
      dataplane commits: %d (%d anomalies)@,\
-     re-optimizations: %d@,\
+     re-optimizations: %d (median %.1f ms, max %.1f ms)@,\
      VNHs: %d reclaimed, peak %d live of %d@,\
      peak fast path: %d rules in %d blocks@,\
      groups: %d minted, %d migrations, %d retired (%d tombstones held)@]"
@@ -403,7 +419,9 @@ let pp_soak_result fmt r =
     r.soak_same_prefix_trains r.soak_checkpoints r.soak_check_errors
     r.soak_equiv_divergences r.soak_incremental_checks r.soak_incremental_errors
     r.soak_commits r.soak_commit_errors
-    r.soak_reoptimizations r.soak_vnh_reclaimed
-    r.soak_vnh_peak_live r.soak_vnh_capacity r.soak_peak_extra_rules
+    r.soak_reoptimizations
+    (1e3 *. r.soak_reoptimize_p50_s)
+    (1e3 *. r.soak_reoptimize_max_s)
+    r.soak_vnh_reclaimed r.soak_vnh_peak_live r.soak_vnh_capacity r.soak_peak_extra_rules
     r.soak_peak_fastpath_blocks r.soak_groups_minted r.soak_group_migrations
     r.soak_groups_retired r.soak_retired_tombstones

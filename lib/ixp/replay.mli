@@ -105,6 +105,10 @@ type soak_result = {
   soak_equiv_divergences : int;
       (** forwarding divergences vs. from-scratch recompiles *)
   soak_reoptimizations : int;
+  soak_reoptimize_p50_s : float;
+      (** median wall time of the background-stage runs during the soak
+          (0 when none ran) *)
+  soak_reoptimize_max_s : float;
   soak_vnh_reclaimed : int;
   soak_vnh_peak_live : int;
   soak_vnh_capacity : int;

@@ -492,6 +492,38 @@ let test_reoptimize_clears_extras () =
     ~dst_port:9999
     (Some (Fig1.asn_b, 0))
 
+(* B's inbound policy rewrites the service address 20.0.1.9 to an
+   instance in p4 and delivers it by B's best route for p4 (a [Default]
+   clause).  When D starts announcing p4 with a shorter path, that best
+   route moves to D — though p1, the class A's web traffic is tagged
+   with, is untouched.  The burst must not leave A's diversion through
+   B's pipeline delivering to C. *)
+let test_default_rewrite_follows_best_route () =
+  let config =
+    Config.with_policies (Fig1.make_config ()) (fun (p : Participant.t) ->
+        if Asn.equal p.asn Fig1.asn_b then
+          ( Apps.wide_area_load_balancer ~service:(ip "20.0.1.9")
+              ~default_instance:(ip "20.0.4.9") ~pinned:[],
+            p.outbound )
+        else (p.inbound, p.outbound))
+  in
+  let runtime = Runtime.create config in
+  expect_delivery runtime ~sender:Fig1.asn_a ~src:"10.0.0.1" ~dst:"20.0.1.9"
+    ~dst_port:80
+    (Some (Fig1.asn_c, 0));
+  ignore
+    (Runtime.announce runtime ~peer:Fig1.asn_d ~port:0 ~as_path:[ Fig1.asn_d ]
+       Fig1.p4);
+  expect_delivery runtime ~sender:Fig1.asn_a ~src:"10.0.0.1" ~dst:"20.0.1.9"
+    ~dst_port:80
+    (Some (Fig1.asn_d, 0));
+  let report = Sdx_check.Check.runtime runtime in
+  check_bool
+    (Format.asprintf "verifies clean: %a" Sdx_check.Check.pp_report
+       { report with Sdx_check.Check.findings = Sdx_check.Check.errors report })
+    false
+    (Sdx_check.Check.has_errors report)
+
 let test_set_policies_in_place () =
   let runtime = Fig1.make_runtime () in
   (* AS A starts with the Figure 1 policy: web to p1 diverts to B. *)
@@ -1379,6 +1411,8 @@ let () =
           Alcotest.test_case "fresh vnh" `Quick test_incremental_new_vnh;
           Alcotest.test_case "no-op update" `Quick test_incremental_noop_update;
           Alcotest.test_case "reoptimize clears" `Quick test_reoptimize_clears_extras;
+          Alcotest.test_case "default rewrite follows the best route" `Quick
+            test_default_rewrite_follows_best_route;
           Alcotest.test_case "burst accumulates" `Quick test_burst_accumulates;
           Alcotest.test_case "set_policies in place" `Quick
             test_set_policies_in_place;
