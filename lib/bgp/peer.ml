@@ -1,10 +1,13 @@
+(* A queued message: bytes this session encoded and owns, or an
+   encoding shared with other sessions, copied when drained. *)
+type queued = Own of bytes | Shared of string
 
 type t = {
   local : Wire.open_msg;
   peer_asn : Asn.t;
   fsm : Fsm.t;
-  rx : Buffer.t;  (* unparsed received bytes *)
-  mutable tx : bytes list;  (* reversed output queue *)
+  mutable rx : bytes;  (* received bytes not yet framed: a partial message *)
+  mutable tx : queued list;  (* reversed output queue *)
   mutable flush : bool;
   mutable remote : Wire.open_msg option;
 }
@@ -14,7 +17,7 @@ let create ~local ~peer_asn =
     local;
     peer_asn;
     fsm = Fsm.create ();
-    rx = Buffer.create 256;
+    rx = Bytes.empty;
     tx = [];
     flush = false;
     remote = None;
@@ -24,10 +27,16 @@ let state t = Fsm.state t.fsm
 let peer_asn t = t.peer_asn
 let remote_open t = t.remote
 
-let transmit t msg = t.tx <- Wire.encode msg :: t.tx
+let transmit t msg = t.tx <- Own (Wire.encode msg) :: t.tx
 
+(* The copy of a shared encoding is made here, not when it is queued:
+   queued messages live until the caller drains them, often across a
+   whole burst, and a copy per receiver made up front would outlive the
+   minor heap and be promoted. *)
 let pending_output t =
-  let out = List.rev t.tx in
+  let out =
+    List.rev_map (function Own b -> b | Shared s -> Bytes.of_string s) t.tx
+  in
   t.tx <- [];
   out
 
@@ -60,27 +69,8 @@ let hold_expired t = event t Fsm.Hold_timer_expired
 let send_update t update =
   if Fsm.state t.fsm = Fsm.Established then transmit t (Wire.of_update update)
 
-let send_encoded t bytes =
-  if Fsm.state t.fsm = Fsm.Established then t.tx <- Bytes.copy bytes :: t.tx
-
-(* Extract one complete message from the head of [rx], if present: the
-   declared length lives at bytes 16-17. *)
-let take_message t =
-  let len = Buffer.length t.rx in
-  if len < 19 then None
-  else
-    let declared =
-      (Char.code (Buffer.nth t.rx 16) lsl 8) lor Char.code (Buffer.nth t.rx 17)
-    in
-    if declared < 19 then Some (Error "declared message length below 19")
-    else if len < declared then None
-    else begin
-      let msg = Bytes.of_string (String.sub (Buffer.contents t.rx) 0 declared) in
-      let rest = String.sub (Buffer.contents t.rx) declared (len - declared) in
-      Buffer.clear t.rx;
-      Buffer.add_string t.rx rest;
-      Some (Ok msg)
-    end
+let send_encoded t encoded =
+  if Fsm.state t.fsm = Fsm.Established then t.tx <- Shared encoded :: t.tx
 
 let handle_message t msg =
   match msg with
@@ -101,19 +91,38 @@ let handle_message t msg =
       event t Fsm.Update_received;
       if was_established then Wire.to_updates ~peer:t.peer_asn u else []
 
+(* Frames every complete message of [rx ^ data] in place, from an
+   offset, and keeps only the unconsumed tail: one copy of the bytes per
+   call, however many messages they hold.  The declared length lives at
+   bytes 16-17 of each header.  On an error the failing message and
+   what follows it stay buffered. *)
 let feed t data =
-  Buffer.add_bytes t.rx data;
-  let rec drain acc =
-    match take_message t with
-    | None -> Ok (List.rev acc)
-    | Some (Error e) ->
-        event t Fsm.Manual_stop;
-        Error e
-    | Some (Ok raw) -> (
-        match Wire.decode raw with
-        | Error e ->
-            event t Fsm.Manual_stop;
-            Error e
-        | Ok msg -> drain (List.rev_append (handle_message t msg) acc))
+  let buf = if Bytes.length t.rx = 0 then data else Bytes.cat t.rx data in
+  let len = Bytes.length buf in
+  let keep pos =
+    t.rx <- (if pos = len then Bytes.empty else Bytes.sub buf pos (len - pos))
   in
-  drain []
+  let fail pos e =
+    keep pos;
+    event t Fsm.Manual_stop;
+    Error e
+  in
+  let rec drain pos acc =
+    if len - pos < 19 then begin
+      keep pos;
+      Ok (List.rev acc)
+    end
+    else
+      let declared = Bytes.get_uint16_be buf (pos + 16) in
+      if declared < 19 then fail pos "declared message length below 19"
+      else if len - pos < declared then begin
+        keep pos;
+        Ok (List.rev acc)
+      end
+      else
+        match Wire.decode_sub buf ~pos ~len:declared with
+        | Error e -> fail (pos + declared) e
+        | Ok msg ->
+            drain (pos + declared) (List.rev_append (handle_message t msg) acc)
+  in
+  drain 0 []

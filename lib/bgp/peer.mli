@@ -25,16 +25,21 @@ val feed : t -> bytes -> (Update.t list, string) result
 (** Append received transport bytes (any framing) and process every
     complete message: FSM transitions run, replies (KEEPALIVE,
     NOTIFICATION) are queued, and the route-server updates implied by
-    UPDATE messages are returned.  An error tears the session down. *)
+    UPDATE messages are returned.  An error tears the session down.
+    Messages are framed in place, so a call costs linear time in the
+    bytes it carries plus those left over from the previous call.  The
+    session keeps no reference to [data]. *)
 
 val send_update : t -> Update.t -> unit
 (** Queue an outgoing UPDATE (a re-advertisement toward the peer).
     Silently ignored unless the session is established. *)
 
-val send_encoded : t -> bytes -> unit
-(** Queue a copy of an already encoded message, so one encoding can be
-    sent on many sessions without the queued copies sharing bytes.
-    Silently ignored unless the session is established. *)
+val send_encoded : t -> string -> unit
+(** Queue an already encoded message, so one encoding can be sent on
+    many sessions.  The session keeps the string itself, shared with
+    every other session it was queued on, and copies it only when
+    {!pending_output} drains it.  Silently ignored unless the session is
+    established. *)
 
 val keepalive_due : t -> unit
 (** The keepalive timer fired: queue a KEEPALIVE if appropriate. *)
@@ -43,7 +48,9 @@ val hold_expired : t -> unit
 (** The hold timer fired: tear the session down with a notification. *)
 
 val pending_output : t -> bytes list
-(** Drain the bytes to transmit, in order. *)
+(** Drain the bytes to transmit, in order.  Every buffer returned is
+    fresh and belongs to the caller: none is shared with another
+    session's output or kept by this one. *)
 
 val flush_requested : t -> bool
 (** True once the FSM has asked for the peer's routes to be withdrawn

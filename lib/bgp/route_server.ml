@@ -2,8 +2,16 @@ open Sdx_net
 
 type t = {
   peers : Asn.t list;
-  peer_set : Asn.Set.t;
+  (* Participant [i] of [peers] is bit [i] of every receiver set. *)
+  peer_at : Asn.t array;
+  index : (Asn.t, int) Hashtbl.t;
   export : advertiser:Asn.t -> receiver:Asn.t -> bool;
+  (* [rows.(i)]: the receivers [peer_at.(i)]'s routes may reach under
+     the static export matrix, itself excluded.  Built once by [create]
+     and never written again, so Compile's domain pool may read the
+     server concurrently. *)
+  rows : Bitset.t array;
+  everyone : Bitset.t;
   route_filter : Route.t -> receiver:Asn.t -> bool;
   adj_in : (Asn.t, Rib.Adj_in.t) Hashtbl.t;
   (* Candidate routes per prefix, one per advertiser, ranked by
@@ -39,10 +47,31 @@ let create ?(export = default_export) ?(route_filter = default_route_filter)
     peers =
   let adj_in = Hashtbl.create (List.length peers) in
   List.iter (fun p -> Hashtbl.replace adj_in p (Rib.Adj_in.create ())) peers;
+  let peer_at = Array.of_list peers in
+  let n = Array.length peer_at in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i p -> Hashtbl.replace index p i) peer_at;
+  if Hashtbl.length index <> n then
+    invalid_arg "Route_server.create: duplicate participant";
+  let rows =
+    Array.map
+      (fun advertiser ->
+        let row = Bitset.create n in
+        Array.iteri
+          (fun i receiver ->
+            if (not (Asn.equal advertiser receiver)) && export ~advertiser ~receiver
+            then Bitset.set row i)
+          peer_at;
+        row)
+      peer_at
+  in
   {
     peers;
-    peer_set = Asn.Set.of_list peers;
+    peer_at;
+    index;
     export;
+    rows;
+    everyone = Bitset.of_list ~width:n (List.init n Fun.id);
     route_filter;
     adj_in;
     by_prefix = Hashtbl.create 4096;
@@ -50,7 +79,7 @@ let create ?(export = default_export) ?(route_filter = default_route_filter)
   }
 
 let participants t = t.peers
-let is_participant t asn = Asn.Set.mem asn t.peer_set
+let is_participant t asn = Hashtbl.mem t.index asn
 
 let exports_to t ~advertiser ~receiver =
   (not (Asn.equal advertiser receiver)) && t.export ~advertiser ~receiver
@@ -141,12 +170,6 @@ let mutate_ribs t update =
               t.prefix_index <- Prefix_trie.remove prefix t.prefix_index
           | l -> Hashtbl.replace t.by_prefix prefix l))
 
-(* [own] when [receiver] may see it, else [None]. *)
-let offered t own ~receiver =
-  match own with
-  | Some r when exported t r ~receiver -> own
-  | _ -> None
-
 let same_route a b =
   match (a, b) with
   | None, None -> true
@@ -160,20 +183,87 @@ let pick other own =
   | None, r | r, None -> r
   | Some o, Some r -> if Decision.prefer r o > 0 then own else other
 
-(* Whether [receiver]'s best route moved when [peer]'s route went from
-   [old_route] to [new_route].  Only [peer]'s route changed, so the best
-   among the other candidates is the same before and after: the
-   receiver's best moved iff the better of that route and [peer]'s
-   offer differs between the two states.  A receiver offered the same
-   route in both states, or none, is settled without walking the
-   candidates. *)
-let best_moved t ~peer ~old_route ~new_route ranked receiver =
-  let before = offered t old_route ~receiver in
-  let after = offered t new_route ~receiver in
-  (not (same_route before after))
-  &&
-  let other = first_exported t ~receiver ~skip:peer ranked in
-  not (same_route (pick other before) (pick other after))
+let no_receivers t = Bitset.create (Array.length t.peer_at)
+
+(* The receivers in [among] that may see [r], as a fresh set: its
+   advertiser's export row, minus the participants on its AS path (loop
+   prevention), then the route filter member by member unless it is the
+   trivial one.  The same receivers as filtering [among] with
+   [exported]. *)
+let exported_among t (r : Route.t) among =
+  let set = Bitset.inter t.rows.(Hashtbl.find t.index r.learned_from) among in
+  List.iter
+    (fun asn ->
+      match Hashtbl.find t.index asn with
+      | i -> Bitset.clear set i
+      | exception Not_found -> ())
+    r.as_path;
+  if t.route_filter != default_route_filter then
+    Bitset.iter
+      (fun i ->
+        if not (t.route_filter r ~receiver:t.peer_at.(i)) then Bitset.clear set i)
+      (Bitset.copy set);
+  set
+
+let offered_to t = function
+  | None -> no_receivers t
+  | Some r -> exported_among t r t.everyone
+
+(* Walks the ranked list handing each receiver in [among] its first
+   exported candidate, skipping [skip]'s route: [f (Some q) group] for
+   each candidate [q] that is some receivers' first, in rank order, then
+   [f None rest] for the receivers no candidate reaches. *)
+let fold_firsts t ?skip ranked among f init =
+  let skipped (q : Route.t) =
+    match skip with Some s -> Asn.equal q.learned_from s | None -> false
+  in
+  let rec walk open_ acc = function
+    | _ when Bitset.is_empty open_ -> acc
+    | [] -> f None open_ acc
+    | (q : Route.t) :: rest ->
+        if skipped q then walk open_ acc rest
+        else
+          let got = exported_among t q open_ in
+          if Bitset.is_empty got then walk open_ acc rest
+          else walk (Bitset.diff open_ got) (f (Some q) got acc) rest
+  in
+  walk among init ranked
+
+(* The receivers whose best route moved when [peer]'s route went from
+   [old_route] to [new_route], a group at a time.  Only [peer]'s route
+   changed, so a receiver's best other route is the same before and
+   after, and its best moved iff the better of that route and [peer]'s
+   offer differs between the two states.  Receivers offered neither
+   version, or equal versions, are done at once.  The walk hands every
+   other receiver its best other route; within one group, the
+   receivers offered the old version only, the new one only, or both
+   share every input of that comparison, so each of the three gets one
+   verdict. *)
+let settle t ~peer ~old_route ~new_route ranked =
+  match (old_route, new_route) with
+  | Some a, Some b when a == b || Route.equal a b -> no_receivers t
+  | _ ->
+      let before = offered_to t old_route in
+      let after = offered_to t new_route in
+      let only_before = Bitset.diff before after in
+      let only_after = Bitset.diff after before in
+      let both = Bitset.inter before after in
+      fold_firsts t ~skip:peer ranked (Bitset.union before after)
+        (fun other group moved ->
+          let add offered_b offered_a kind moved =
+            if
+              Bitset.is_empty kind
+              || same_route (pick other offered_b) (pick other offered_a)
+            then moved
+            else Bitset.union moved (Bitset.inter group kind)
+          in
+          moved
+          |> add old_route None only_before
+          |> add None new_route only_after
+          |> add old_route new_route both)
+        (no_receivers t)
+
+let members t set = List.rev (Bitset.fold (fun i acc -> t.peer_at.(i) :: acc) set [])
 
 let apply t update =
   let peer = Update.peer update in
@@ -186,9 +276,8 @@ let apply t update =
     | Update.Announce route -> Some route
     | Update.Withdraw _ -> None
   in
-  let ranked = ranked t prefix in
   let best_changed_for =
-    List.filter (best_moved t ~peer ~old_route ~new_route ranked) t.peers
+    members t (settle t ~peer ~old_route ~new_route (ranked t prefix))
   in
   Sdx_obs.Registry.Counter.incr Obs.updates;
   Sdx_obs.Registry.Counter.incr
@@ -200,6 +289,11 @@ let apply t update =
   { prefix; best_changed_for }
 
 let apply_burst t updates = List.map (apply t) updates
+
+let fold_best_by_route t prefix ~among f init =
+  if Bitset.width among <> Array.length t.peer_at then
+    invalid_arg "Route_server.fold_best_by_route: receiver set of another width";
+  fold_firsts t (ranked t prefix) among f init
 
 (* Notification-free bulk load for initial table builds: identical RIB
    mutations to [apply] but without working out which receivers' best

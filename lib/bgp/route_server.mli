@@ -26,7 +26,15 @@ val create :
     per-route refinement (e.g. the community conventions of
     {!Peering.community_filter}).  Defaults export every route to every
     other participant.  A route is never exported back to its
-    advertiser. *)
+    advertiser.
+
+    [export] must be a pure function of the pair: [create] asks it once
+    per (advertiser, receiver) and keeps the answers as one receiver
+    set per advertiser, its export row, which never changes afterwards.
+    [route_filter] must likewise depend only on the route and the
+    receiver.  Bit [i] of every receiver set stands for the [i]-th
+    participant.
+    @raise Invalid_argument if a participant is listed twice. *)
 
 val participants : t -> Asn.t list
 val is_participant : t -> Asn.t -> bool
@@ -39,21 +47,30 @@ val loop_free : Route.t -> receiver:Asn.t -> bool
     (one half of §4.1's forwarding-loop invariants). *)
 
 val apply : t -> Update.t -> change
-(** Process one update; [change.best_changed_for] is empty when the
-    update did not alter any participant's best route.  Only the
-    advertiser's route changed, so each receiver is settled against that
-    route's old and new versions and the best other candidate it may
-    see: a receiver offered neither version costs two export checks, any
-    other a walk of the ranked list to its first exported candidate.
+(** Process one update; [change.best_changed_for] lists, in
+    {!participants} order, the receivers whose best route for the prefix
+    moved, and is empty when the update moved none.
+
+    Only the advertiser's route changed, so receivers are settled a set
+    at a time.  A route's exported set is its advertiser's export row
+    minus the participants on its AS path, filtered member by member
+    only when [route_filter] is not the trivial one.  Receivers offered
+    neither the old nor the new version, or equal versions, are done at
+    once.  One walk of the ranked list hands every other receiver its
+    best other route, and each (route, offered before, offered after)
+    group gets one verdict.  The cost is a few set operations, each
+    [participants / 63] words, per ranked route the walk visits (it
+    stops once every receiver is settled), not a loop over the
+    participants.
     @raise Invalid_argument if the update's peer is not a participant. *)
 
 val apply_burst : t -> Update.t list -> change list
 
 val load : t -> Update.t -> unit
 (** Notification-free bulk load: the same RIB mutations as {!apply} but
-    without working out which receivers' best routes changed, which
-    {!apply} does once per participant.  Only for initial table builds,
-    before any state derived from the server exists.
+    without working out which receivers' best routes changed.  Only for
+    initial table builds, before any state derived from the server
+    exists.
     @raise Invalid_argument if the update's peer is not a participant. *)
 
 val fold_adj_in :
@@ -110,6 +127,20 @@ val prefix_count : t -> int
 
 val prefixes_of : t -> Asn.t -> Prefix.t list
 (** Prefixes currently announced by the given participant. *)
+
+val fold_best_by_route :
+  t ->
+  Prefix.t ->
+  among:Bitset.t ->
+  (Route.t option -> Bitset.t -> 'a -> 'a) ->
+  'a ->
+  'a
+(** The prefix's best routes for the receivers in [among], a route at a
+    time: each route of {!ranked} that is the {!best} of some of them,
+    most preferred first, with exactly those receivers; then [None] with
+    the receivers that have no route, if any.  The sets are disjoint and
+    cover [among].  Bit [i] stands for the [i]-th of {!participants}.
+    @raise Invalid_argument if [among] is not one bit per participant. *)
 
 val fold_best :
   t -> receiver:Asn.t -> (Prefix.t -> Route.t -> 'a -> 'a) -> 'a -> 'a

@@ -157,9 +157,12 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-type cursor = { buf : bytes; mutable pos : int; limit : int }
+(* [base] is where the message starts in [buf]; offsets in errors are
+   relative to it. *)
+type cursor = { buf : bytes; base : int; mutable pos : int; limit : int }
 
-let need c n = if c.pos + n > c.limit then bad "truncated at offset %d" c.pos
+let need c n =
+  if c.pos + n > c.limit then bad "truncated at offset %d" (c.pos - c.base)
 
 let u8 c =
   need c 1;
@@ -256,17 +259,18 @@ let decode_attrs c until =
           communities = !communities;
         }
 
-let decode buf =
+let decode_sub buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Wire.decode_sub: range outside the buffer";
   match
-    let len = Bytes.length buf in
     if len < header_len then bad "shorter than a BGP header";
     for i = 0 to 15 do
-      if Bytes.get buf i <> marker_byte then bad "bad marker"
+      if Bytes.get buf (pos + i) <> marker_byte then bad "bad marker"
     done;
-    let declared = (Bytes.get_uint8 buf 16 lsl 8) lor Bytes.get_uint8 buf 17 in
+    let declared = Bytes.get_uint16_be buf (pos + 16) in
     if declared <> len then bad "declared length %d, got %d" declared len;
-    let type_code = Bytes.get_uint8 buf 18 in
-    let c = { buf; pos = header_len; limit = len } in
+    let type_code = Bytes.get_uint8 buf (pos + 18) in
+    let c = { buf; base = pos; pos = pos + header_len; limit = pos + len } in
     if type_code = t_open then begin
       let version = u8 c in
       if version <> 4 then bad "BGP version %d" version;
@@ -296,6 +300,8 @@ let decode buf =
   with
   | msg -> Ok msg
   | exception Bad e -> Error e
+
+let decode buf = decode_sub buf ~pos:0 ~len:(Bytes.length buf)
 
 (* ------------------------------------------------------------------ *)
 

@@ -42,6 +42,10 @@ val decode : bytes -> (t, string) result
 (** Decodes exactly one message; validates the marker, declared length,
     and attribute structure. *)
 
+val decode_sub : bytes -> pos:int -> len:int -> (t, string) result
+(** {!decode} of the [len] bytes at [pos], read in place.
+    @raise Invalid_argument if the range is outside the buffer. *)
+
 val of_update : Update.t -> t
 (** The UPDATE message carrying one route-server update. *)
 

@@ -1291,7 +1291,7 @@ let compute_groups_interned config vnh_alloc ospecs ~run =
             members)
         per_id;
       Array.sort (fun (a : int) b -> Int.compare a b) packed);
-  let interner = Bitset.Interner.create ~expected:((npairs / 16) + 16) () in
+  let interner = Interner.create ~expected:((npairs / 16) + 16) () in
   let cells : (int * int, Prefix.t list ref) Hashtbl.t = Hashtbl.create 4096 in
   let ids_of_class : (int, int list) Hashtbl.t = Hashtbl.create 1024 in
   profile_stage "grp.scan" (fun () ->
@@ -1302,12 +1302,12 @@ let compute_groups_interned config vnh_alloc ospecs ~run =
         for k = lo to hi - 1 do
           rev_ids := (packed.(k) land 0xFFFFFF) :: !rev_ids
         done;
-        let cls = Bitset.Interner.intern_rev_sorted interner ~width !rev_ids in
-        if not (Hashtbl.mem ids_of_class cls.Bitset.Interner.id) then
-          Hashtbl.add ids_of_class cls.Bitset.Interner.id
-            cls.Bitset.Interner.ids;
+        let cls = Interner.intern_rev_sorted interner ~width !rev_ids in
+        if not (Hashtbl.mem ids_of_class cls.Interner.id) then
+          Hashtbl.add ids_of_class cls.Interner.id
+            cls.Interner.ids;
         let key =
-          (cls.Bitset.Interner.id, Default_keys.key_of_prefix keys prefix)
+          (cls.Interner.id, Default_keys.key_of_prefix keys prefix)
         in
         match Hashtbl.find_opt cells key with
         | Some members -> members := prefix :: !members
@@ -1801,23 +1801,18 @@ let in_switch_tagging_table t config =
   in
   by_specificity @ [ { Classifier.pattern = Pattern.all; action = [ Mods.identity ] } ]
 
+let announced t prefix route =
+  match group_of_prefix t prefix with
+  | Some g -> Route.with_next_hop g.vnh route
+  | None -> route
+
 let announcement t config ~receiver prefix =
-  match Route_server.best (Config.server config) ~receiver prefix with
-  | None -> None
-  | Some route -> (
-      match group_of_prefix t prefix with
-      | Some g -> Some (Route.with_next_hop g.vnh route)
-      | None -> Some route)
+  Option.map (announced t prefix)
+    (Route_server.best (Config.server config) ~receiver prefix)
 
 let fold_announcements t config ~receiver f init =
   Route_server.fold_best (Config.server config) ~receiver
-    (fun prefix route acc ->
-      let route =
-        match group_of_prefix t prefix with
-        | Some g -> Route.with_next_hop g.vnh route
-        | None -> route
-      in
-      f prefix route acc)
+    (fun prefix route acc -> f prefix (announced t prefix route) acc)
     init
 
 (* ------------------------------------------------------------------ *)

@@ -207,6 +207,11 @@ val in_switch_tagging_table : t -> Config.t -> Classifier.t
     routers ("we can realize our abstraction without any additional
     table space"). *)
 
+val announced : t -> Prefix.t -> Route.t -> Route.t
+(** A best route for [prefix] as the SDX re-advertises it: the next hop
+    rewritten to the prefix group's VNH, or left unchanged for ungrouped
+    (default-only) prefixes. *)
+
 val announcement : t -> Config.t -> receiver:Asn.t -> Prefix.t -> Route.t option
 (** The route the SDX re-advertises to [receiver] for [prefix]: the best
     BGP route with the next hop rewritten to the prefix group's VNH; the

@@ -4,26 +4,25 @@ open Sdx_bgp
 type t = {
   runtime : Runtime.t;
   sessions : (Asn.t, Peer.t) Hashtbl.t;
-  order : Asn.t list;
+  in_order : Peer.t array;
+      (* the sessions in participant order: bit [i] of a route-server
+         receiver set is [in_order.(i)] *)
 }
 
 let create ?(rs_asn = Asn.of_int 65535) ?(rs_id = Ipv4.of_string "172.31.255.1")
     runtime =
-  let config = Runtime.config runtime in
-  let sessions = Hashtbl.create 32 in
-  let order =
-    List.map
-      (fun (p : Participant.t) ->
-        let peer =
-          Peer.create
-            ~local:{ Wire.asn = rs_asn; hold_time = 90; bgp_id = rs_id }
-            ~peer_asn:p.asn
-        in
-        Hashtbl.replace sessions p.asn peer;
-        p.asn)
-      (Config.participants config)
+  let in_order =
+    Array.of_list
+      (List.map
+         (fun asn ->
+           Peer.create
+             ~local:{ Wire.asn = rs_asn; hold_time = 90; bgp_id = rs_id }
+             ~peer_asn:asn)
+         (Route_server.participants (Config.server (Runtime.config runtime))))
   in
-  { runtime; sessions; order }
+  let sessions = Hashtbl.create (Array.length in_order) in
+  Array.iter (fun peer -> Hashtbl.replace sessions (Peer.peer_asn peer) peer) in_order;
+  { runtime; sessions; in_order }
 
 let runtime t = t.runtime
 
@@ -32,50 +31,60 @@ let session t asn =
   | Some s -> s
   | None -> raise Not_found
 
-let connect_all t = Hashtbl.iter (fun _ s -> Peer.connect s) t.sessions
+let connect_all t = Array.iter Peer.connect t.in_order
+
+let is_established peer = Peer.state peer = Fsm.Established
 
 let established t =
-  List.filter (fun asn -> Peer.state (session t asn) = Fsm.Established) t.order
+  Array.fold_right
+    (fun peer acc -> if is_established peer then Peer.peer_asn peer :: acc else acc)
+    t.in_order []
 
 let outbox t asn = Peer.pending_output (session t asn)
 
 (* Re-advertise one prefix's new state (announcement with VNH next hop,
-   or withdrawal) to every established session except the update's
-   source.  Receivers with the same best route get the same message, so
-   each distinct message is encoded once per call and every receiver
-   queues its own copy of the bytes. *)
+   or withdrawal) to every established session except [from].  The
+   route server hands out each distinct best route with the receivers
+   it is best for, so each route's next hop is rewritten and its
+   message encoded once, and that one encoding is queued on each of its
+   receivers. *)
 let readvertise t ~from prefix =
-  let encoded = ref [] in
-  let encode msg =
-    match List.assoc_opt msg !encoded with
-    | Some bytes -> bytes
-    | None ->
-        let bytes = Wire.encode msg in
-        encoded := (msg, bytes) :: !encoded;
-        bytes
-  in
-  List.iter
-    (fun receiver ->
-      if not (Asn.equal receiver from) then begin
-        let update =
-          match Runtime.announcement t.runtime ~receiver prefix with
-          | Some route -> Update.announce route
-          | None -> Update.withdraw ~peer:receiver prefix
-        in
-        Peer.send_encoded (session t receiver) (encode (Wire.of_update update))
-      end)
-    (established t)
+  let among = Bitset.create (Array.length t.in_order) in
+  Array.iteri
+    (fun i peer ->
+      if is_established peer && not (Asn.equal (Peer.peer_asn peer) from) then
+        Bitset.set among i)
+    t.in_order;
+  Route_server.fold_best_by_route
+    (Config.server (Runtime.config t.runtime))
+    prefix ~among
+    (fun route receivers () ->
+      let update =
+        match route with
+        | Some route -> Update.announce (Runtime.announced t.runtime prefix route)
+        | None -> Update.withdraw ~peer:from prefix
+      in
+      (* Fresh bytes nothing else holds, so sharing them as a string
+         is safe. *)
+      let encoded = Bytes.unsafe_to_string (Wire.encode (Wire.of_update update)) in
+      Bitset.iter (fun i -> Peer.send_encoded t.in_order.(i) encoded) receivers)
+    ()
 
+(* A lost session's routes are withdrawn as one burst: one fast-path
+   block for the whole flap, then each prefix whose best route moved is
+   re-advertised once, from the final state. *)
 let flush_if_requested t asn =
   let peer = session t asn in
   if Peer.flush_requested peer then begin
     let server = Config.server (Runtime.config t.runtime) in
-    let prefixes = Route_server.prefixes_of server asn in
-    List.iter
-      (fun prefix ->
-        let stats = Runtime.withdraw t.runtime ~peer:asn prefix in
-        if stats.best_changed then readvertise t ~from:asn prefix)
-      prefixes
+    match Route_server.prefixes_of server asn with
+    | [] -> ()
+    | prefixes ->
+        List.iter
+          (fun (s : Runtime.update_stats) ->
+            if s.best_changed then readvertise t ~from:asn (Update.prefix s.update))
+          (Runtime.handle_burst t.runtime
+             (List.map (Update.withdraw ~peer:asn) prefixes))
   end
 
 let deliver t ~from data =

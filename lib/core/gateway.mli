@@ -29,12 +29,23 @@ val connect_all : t -> unit
 val deliver : t -> from:Asn.t -> bytes -> (Runtime.update_stats list, string) result
 (** Feed bytes received from a participant's router.  Every decoded
     update runs through {!Runtime.handle_update}; updates that changed a
-    best route are re-advertised to every other established session.  A
-    session whose FSM requested a route flush (loss after establishment)
-    has its routes withdrawn from the server automatically. *)
+    best route are re-advertised to every other established session:
+    each receiver gets one message, its announcement for the prefix or a
+    withdrawal.  The re-advertisement works a route at a time: the route
+    server hands out each distinct best route with its receivers
+    ({!Route_server.fold_best_by_route}), whose next hop is rewritten
+    ({!Runtime.announced}) and message encoded once, and the one
+    encoding is queued on each of its receivers.
+
+    A session whose FSM requested a route flush (loss after
+    establishment) has its routes withdrawn from the server
+    automatically, as one {!Runtime.handle_burst}; each prefix whose
+    best route moved is then re-advertised once, from the final
+    state. *)
 
 val outbox : t -> Asn.t -> bytes list
-(** Drain the bytes to transmit toward one participant. *)
+(** Drain the bytes to transmit toward one participant.  The buffers
+    are the caller's own: no two outboxes share bytes. *)
 
 val advertise_table : t -> Asn.t -> int
 (** Queue the participant's full current table (one UPDATE per prefix,

@@ -304,6 +304,7 @@ let rec flows t =
 let group_count t = List.length (Compile.groups t.compiled)
 let arp t = Compile.arp t.compiled
 let announcement t ~receiver prefix = Compile.announcement t.compiled t.config ~receiver prefix
+let announced t prefix route = Compile.announced t.compiled prefix route
 
 let next_extras_floor t =
   match t.extras with

@@ -95,6 +95,10 @@ val announcement : t -> receiver:Asn.t -> Prefix.t -> Route.t option
 (** What the SDX advertises to [receiver] (VNH-rewritten best route),
     reflecting all updates processed so far. *)
 
+val announced : t -> Prefix.t -> Route.t -> Route.t
+(** {!announcement}'s next-hop rewrite on its own: a best route for the
+    prefix as the SDX re-advertises it to any receiver it is best for. *)
+
 type update_stats = {
   update : Update.t;
   best_changed : bool;  (** whether any participant's best route moved *)

@@ -456,6 +456,109 @@ let test_peer_garbage_tears_down () =
     (Result.is_error (Peer.feed a (Bytes.make 19 '\000')));
   check_bool "idle after garbage" true (Peer.state a = Fsm.Idle)
 
+(* Framing: N concatenated UPDATEs, fed whole or split at random
+   offsets (mid-header included), yield exactly the updates of N single
+   feeds; a declared length below 19 after them still errors. *)
+let established_pair () =
+  let a = mk_peer ~local_asn:(asn 64512) ~local_id:"10.0.0.1" ~remote_asn:(asn 2) in
+  let b = mk_peer ~local_asn:(asn 2) ~local_id:"10.0.0.2" ~remote_asn:(asn 64512) in
+  Peer.connect a;
+  Peer.connect b;
+  shuttle a b;
+  a
+
+let gen_framing_case =
+  let open QCheck2.Gen in
+  let gen_update =
+    let* k = int_range 0 4095 in
+    let prefix = Prefix.make (Ipv4.of_int ((20 lsl 24) lor (k lsl 8))) 24 in
+    let* withdraw = bool in
+    if withdraw then return (Update.withdraw ~peer:(asn 2) prefix)
+    else
+      let* tail = list_size (int_range 0 4) (map asn (int_range 1 65000)) in
+      let* med = int_range 0 100 in
+      return
+        (Update.announce
+           (Route.make ~prefix ~next_hop:(ip "10.0.0.2") ~as_path:(asn 2 :: tail) ~med
+              ~learned_from:(asn 2) ()))
+  in
+  let* n = frequency [ (3, int_range 1 50); (1, int_range 1000 3000) ] in
+  let* updates = list_repeat n gen_update in
+  let* cuts = list_size (int_range 0 40) (int_range 0 max_int) in
+  return (updates, cuts)
+
+(* [data] split at the given cut points (taken modulo its length). *)
+let split_at data cuts =
+  let len = Bytes.length data in
+  let cuts =
+    List.sort_uniq Int.compare (List.map (fun c -> if len = 0 then 0 else c mod len) cuts)
+  in
+  let rec go from = function
+    | [] -> [ Bytes.sub data from (len - from) ]
+    | c :: rest -> Bytes.sub data from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+let prop_peer_framing =
+  QCheck2.Test.make ~name:"feeding concatenated UPDATEs = feeding each" ~count:30
+    ~print:(fun (updates, cuts) ->
+      Printf.sprintf "%d updates, cuts %s" (List.length updates)
+        (String.concat " " (List.map string_of_int cuts)))
+    gen_framing_case
+    (fun (updates, cuts) ->
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let encoded = List.map (fun u -> Wire.encode (Wire.of_update u)) updates in
+      let single = established_pair () in
+      let expected =
+        List.concat_map
+          (fun m ->
+            match Peer.feed single m with
+            | Ok us -> us
+            | Error e -> fail "single feed: %s" e)
+          encoded
+      in
+      let whole = Bytes.concat Bytes.empty encoded in
+      let feed_all peer chunks =
+        List.fold_left
+          (fun (got, err) chunk ->
+            match err with
+            | Some _ -> (got, err)
+            | None -> (
+                match Peer.feed peer chunk with
+                | Ok us -> (List.rev_append us got, None)
+                | Error e -> (got, Some e)))
+          ([], None) chunks
+      in
+      let check name chunks =
+        match feed_all (established_pair ()) chunks with
+        | _, Some e -> fail "%s: %s" name e
+        | got, None ->
+            if List.rev got <> expected then fail "%s: updates differ" name
+      in
+      check "whole" [ whole ];
+      check "split" (split_at whole cuts);
+      (* A header declaring 18 bytes after the updates. *)
+      let short = Bytes.make 19 '\xff' in
+      Bytes.set_uint16_be short 16 18;
+      Bytes.set_uint8 short 18 2;
+      (match
+         feed_all (established_pair ())
+           (split_at (Bytes.cat whole short) cuts)
+       with
+      | _, None -> fail "a declared length below 19 was accepted"
+      | got, Some e ->
+          (* The feed that errs returns no updates; those before it are
+             the first of the expected ones. *)
+          if e <> "declared message length below 19" then fail "wrong error: %s" e;
+          let rec is_prefix = function
+            | [], _ -> true
+            | x :: xs, y :: ys -> x = y && is_prefix (xs, ys)
+            | _ :: _, [] -> false
+          in
+          if not (is_prefix (List.rev got, expected)) then
+            fail "updates before the bad header differ");
+      true)
+
 let test_peer_update_before_establishment () =
   let a = mk_peer ~local_asn:(asn 64512) ~local_id:"10.0.0.1" ~remote_asn:(asn 2) in
   Peer.connect a;
@@ -681,6 +784,179 @@ let prop_route_server_oracle =
               if again.best_changed_for <> [] then fail "re-announcement moved a best route";
               check_views ()
           | Update.Withdraw _ -> ())
+        updates;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* The set-based server at large peer counts                           *)
+
+(* 60-140 peers, so receiver sets span one to three cells and cross the
+   63- and 126-member boundaries.  The participants list is shuffled, so
+   "participants order" is not ASN order.  Export matrices come from
+   [Peering.bilateral] or [Peering.deny_pairs], the route filter is the
+   community conventions, and AS paths run through other peers.  The
+   model settles each receiver on its own: the per-receiver [best_moved]
+   loop the server replaced. *)
+let gen_large_case =
+  let open QCheck2.Gen in
+  let* n = int_range 60 140 in
+  let* order = shuffle_l (List.init n (fun i -> asn (i + 1))) in
+  let* bilateral = bool in
+  let pair = pair (map asn (int_range 1 n)) (map asn (int_range 1 n)) in
+  let* pairs =
+    if bilateral then list_size (int_range n (3 * n)) pair
+    else list_size (int_range 0 (n / 2)) pair
+  in
+  let gen_update =
+    let* peer = map asn (int_range 1 n) in
+    let* prefix = oneofl oracle_prefixes in
+    let* withdraw = int_range 0 3 in
+    if withdraw = 0 then return (Update.withdraw ~peer prefix)
+    else
+      let* local_pref = oneofl [ 100; 200 ] in
+      let* med = int_range 0 1 in
+      let* tail = list_size (int_range 0 3) (map asn (int_range 1 (n + 5))) in
+      let* communities =
+        list_size (int_range 0 2)
+          (frequency
+             [
+               (1, return Peering.no_export);
+               (3, map (fun k -> Peering.do_not_announce_to (asn k)) (int_range 1 n));
+               ( 1,
+                 map
+                   (fun k -> Peering.announce_only_to ~rs_asn:oracle_rs_asn (asn k))
+                   (int_range 1 n) );
+             ])
+      in
+      let* communities = frequency [ (2, return []); (1, return communities) ] in
+      return
+        (Update.announce
+           (Route.make ~prefix ~next_hop:(ip "10.0.0.1") ~as_path:(peer :: tail)
+              ~local_pref ~med ~communities ~learned_from:peer ()))
+  in
+  let* updates = list_size (int_range 1 30) gen_update in
+  let* among = list_size (int_range 1 4) (list_size (int_range 0 n) (int_range 0 (n - 1))) in
+  return (n, order, bilateral, pairs, updates, among)
+
+let prop_route_server_large =
+  QCheck2.Test.make ~name:"set-based server = per-receiver model, 60-140 peers"
+    ~count:40
+    ~print:(fun (n, _, bilateral, pairs, updates, _) ->
+      Printf.sprintf "%d peers, %s %d pairs\n%s" n
+        (if bilateral then "bilateral" else "deny")
+        (List.length pairs)
+        (String.concat "\n" (List.map (Format.asprintf "%a" Update.pp) updates)))
+    gen_large_case
+    (fun (n, order, bilateral, pairs, updates, among_draws) ->
+      let matrix = (if bilateral then Peering.bilateral else Peering.deny_pairs) pairs in
+      let allowed = Array.make_matrix (n + 1) (n + 1) false in
+      for a = 1 to n do
+        for r = 1 to n do
+          allowed.(a).(r) <- matrix ~advertiser:(asn a) ~receiver:(asn r)
+        done
+      done;
+      let route_filter = Peering.community_filter ~rs_asn:oracle_rs_asn in
+      let server = Route_server.create ~export:matrix ~route_filter order in
+      let exported (r : Route.t) ~receiver =
+        (not (Asn.equal r.learned_from receiver))
+        && allowed.(Asn.to_int r.learned_from).(Asn.to_int receiver)
+        && (not (List.exists (Asn.equal receiver) r.as_path))
+        && route_filter r ~receiver
+      in
+      let model = Hashtbl.create 8 in
+      let routes_of prefix =
+        Option.value (Hashtbl.find_opt model prefix) ~default:Asn.Map.empty
+      in
+      let same a b =
+        match (a, b) with
+        | None, None -> true
+        | Some a, Some b -> Route.equal a b
+        | _ -> false
+      in
+      let pick other own =
+        match (other, own) with
+        | None, r | r, None -> r
+        | Some o, Some r -> if Decision.prefer r o > 0 then own else other
+      in
+      let best_moved ~peer ~old_route ~new_route ranked receiver =
+        let offered own =
+          match own with Some r when exported r ~receiver -> own | _ -> None
+        in
+        let before = offered old_route and after = offered new_route in
+        (not (same before after))
+        &&
+        let other =
+          List.find_opt
+            (fun (r : Route.t) ->
+              (not (Asn.equal r.learned_from peer)) && exported r ~receiver)
+            ranked
+        in
+        not (same (pick other before) (pick other after))
+      in
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let names l = String.concat " " (List.map Asn.to_string l) in
+      let check_groups prefix =
+        let ranked = Decision.sort (List.map snd (Asn.Map.bindings (routes_of prefix))) in
+        List.iter
+          (fun draw ->
+            let among = Bitset.of_list ~width:n (List.sort_uniq Int.compare draw) in
+            let seen = Bitset.create n in
+            let groups =
+              Route_server.fold_best_by_route server prefix ~among
+                (fun route receivers acc ->
+                  if Bitset.is_empty receivers then fail "empty group";
+                  if not (Bitset.is_empty (Bitset.inter seen receivers)) then
+                    fail "groups overlap";
+                  Bitset.iter (Bitset.set seen) receivers;
+                  Bitset.iter
+                    (fun i ->
+                      let receiver = List.nth order i in
+                      let best =
+                        List.find_opt (fun r -> exported r ~receiver) ranked
+                      in
+                      if not (same best route) then
+                        fail "%a: group route is not %a's best" Prefix.pp prefix
+                          Asn.pp receiver)
+                    receivers;
+                  route :: acc)
+                []
+              |> List.rev
+            in
+            if not (Bitset.equal seen among) then fail "groups do not cover the receivers";
+            let rank = function
+              | None -> max_int
+              | Some r ->
+                  let rec go i = function
+                    | [] -> fail "group route not ranked"
+                    | q :: rest -> if q == r then i else go (i + 1) rest
+                  in
+                  go 0 ranked
+            in
+            let ranks = List.map rank groups in
+            if ranks <> List.sort_uniq Int.compare ranks then
+              fail "groups not in rank order")
+          (List.init n Fun.id :: among_draws)
+      in
+      List.iter
+        (fun update ->
+          let peer = Update.peer update and prefix = Update.prefix update in
+          let m = routes_of prefix in
+          let old_route = Asn.Map.find_opt peer m in
+          let m, new_route =
+            match update with
+            | Update.Announce r -> (Asn.Map.add peer r m, Some r)
+            | Update.Withdraw _ -> (Asn.Map.remove peer m, None)
+          in
+          Hashtbl.replace model prefix m;
+          let ranked = Decision.sort (List.map snd (Asn.Map.bindings m)) in
+          let expected =
+            List.filter (best_moved ~peer ~old_route ~new_route ranked) order
+          in
+          let change = Route_server.apply server update in
+          if not (List.equal Asn.equal change.best_changed_for expected) then
+            fail "%a: best changed for [%s], model says [%s]" Update.pp update
+              (names change.best_changed_for) (names expected);
+          check_groups prefix)
         updates;
       true)
 
@@ -1026,7 +1302,7 @@ let () =
           Alcotest.test_case "fold/prefixes" `Quick test_server_fold_and_prefixes;
           Alcotest.test_case "burst" `Quick test_server_burst;
         ]
-        @ qsuite [ prop_route_server_oracle ] );
+        @ qsuite [ prop_route_server_oracle; prop_route_server_large ] );
       ( "as_path_regex",
         [
           Alcotest.test_case "youtube example" `Quick test_as_path_regex;
@@ -1044,7 +1320,8 @@ let () =
           Alcotest.test_case "garbage tears down" `Quick test_peer_garbage_tears_down;
           Alcotest.test_case "update before establishment" `Quick
             test_peer_update_before_establishment;
-        ] );
+        ]
+        @ qsuite [ prop_peer_framing ] );
       ( "peering",
         [
           Alcotest.test_case "matrices" `Quick test_peering_matrices;

@@ -1152,6 +1152,143 @@ let test_gateway_readvertisement_bytes () =
           ~learned_from:Fig1.asn_b ()));
   deliver_from_b (Update.withdraw ~peer:Fig1.asn_b Fig1.p1)
 
+(* A session teardown withdraws the lost session's routes as one burst:
+   at most one fast-path block, and each other established session is
+   sent one message per moved prefix, its final announcement. *)
+let test_gateway_teardown_one_burst () =
+  let gw, clients, shuttle, _ = gateway_world () in
+  let all = [ Fig1.asn_a; Fig1.asn_b; Fig1.asn_c; Fig1.asn_d ] in
+  let prefixes = [ Fig1.p1; Fig1.p2; Fig1.p3; Fig1.p4 ] in
+  List.iter
+    (fun prefix ->
+      client_announce (List.assoc Fig1.asn_b clients)
+        (Route.make ~prefix ~next_hop:(ip "172.0.0.2")
+           ~as_path:[ Fig1.asn_b; Asn.of_int 65001 ]
+           ~learned_from:Fig1.asn_b ()))
+    prefixes;
+  (* C reaches p1 too, over a longer path: the teardown moves p1 to C
+     for A and D, and withdraws everything else. *)
+  client_announce (List.assoc Fig1.asn_c clients)
+    (Route.make ~prefix:Fig1.p1 ~next_hop:(ip "172.0.0.4")
+       ~as_path:[ Fig1.asn_c; Asn.of_int 65001; Asn.of_int 65002 ]
+       ~learned_from:Fig1.asn_c ());
+  shuttle ();
+  List.iter (fun asn -> ignore (Gateway.outbox gw asn)) all;
+  let runtime = Gateway.runtime gw in
+  let blocks = Runtime.fast_path_block_count runtime in
+  check_bool "garbage tears B down" true
+    (Result.is_error (Gateway.deliver gw ~from:Fig1.asn_b (Bytes.make 19 '\000')));
+  check_bool "one fast-path block at most" true
+    (Runtime.fast_path_block_count runtime <= blocks + 1);
+  let final asn prefix =
+    Wire.encode
+      (Wire.of_update
+         (match Runtime.announcement runtime ~receiver:asn prefix with
+         | Some route -> Update.announce route
+         | None -> Update.withdraw ~peer:asn prefix))
+  in
+  List.iter
+    (fun asn ->
+      let sent = List.sort Bytes.compare (Gateway.outbox gw asn) in
+      let expected = List.sort Bytes.compare (List.map (final asn) prefixes) in
+      check_bool
+        (Asn.to_string asn ^ " is sent each prefix's final announcement once")
+        true
+        (List.equal Bytes.equal sent expected))
+    [ Fig1.asn_a; Fig1.asn_c; Fig1.asn_d ];
+  check_bool "A's p1 moved to C" true
+    (match Runtime.announcement runtime ~receiver:Fig1.asn_a Fig1.p1 with
+    | Some r -> Asn.equal r.learned_from Fig1.asn_c
+    | None -> false)
+
+(* Random announce/withdraw sequences through [Gateway.deliver] on the
+   Figure 1 exchange.  AS paths may run through other participants, so
+   some receivers are loop-prevented, and withdrawals may leave a prefix
+   with no route.  After each update, every established session except
+   the sender's is sent exactly the encoding of its own announcement
+   when some best route moved, and nothing otherwise; no two drained
+   buffers alias. *)
+let gateway_ports =
+  [
+    (Fig1.asn_a, ip "172.0.0.1");
+    (Fig1.asn_b, ip "172.0.0.2");
+    (Fig1.asn_c, ip "172.0.0.4");
+    (Fig1.asn_d, ip "172.0.0.5");
+  ]
+
+let gen_gateway_step =
+  let open QCheck2.Gen in
+  let* from, port = oneofl gateway_ports in
+  let* prefix = oneofl [ Fig1.p1; Fig1.p2; Fig1.p3; Fig1.p5 ] in
+  let* withdraw = int_range 0 2 in
+  if withdraw = 0 then return (from, Update.withdraw ~peer:from prefix)
+  else
+    let* tail =
+      list_size (int_range 0 2)
+        (oneofl (List.map fst gateway_ports @ [ Asn.of_int 65001; Asn.of_int 65002 ]))
+    in
+    let* med = int_range 0 2 in
+    return
+      ( from,
+        Update.announce
+          (Route.make ~prefix ~next_hop:port ~as_path:(from :: tail) ~med
+             ~learned_from:from ()) )
+
+let prop_gateway_readvertisement =
+  QCheck2.Test.make ~name:"re-advertisement = each receiver's announcement" ~count:60
+    ~print:(fun steps ->
+      String.concat "\n" (List.map (fun (_, u) -> Format.asprintf "%a" Update.pp u) steps))
+    QCheck2.Gen.(list_size (int_range 1 25) gen_gateway_step)
+    (fun steps ->
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let gw, clients, _, _ = gateway_world () in
+      let all = List.map fst gateway_ports in
+      List.iter (fun asn -> ignore (Gateway.outbox gw asn)) all;
+      let runtime = Gateway.runtime gw in
+      List.iter
+        (fun (from, update) ->
+          let client = List.assoc from clients in
+          Peer.send_update client update;
+          let stats =
+            List.concat_map
+              (fun data ->
+                match Gateway.deliver gw ~from data with
+                | Ok stats -> stats
+                | Error e -> fail "deliver: %s" e)
+              (Peer.pending_output client)
+          in
+          let moved = List.exists (fun (s : Runtime.update_stats) -> s.best_changed) stats in
+          let drained = List.map (fun asn -> (asn, Gateway.outbox gw asn)) all in
+          List.iter
+            (fun (asn, out) ->
+              let expected =
+                if Asn.equal asn from || not moved then []
+                else
+                  [
+                    Wire.encode
+                      (Wire.of_update
+                         (match
+                            Runtime.announcement runtime ~receiver:asn
+                              (Update.prefix update)
+                          with
+                         | Some route -> Update.announce route
+                         | None -> Update.withdraw ~peer:asn (Update.prefix update)));
+                  ]
+              in
+              if not (List.equal Bytes.equal out expected) then
+                fail "%a: %a was sent %d message(s), not its own announcement" Update.pp
+                  update Asn.pp asn (List.length out))
+            drained;
+          let buffers = List.concat_map snd drained in
+          List.iteri
+            (fun i a ->
+              List.iteri
+                (fun j b -> if i < j && a == b then fail "two outboxes share bytes")
+                buffers)
+            buffers)
+        steps;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Scenario files                                                      *)
 
@@ -1452,6 +1589,9 @@ let () =
           Alcotest.test_case "table transfer" `Quick test_gateway_table_transfer;
           Alcotest.test_case "re-advertisement bytes" `Quick
             test_gateway_readvertisement_bytes;
+          Alcotest.test_case "teardown is one burst" `Quick
+            test_gateway_teardown_one_burst;
+          QCheck_alcotest.to_alcotest prop_gateway_readvertisement;
         ] );
       ( "scenario",
         [
