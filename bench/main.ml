@@ -16,6 +16,14 @@ open Sdx_ixp
 let section title = Format.printf "@.==== %s ====@." title
 let note fmt = Format.printf ("  " ^^ fmt ^^ "@.")
 
+(* A JSON report's output channel, opened before the run it reports on:
+   an unwritable path fails at once instead of after the experiment. *)
+let open_report out =
+  try open_out out
+  with Sys_error msg ->
+    prerr_endline ("bench: cannot write report: " ^ msg);
+    exit 1
+
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
 
@@ -415,52 +423,6 @@ let run_replay ~seed ~scale =
       Format.printf "  -- %d participants --@.  %a@." n Replay.pp_result result)
     [ 100; 300 ]
 
-(* ------------------------------------------------------------------ *)
-(* Parallel compilation                                                *)
-
-let par_workload ~seed ~scale =
-  let participants = 300 in
-  let prefixes = max 100 (int_of_float (25_000.0 *. scale)) in
-  let transit_picks = max 1 (prefixes / 500) in
-  let rng = Rng.create ~seed in
-  (Workload.build rng ~participants ~prefixes ~transit_picks (), participants,
-   prefixes)
-
-(* Wall-clock includes pool creation/shutdown for the private pool, so
-   the speedup is what a caller actually observes. *)
-let compile_with_domains (w : Workload.t) domains =
-  let vnh = Sdx_core.Vnh.create () in
-  let t0 = Unix.gettimeofday () in
-  let c = Sdx_core.Compile.compile ~domains w.config vnh in
-  (c, Unix.gettimeofday () -. t0)
-
-let run_par ~seed ~scale =
-  section "Parallel compilation: wall-clock vs domain count (Fig 6/7 scale)";
-  note
-    "paper: single-threaded Pyretic; ours fans independent rule blocks \
-     across OCaml 5 domains (speedup is bounded by the host's cores)";
-  let w, participants, prefixes = par_workload ~seed ~scale in
-  note "%d participants, %d prefixes; host recommends %d domain(s)"
-    participants prefixes
-    (Sdx_sanitize.Sync.Domain.recommended_count ());
-  let base, base_s = compile_with_domains w 1 in
-  let base_cls = Sdx_core.Compile.classifier base in
-  let base_stats = Sdx_core.Compile.stats base in
-  Format.printf "  %8s %12s %9s %10s %10s@." "domains" "compile(s)" "speedup"
-    "rules" "identical";
-  Format.printf "  %8d %12.3f %8.2fx %10d %10s@." 1 base_s 1.0
-    base_stats.rule_count "--";
-  List.iter
-    (fun d ->
-      let c, s = compile_with_domains w d in
-      let identical = Sdx_core.Compile.classifier c = base_cls in
-      Format.printf "  %8d %12.3f %8.2fx %10d %10b@." d s (base_s /. s)
-        (Sdx_core.Compile.stats c).rule_count identical)
-    (List.filter
-       (fun d -> d > 1)
-       (List.sort_uniq Int.compare
-          [ 2; 4; Sdx_core.Parallel.default_domains () ]))
-
 let sweep_rand_ip rng =
   Ipv4.of_int ((Rng.int rng 0x8000 lsl 16) lor Rng.int rng 0x10000)
 
@@ -509,19 +471,16 @@ type compile_point = {
   sw_rules : int;
   sw_probes : int;
   sw_cross_s : float;
-  sw_fdd_seq_s : float;
-  sw_fdd_par_s : float;
-  (* Composition-stage wall clock (Compile.stats.compose_s) for each of
-     the three runs: the stage the two IR engines implement differently.
-     Total times additionally include group computation, reachability
+  sw_fdd_s : float;
+  (* Composition-stage wall clock (Compile.stats.compose_s) for each
+     engine: the stage the two IR engines implement differently.  Total
+     times additionally include group computation, reachability
      collection and ARP registration, which are engine-independent code
      shared by both paths — the gated speedup divides the compose
      times so it measures the FDD core, not the shared phases. *)
   sw_cross_compose_s : float;
-  sw_seq_compose_s : float;
-  sw_par_compose_s : float;
+  sw_fdd_compose_s : float;
   sw_build_s : float;
-  sw_merge_s : float;
   sw_extract_s : float;
   sw_nodes : int;
   sw_memo_hits : int;
@@ -546,11 +505,12 @@ type compile_point = {
 }
 
 let run_json ~seed ~scale ~out ~verify =
+  let oc = open_report out in
   section "Machine-readable compile benchmark: FDD vs cross-product sweep";
   note
-    "per point: sequential cross-product oracle, FDD on 1 domain, FDD \
-     sharded across domains, and the naive grouping oracle (per-spec \
-     reachability sets + pairwise Fec partition) against the interned \
+    "per point: the cross-product oracle, the FDD compile, and the naive \
+     grouping oracle (per-spec reachability sets + pairwise Fec \
+     partition) against the interned \
      export-vector pipeline; 'identical' is per-packet agreement with \
      the cross-product oracle on steered probes AND structural identity \
      of the two partitions; the workload densifies the paper's \
@@ -561,13 +521,8 @@ let run_json ~seed ~scale ~out ~verify =
       (fun (p, px) -> (p, max 100 (int_of_float (float_of_int px *. scale))))
       [ (100, 5_000); (300, 25_000); (500, 50_000); (100, 1_000_000) ]
   in
-  (* On a single-core host the default pool has one domain, which would
-     never exercise the sharded build + merge path; force at least two
-     shards so the JSON always reflects a real multi-domain run. *)
-  let domains = max 2 (Sdx_core.Parallel.default_domains ()) in
   let check = ref None in
-  Format.printf "  %14s %9s %9s %9s %9s %9s %10s@." "point" "cross.c" "fdd1.c"
-    (Printf.sprintf "fdd%d.c" domains)
+  Format.printf "  %14s %9s %9s %9s %9s %10s@." "point" "cross.c" "fdd.c"
     "speedup" "grp.spd" "identical";
   let points =
     List.map
@@ -580,7 +535,7 @@ let run_json ~seed ~scale ~out ~verify =
           Workload.build rng ~participants ~prefixes ~transit_picks
             ~inbound_density:3.0 ()
         in
-        let compile ~ir ~domains =
+        let compile ~ir =
           let vnh = Sdx_core.Vnh.create () in
           (* Each timed engine run starts from a compacted heap: the
              previous engine's garbage would otherwise smear major-GC
@@ -589,25 +544,14 @@ let run_json ~seed ~scale ~out ~verify =
              the phase ratios by 2-3x run to run. *)
           Gc.compact ();
           let t0 = Unix.gettimeofday () in
-          let c = Sdx_core.Compile.compile ~ir ~domains w.Workload.config vnh in
+          let c = Sdx_core.Compile.compile ~ir w.Workload.config vnh in
           (c, Unix.gettimeofday () -. t0)
         in
-        let cross, cross_s = compile ~ir:`Crossproduct ~domains:1 in
-        let fdd_seq, fdd_seq_s = compile ~ir:`Fdd ~domains:1 in
-        let fdd_par, fdd_par_s = compile ~ir:`Fdd ~domains in
+        let cross, cross_s = compile ~ir:`Crossproduct in
+        let fdd, fdd_s = compile ~ir:`Fdd in
         let cross_cls = Sdx_core.Compile.classifier cross in
-        let par_cls = Sdx_core.Compile.classifier fdd_par in
-        (* Sharding must not even reorder rules: the sharded extraction
-           is deterministic, so this is a structural check, not just a
-           semantic one. *)
-        if par_cls <> Sdx_core.Compile.classifier fdd_seq then begin
-          note
-            "ERROR: sharded FDD classifier differs structurally from the \
-             1-domain FDD build (%d participants, %d prefixes); failing"
-            participants prefixes;
-          exit 1
-        end;
-        let stats = Sdx_core.Compile.stats fdd_par in
+        let fdd_cls = Sdx_core.Compile.classifier fdd in
+        let stats = Sdx_core.Compile.stats fdd in
         (* Probe volume scales with the table so oracle-equivalence
            coverage does not thin out at the 1M point. *)
         let probes = max 2_500 (stats.rule_count / 16) in
@@ -615,10 +559,9 @@ let run_json ~seed ~scale ~out ~verify =
         let rules = Array.of_list cross_cls in
         let pkts = List.init probes (fun _ -> sweep_probe prng rules) in
         let identical =
-          Sdx_policy.Classifier.equivalent_on par_cls cross_cls pkts
+          Sdx_policy.Classifier.equivalent_on fdd_cls cross_cls pkts
         in
         let cross_compose = (Sdx_core.Compile.stats cross).compose_s in
-        let seq_compose = (Sdx_core.Compile.stats fdd_seq).compose_s in
         (* The naive grouping oracle: per-spec reachability sets plus the
            pairwise-signature Fec partition, compared structurally
            against the interned pipeline's groups.  Timed from a
@@ -632,22 +575,15 @@ let run_json ~seed ~scale ~out ~verify =
         let group_identical =
           List.map
             (fun (g : Sdx_core.Compile.group) -> g.prefixes)
-            (Sdx_core.Compile.groups fdd_par)
+            (Sdx_core.Compile.groups fdd)
           = naive_parts
         in
-        (* Like-for-like grouping comparison: the oracle is sequential,
-           so the interned side's phases are read off the 1-domain FDD
-           compile.  The sharded run's fan-out cost is a parallelism
-           axis (par_speedup), not a grouping-pipeline property — on a
-           1-core host it would only add domain-scheduling noise to
-           this ratio. *)
-        let stats_seq = Sdx_core.Compile.stats fdd_seq in
-        let phase_s = stats_seq.reachability_s +. stats_seq.group_s in
+        let phase_s = stats.reachability_s +. stats.group_s in
         let group_speedup = naive_s /. Float.max phase_s 1e-9 in
         if verify && participants = 500 then
-          check := Some (Sdx_check.Check.compiled fdd_par w.Workload.config);
-        Format.printf "  %6dx%7d %9.3f %9.3f %9.3f %8.2fx %8.2fx %10b@."
-          participants prefixes cross_compose seq_compose stats.compose_s
+          check := Some (Sdx_check.Check.compiled fdd w.Workload.config);
+        Format.printf "  %6dx%7d %9.3f %9.3f %8.2fx %8.2fx %10b@."
+          participants prefixes cross_compose stats.compose_s
           (cross_compose /. stats.compose_s)
           group_speedup
           (identical && group_identical);
@@ -658,20 +594,17 @@ let run_json ~seed ~scale ~out ~verify =
           sw_rules = stats.rule_count;
           sw_probes = probes;
           sw_cross_s = cross_s;
-          sw_fdd_seq_s = fdd_seq_s;
-          sw_fdd_par_s = fdd_par_s;
+          sw_fdd_s = fdd_s;
           sw_cross_compose_s = cross_compose;
-          sw_seq_compose_s = seq_compose;
-          sw_par_compose_s = stats.compose_s;
+          sw_fdd_compose_s = stats.compose_s;
           sw_build_s = stats.fdd_build_s;
-          sw_merge_s = stats.fdd_merge_s;
           sw_extract_s = stats.fdd_extract_s;
           sw_nodes = stats.fdd_nodes;
           sw_memo_hits = stats.fdd_memo_hits;
           sw_table = stats.fdd_table_size;
           sw_identical = identical;
-          sw_reachability_s = stats_seq.reachability_s;
-          sw_group_s = stats_seq.group_s;
+          sw_reachability_s = stats.reachability_s;
+          sw_group_s = stats.group_s;
           sw_naive_group_s = naive_s;
           sw_group_speedup = group_speedup;
           sw_group_identical = group_identical;
@@ -716,12 +649,10 @@ let run_json ~seed ~scale ~out ~verify =
     Printf.sprintf
       "    {\"participants\": %d, \"prefixes\": %d, \"groups\": %d, \
        \"rules\": %d, \"probes\": %d, \"crossproduct_s\": %.6f, \
-       \"fdd_seq_s\": %.6f, \
-       \"fdd_par_s\": %.6f, \"crossproduct_compose_s\": %.6f, \
-       \"fdd_seq_compose_s\": %.6f, \"fdd_par_compose_s\": %.6f, \
-       \"build_s\": %.6f, \"merge_s\": %.6f, \
+       \"fdd_seq_s\": %.6f, \"crossproduct_compose_s\": %.6f, \
+       \"fdd_seq_compose_s\": %.6f, \"build_s\": %.6f, \
        \"extract_s\": %.6f, \"fdd_nodes\": %d, \"fdd_memo_hits\": %d, \
-       \"fdd_unique_table_size\": %d, \"par_speedup\": %.3f, \
+       \"fdd_unique_table_size\": %d, \
        \"total_speedup\": %.3f, \"speedup\": %.3f, \
        \"reachability_s\": %.6f, \"group_s\": %.6f, \
        \"naive_group_s\": %.6f, \"group_speedup\": %.3f, \
@@ -729,12 +660,10 @@ let run_json ~seed ~scale ~out ~verify =
        \"identical_to_group_naive\": %b, \
        \"identical_to_crossproduct\": %b}"
       p.sw_participants p.sw_prefixes p.sw_groups p.sw_rules p.sw_probes
-      p.sw_cross_s p.sw_fdd_seq_s p.sw_fdd_par_s p.sw_cross_compose_s
-      p.sw_seq_compose_s p.sw_par_compose_s p.sw_build_s p.sw_merge_s
-      p.sw_extract_s p.sw_nodes p.sw_memo_hits p.sw_table
-      (p.sw_seq_compose_s /. p.sw_par_compose_s)
-      (p.sw_cross_s /. p.sw_fdd_par_s)
-      (p.sw_cross_compose_s /. p.sw_par_compose_s)
+      p.sw_cross_s p.sw_fdd_s p.sw_cross_compose_s p.sw_fdd_compose_s
+      p.sw_build_s p.sw_extract_s p.sw_nodes p.sw_memo_hits p.sw_table
+      (p.sw_cross_s /. p.sw_fdd_s)
+      (p.sw_cross_compose_s /. p.sw_fdd_compose_s)
       p.sw_reachability_s p.sw_group_s p.sw_naive_group_s p.sw_group_speedup
       p.sw_heap_words p.sw_group_identical p.sw_identical
   in
@@ -742,10 +671,8 @@ let run_json ~seed ~scale ~out ~verify =
      sweep array, so line-anchored greps (the bench gate) land on the
      headline numbers; top_point_* keys describe the deepest-prefix
      point. *)
-  let oc = open_out out in
   Printf.fprintf oc
     "{\n\
-    \  \"domains\": %d,\n\
     \  \"probes\": %d,\n\
     \  \"sweep\": [\n%s\n\  ],\n\
     \  \"participants\": %d,\n\
@@ -757,14 +684,11 @@ let run_json ~seed ~scale ~out ~verify =
     \  \"elapsed_s\": %.6f,\n\
     \  \"crossproduct_compose_s\": %.6f,\n\
     \  \"fdd_seq_compose_s\": %.6f,\n\
-    \  \"fdd_par_compose_s\": %.6f,\n\
     \  \"build_s\": %.6f,\n\
-    \  \"merge_s\": %.6f,\n\
     \  \"extract_s\": %.6f,\n\
     \  \"fdd_nodes\": %d,\n\
     \  \"fdd_memo_hits\": %d,\n\
     \  \"fdd_unique_table_size\": %d,\n\
-    \  \"par_speedup\": %.3f,\n\
     \  \"total_speedup\": %.3f,\n\
     \  \"speedup\": %.3f,\n\
     \  \"reachability_s\": %.6f,\n\
@@ -780,29 +704,27 @@ let run_json ~seed ~scale ~out ~verify =
     \  \"peak_heap_words\": %d,\n\
     \  \"identical_to_crossproduct\": %b%s\n\
      }\n"
-    domains headline.sw_probes
+    headline.sw_probes
     (String.concat ",\n" (List.map point_json points))
     headline.sw_participants headline.sw_prefixes headline.sw_groups
-    headline.sw_rules headline.sw_cross_s headline.sw_fdd_seq_s
-    headline.sw_fdd_par_s headline.sw_cross_compose_s headline.sw_seq_compose_s
-    headline.sw_par_compose_s headline.sw_build_s headline.sw_merge_s
+    headline.sw_rules headline.sw_cross_s headline.sw_fdd_s headline.sw_fdd_s
+    headline.sw_cross_compose_s headline.sw_fdd_compose_s headline.sw_build_s
     headline.sw_extract_s headline.sw_nodes headline.sw_memo_hits
     headline.sw_table
-    (headline.sw_seq_compose_s /. headline.sw_par_compose_s)
-    (headline.sw_cross_s /. headline.sw_fdd_par_s)
-    (headline.sw_cross_compose_s /. headline.sw_par_compose_s)
+    (headline.sw_cross_s /. headline.sw_fdd_s)
+    (headline.sw_cross_compose_s /. headline.sw_fdd_compose_s)
     headline.sw_reachability_s headline.sw_group_s headline.sw_naive_group_s
     headline.sw_group_speedup all_group_identical deepest.sw_participants
-    deepest.sw_prefixes deepest.sw_groups deepest.sw_fdd_par_s
+    deepest.sw_prefixes deepest.sw_groups deepest.sw_fdd_s
     deepest.sw_group_speedup peak_heap all_identical check_fields;
   close_out oc;
   note
     "wrote %s (headline %dx%d: compose %.2fx, grouping %.2fx; top point \
      %dx%d in %.2fs, identical=%b)"
     out headline.sw_participants headline.sw_prefixes
-    (headline.sw_cross_compose_s /. headline.sw_par_compose_s)
+    (headline.sw_cross_compose_s /. headline.sw_fdd_compose_s)
     headline.sw_group_speedup deepest.sw_participants deepest.sw_prefixes
-    deepest.sw_fdd_par_s
+    deepest.sw_fdd_s
     (all_identical && all_group_identical);
   (match !check with
   | None -> ()
@@ -1060,6 +982,7 @@ let pp_parallel_result r =
     r.par_single_pps r.par_shard_pps
 
 let run_dataplane ~seed ~scale ~packets ~domains ~out =
+  let oc = open_report out in
   section "Data plane: layered match engine vs linear scan (4.2 motivation)";
   note
     "tables are prefixes of one compiled 300-participant scenario; packets \
@@ -1083,7 +1006,6 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
   in
   let par = dataplane_parallel ~seed ~packets ~domains runtime in
   pp_parallel_result par;
-  let oc = open_out out in
   Printf.fprintf oc
     "{\n\
     \  \"participants\": 300,\n\
@@ -1161,6 +1083,7 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
 
 let run_soak ~seed ~updates ~participants ~prefixes ~pool_bits
     ~checkpoint_every ~check_every ~out =
+  let oc = open_report out in
   section "Churn soak: fault-injected BGP churn through the runtime";
   note
     "withdraw storms, session flaps, duplicate trains and same-prefix \
@@ -1247,7 +1170,6 @@ let run_soak ~seed ~updates ~participants ~prefixes ~pool_bits
     "sanitizer overhead (%d-update slice): plain %.3fs, record %.3fs \
      (%.2fx), %d race report(s)"
     slice_updates plain_s record_s overhead_x sanitizer_races;
-  let oc = open_out out in
   Printf.fprintf oc
     "{\n\
     \  \"participants\": %d,\n\
@@ -1331,6 +1253,7 @@ let run_soak ~seed ~updates ~participants ~prefixes ~pool_bits
 (* Sharded fabric: edge sweep and two-phase consistent updates         *)
 
 let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
+  let oc = open_report out in
   let module Fabric = Sdx_fabric.Fabric in
   let module Ftopo = Sdx_fabric.Topology in
   let module Network = Sdx_fabric.Network in
@@ -1491,7 +1414,6 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
      check errors: %d"
     !commits !commit_mods r.Replay.soak_bursts (Fabric.packets soak_fab)
     mixed misses final_errors;
-  let oc = open_out out in
   Printf.fprintf oc
     "{\n\
     \  \"participants\": %d,\n\
@@ -1640,7 +1562,6 @@ let run_all ~seed ~scale ~samples ~repeats =
   run_vmac_ablation ~seed ~scale;
   run_multiswitch ~seed ~scale;
   run_replay ~seed ~scale;
-  run_par ~seed ~scale;
   run_dataplane ~seed ~scale ~packets:100_000 ~domains:0
     ~out:"BENCH_dataplane.json";
   run_fabric ~seed ~scale ~packets:50_000 ~updates:2_000 ~domains:0
@@ -1714,8 +1635,6 @@ let commands =
         const (fun seed scale -> run_multiswitch ~seed ~scale) $ seed_t $ scale_t);
     cmd "replay" "Replay a day of IXP churn through the runtime."
       Term.(const (fun seed scale -> run_replay ~seed ~scale) $ seed_t $ scale_t);
-    cmd "par" "Sequential vs parallel compilation wall-clock."
-      Term.(const (fun seed scale -> run_par ~seed ~scale) $ seed_t $ scale_t);
     cmd "json" "Write BENCH_compile.json (machine-readable compile bench)."
       Term.(
         const (fun seed scale out verify -> run_json ~seed ~scale ~out ~verify)

@@ -607,8 +607,8 @@ let race_cmd =
        ~doc:
          "Run the sdx_race suite: seeded-race mutations under the Record \
           detector, an instrumented smoke of the real pool, and the \
-          exhaustive DPOR interleaving models of the RCU table, pool \
-          shutdown and DLS epoch protocols.  Exits non-zero if any seeded \
+          exhaustive DPOR interleaving models of the RCU table and pool \
+          shutdown protocols.  Exits non-zero if any seeded \
           race goes undetected or any clean protocol is flagged.")
     Term.(const (fun d r -> run_race d r) $ domains $ report_out)
 

@@ -59,6 +59,8 @@ let perform t action =
 let event t e = List.iter (perform t) (Fsm.handle t.fsm e)
 
 let connect t =
+  (* A new transport: bytes left from the old one frame nothing on it. *)
+  t.rx <- Bytes.empty;
   event t Fsm.Manual_start;
   (* The in-memory transport connects instantly. *)
   event t Fsm.Tcp_connected
@@ -94,16 +96,16 @@ let handle_message t msg =
 (* Frames every complete message of [rx ^ data] in place, from an
    offset, and keeps only the unconsumed tail: one copy of the bytes per
    call, however many messages they hold.  The declared length lives at
-   bytes 16-17 of each header.  On an error the failing message and
-   what follows it stay buffered. *)
+   bytes 16-17 of each header.  An error discards the buffer: the
+   session is torn down with the transport the bytes arrived on. *)
 let feed t data =
   let buf = if Bytes.length t.rx = 0 then data else Bytes.cat t.rx data in
   let len = Bytes.length buf in
   let keep pos =
     t.rx <- (if pos = len then Bytes.empty else Bytes.sub buf pos (len - pos))
   in
-  let fail pos e =
-    keep pos;
+  let fail e =
+    t.rx <- Bytes.empty;
     event t Fsm.Manual_stop;
     Error e
   in
@@ -114,14 +116,14 @@ let feed t data =
     end
     else
       let declared = Bytes.get_uint16_be buf (pos + 16) in
-      if declared < 19 then fail pos "declared message length below 19"
+      if declared < 19 then fail "declared message length below 19"
       else if len - pos < declared then begin
         keep pos;
         Ok (List.rev acc)
       end
       else
         match Wire.decode_sub buf ~pos ~len:declared with
-        | Error e -> fail (pos + declared) e
+        | Error e -> fail e
         | Ok msg ->
             drain (pos + declared) (List.rev_append (handle_message t msg) acc)
   in

@@ -19,16 +19,18 @@ val state : t -> Fsm.state
 
 val connect : t -> unit
 (** Start the session: after the (modeled) TCP connection comes up, the
-    local OPEN is queued for transmission. *)
+    local OPEN is queued for transmission.  Received bytes not yet
+    framed are dropped, so a reconnect starts on an empty buffer. *)
 
 val feed : t -> bytes -> (Update.t list, string) result
 (** Append received transport bytes (any framing) and process every
     complete message: FSM transitions run, replies (KEEPALIVE,
     NOTIFICATION) are queued, and the route-server updates implied by
-    UPDATE messages are returned.  An error tears the session down.
-    Messages are framed in place, so a call costs linear time in the
-    bytes it carries plus those left over from the previous call.  The
-    session keeps no reference to [data]. *)
+    UPDATE messages are returned.  An error tears the session down and
+    discards every byte buffered so far, with the transport they came
+    on.  Messages are framed in place, so a call costs linear time in
+    the bytes it carries plus those left over from the previous call.
+    The session keeps no reference to [data]. *)
 
 val send_update : t -> Update.t -> unit
 (** Queue an outgoing UPDATE (a re-advertisement toward the peer).

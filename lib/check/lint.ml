@@ -184,7 +184,7 @@ let forbidden =
     ("Condition.", "use Sdx_sanitize.Sync.Condition");
     ("Atomic.", "use Sdx_sanitize.Sync.Atomic");
     ("Thread.", "domains only; use Sdx_sanitize.Sync.Domain");
-    ("Domain.", "use Sdx_sanitize.Sync.Domain (or Sync.Dls)");
+    ("Domain.", "use Sdx_sanitize.Sync.Domain");
   ]
 
 (* [Domain.] uses that are pure queries with no synchronization role. *)

@@ -6,7 +6,7 @@
    - {!seeded}: four miniature scenarios, each replicating one of the
      runtime's synchronization protocols (RCU publish/acquire, the
      pool's batch-counter lock, the table's single-writer snapshot
-     counter, the DLS epoch cache) with a [bug] switch that removes
+     counter, an epoch-validated cache) with a [bug] switch that removes
      exactly one happens-before edge.  The clean variant must be silent
      under the detector; the buggy variant must be flagged.  Detection
      is deterministic in Record mode: the vector clocks of the two
@@ -16,9 +16,9 @@
      suite cross-check DPOR against full enumeration on them.
 
    - the [model_*] scenarios: the real structures — [Openflow.Table]'s
-     RCU snapshot path, [Parallel]'s pool shutdown and batch protocol,
-     the [Parallel.Local] epoch cache — driven under {!Explore.run} at
-     unit-test scale, exhaustively over every interleaving.  The clean
+     RCU snapshot path, [Parallel]'s pool shutdown and batch protocol —
+     driven under {!Explore.run} at unit-test scale, exhaustively over
+     every interleaving.  The clean
      models must come back {!Explore.ok}; [model_rcu_misuse] breaks the
      single-writer contract on purpose and must be caught.
 
@@ -91,7 +91,7 @@ let snapshot_counter ~bug () =
   bump ();
   Sync.Domain.join reader
 
-(* The DLS epoch cache: engine state is rebuilt and the new epoch
+(* An epoch-validated cache: engine state is rebuilt and the new epoch
    released through an atomic; a worker must re-acquire the epoch before
    touching engine state.  The bug reuses the stale cached view without
    the epoch check. *)
@@ -200,31 +200,6 @@ let model_pool_shutdown () =
       let out = Sdx_core.Parallel.map_array p (fun x -> x + 1) [| 1; 2 |] in
       if out <> [| 2; 3 |] then failwith "model_pool_shutdown: wrong result")
 
-(* DLS epoch cache vs. engine rebuild: a worker acquires the epoch,
-   caches through [Parallel.Local] and reads engine state; the rebuild
-   happens strictly after the worker joins, publishing a new epoch, and
-   a second worker must see the new epoch (its cache misses) and read
-   the rebuilt engine — with no unordered access in any interleaving. *)
-let model_dls_epoch () =
-  let engine = Sync.Tracked.create "model.dls.engine" in
-  let epoch = Sync.Atomic.make ~name:"model.dls.epoch" 1 in
-  let slot : int Sdx_core.Parallel.Local.t = Sdx_core.Parallel.Local.create () in
-  Sync.Tracked.write engine;
-  let use_engine () =
-    let e = Sync.Atomic.get epoch in
-    (match Sdx_core.Parallel.Local.find slot ~epoch:e with
-    | Some cached -> if cached <> e then failwith "model_dls_epoch: stale cache"
-    | None -> Sdx_core.Parallel.Local.set slot ~epoch:e e);
-    Sync.Tracked.read engine
-  in
-  let w1 = Sync.Domain.spawn ~name:"epoch-w1" use_engine in
-  Sync.Domain.join w1;
-  (* rebuild between runs: new engine state, then release the epoch *)
-  Sync.Tracked.write engine;
-  Sync.Atomic.set epoch 2;
-  let w2 = Sync.Domain.spawn ~name:"epoch-w2" use_engine in
-  Sync.Domain.join w2
-
 (* ------------------------------------------------------------------ *)
 (* The full suite, as run by [sdxd race] and CI                        *)
 
@@ -316,7 +291,6 @@ let model_items () =
        a shifted exploration order never reads as truncation *)
     explorer_item "pool-shutdown" ~max_execs:100_000 ~expect_race:false
       model_pool_shutdown;
-    explorer_item "dls-epoch" ~expect_race:false model_dls_epoch;
   ]
   @ List.map
       (fun sc ->

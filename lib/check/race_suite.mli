@@ -5,9 +5,9 @@
     protocols, each with a [bug] switch removing exactly one
     happens-before edge; the detector must flag every buggy variant and
     stay silent on every clean one.  The [model_*] scenarios drive the
-    real structures (RCU table snapshots, the domain pool, the DLS
-    epoch cache) under the {!Sdx_sanitize.Explore} interleaving
-    explorer, exhaustively at unit-test scale. *)
+    real structures (RCU table snapshots, the domain pool) under the
+    {!Sdx_sanitize.Explore} interleaving explorer, exhaustively at
+    unit-test scale. *)
 
 module Sync := Sdx_sanitize.Sync
 
@@ -34,9 +34,6 @@ val model_rcu_misuse : unit -> unit
 
 val model_pool_shutdown : unit -> unit
 (** Pool shutdown vs. in-flight batch on a real [Parallel] pool. *)
-
-val model_dls_epoch : unit -> unit
-(** DLS epoch cache vs. engine rebuild. *)
 
 (** One pass/fail entry of the suite. *)
 type item = {

@@ -1,7 +1,6 @@
 open Sdx_net
 open Sdx_policy
 open Sdx_bgp
-module Sync = Sdx_sanitize.Sync
 
 let blackhole_port = 0
 
@@ -21,9 +20,6 @@ type group = {
   id : int;
   vnh : Ipv4.t;
   vmac : Mac.t;
-  (* sdx-owner: [prefixes] is rewritten only by the coordinating thread
-     (the incremental fast path's class split/merge), never from pool
-     domains; build fan-outs only read it. *)
   mutable prefixes : Prefix.t list;
   default_variants : (Ipv4.t option * Asn.t list) list;
 }
@@ -38,7 +34,6 @@ type stats = {
   seq_ops : int;
   memo_hits : int;
   fdd_build_s : float;
-  fdd_merge_s : float;
   fdd_extract_s : float;
   fdd_nodes : int;
   fdd_memo_hits : int;
@@ -56,7 +51,6 @@ let zero_stats =
     seq_ops = 0;
     memo_hits = 0;
     fdd_build_s = 0.;
-    fdd_merge_s = 0.;
     fdd_extract_s = 0.;
     fdd_nodes = 0;
     fdd_memo_hits = 0;
@@ -94,9 +88,8 @@ module Obs = struct
   let retired_tombstones = gauge "sdx_compile_retired_groups"
   let batch_migrations = counter "sdx_compile_batch_migrations_total"
 
-  (* The FDD intermediate representation: node population of the merged
-     main manager, memo-cache hits across all shard managers, and live
-     unique-table entries after the shard-merge pass. *)
+  (* The FDD intermediate representation: node population, memo-cache
+     hits and live unique-table entries of the compile's manager. *)
   let fdd_nodes = gauge "sdx_fdd_nodes"
   let fdd_memo_hits = counter "sdx_fdd_memo_hits_total"
   let fdd_table_size = gauge "sdx_fdd_unique_table_size"
@@ -111,7 +104,7 @@ end
    interned class signatures instead.  [restriction] is the clause
    predicate's destination restriction, precomputed once. *)
 type ospec = {
-  spec_id : int;  (** position in collection order; keys per-shard caches *)
+  spec_id : int;  (** position in collection order; keys the block caches *)
   sender : Participant.t;
   clause : Ppolicy.clause;
   via : Asn.t option;
@@ -160,13 +153,12 @@ end
 
 module Pipeline_cache = Hashtbl.Make (Pipeline_key)
 
-(* Everything a rule-generation job mutates lives in a per-domain shard:
-   the domain's private FDD manager, its pipeline caches, its operation
-   counters and phase timers.  Jobs run lock-free; the coordinating
-   domain aggregates counters and hash-conses the shard diagrams into
-   the main manager after the fan-out settles (the satellite fix for the
-   old global-mutex counters, which serialized the pool on stats). *)
-type shard = {
+(* Everything a rule block's composition mutates: the compile's one FDD
+   manager, its pipeline and extraction caches, its operation counters
+   and phase timers.  The base compile, the incremental fast path and
+   the rebuild all compose here, so the caches persist across bursts —
+   which is what keeps per-burst latency flat. *)
+type caches = {
   fdd : Fdd.manager;
   fdd_pipelines : Fdd.t Pipeline_cache.t;
   cls_pipelines : Classifier.t Pipeline_cache.t;
@@ -177,39 +169,37 @@ type shard = {
       (* extracted classifier per diagram id: extraction runs once per
          distinct diagram, and per-group blocks are sliced out of the
          cached classifier by pattern restriction *)
+  bodies : (int * int, Classifier.t) Hashtbl.t;
+      (* extracted clause body (head composed with the via's pipeline)
+         per (spec id, delivery switch port) *)
+  pipes : (Asn.t * int option, Classifier.t) Hashtbl.t;
+      (* extracted inbound pipeline per (owner, delivery switch port) *)
   delivery : (Asn.t * int, (Participant.port * int) option) Hashtbl.t;
       (* delivery port per (via, group id): every clause diverting
          through [via] asks the same question of the same group, and the
          answer only depends on route-server state that is fixed for the
          duration of a build *)
-  (* sdx-owner: shard stats are domain-private (one shard per domain
-     per epoch, reached only through the DLS slot) until [aggregate]
-     reads them after the pool batch joins. *)
   mutable seq_ops : int;
   mutable memo_hits : int;
-  mutable build_s : float;  (* CPU-seconds constructing diagrams *)
-  mutable extract_s : float;  (* CPU-seconds extracting classifiers *)
+  mutable build_s : float;  (* seconds constructing diagrams *)
+  mutable extract_s : float;  (* seconds extracting classifiers *)
 }
 
-let fresh_shard () =
+let fresh_caches () =
   {
     fdd = Fdd.create ();
     fdd_pipelines = Pipeline_cache.create 64;
     cls_pipelines = Pipeline_cache.create 64;
     head_fdds = Hashtbl.create 64;
     extracts = Hashtbl.create 64;
+    bodies = Hashtbl.create 256;
+    pipes = Hashtbl.create 256;
     delivery = Hashtbl.create 64;
     seq_ops = 0;
     memo_hits = 0;
     build_s = 0.;
     extract_s = 0.;
   }
-
-(* Compile runs are numbered by a process-wide epoch; each pool domain
-   keeps (at most) one live shard, keyed by the epoch that created it, so
-   a new run never sees a stale manager from a previous one. *)
-let epoch_counter = Sync.Atomic.make 0
-let shard_slot : shard Parallel.Local.t = Parallel.Local.create ()
 
 (* Where a block of compiled rules came from — threaded alongside the
    classifier so a static checker can attribute every rule to the
@@ -240,38 +230,16 @@ type block_key =
   | Untagged_block of Asn.t
 
 type t = {
-  (* sdx-owner: [classifier], [groups_] and everything the rebuild
-     rewrites are written only by the coordinating thread, between pool
-     batches. *)
   mutable classifier : Classifier.t;
   mutable groups_ : group list;
   by_prefix : (Prefix.t, group) Hashtbl.t;
   arp_ : Sdx_arp.Responder.t;
-  (* sdx-owner: stats_, next_group_id, blocks_, batch_groups_ and
-     retired_groups_ are only written by the coordinating thread between
-     pool batches; shards_ is the exception and is guarded by
-     [shards_lock]. *)
   mutable stats_ : stats;
   ospecs : ospec list;
   ospec_arr : ospec array;  (* [ospecs] indexed by [spec_id] *)
   memoize : bool;
   mode : [ `Fdd | `Crossproduct ];
-  epoch : int;
-  (* The coordinating domain's shard, pinned for the life of [t]: the
-     incremental fast path keeps reusing its pipeline caches long after
-     the build fan-out is gone. *)
-  main_shard : shard;
-  (* Extracted body classifiers shared across every shard of the run:
-     clause bodies keyed by (spec id, delivery switch port), inbound
-     pipelines keyed by (owner, delivery switch port).  A classifier is
-     immutable data, so one domain's extraction serves every other
-     domain's groups — each distinct diagram is built and extracted once
-     per run, not once per shard. *)
-  shared_bodies : (int * int, Classifier.t) Hashtbl.t;
-  shared_pipes : (Asn.t * int option, Classifier.t) Hashtbl.t;
-  shared_lock : Sync.Mutex.t;
-  mutable shards_ : shard list;
-  shards_lock : Sync.Mutex.t;
+  caches : caches;
   mutable next_group_id : int;
   mutable blocks_ : (provenance * int) list;
   mutable batch_groups_ : group list;  (* fast-path groups, oldest first *)
@@ -282,10 +250,6 @@ type t = {
      attribution still resolves their ids.  [compact_retired] drops the
      ones no live provenance references any more. *)
   mutable retired_groups_ : group list;
-  (* sdx-owner: [class_intern], [class_keys] and [block_store] are
-     written only by the coordinating thread (base compile, then the
-     fast path and the rebuild between pool batches); build fan-outs
-     never touch them. *)
   (* Canonical class table of the incremental fast path: signature
      (via-spec membership, preference-ordered route fingerprint,
      originator) to the live group carrying it.  Two prefixes with equal
@@ -322,33 +286,29 @@ let diverts_via t via =
 let arp t = t.arp_
 let stats t = t.stats_
 
-(* The calling domain's shard for this compile run, created (and
-   registered for end-of-run aggregation) on first use.  The main
-   domain's slot is pre-seeded with [t.main_shard]; pool domains mint
-   their own.  Only the registration list is shared, so the lock guards
-   a cons, never real work. *)
-let shard_of t =
-  match Parallel.Local.find shard_slot ~epoch:t.epoch with
-  | Some s -> s
+let time_build t f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  t.caches.build_s <- t.caches.build_s +. (Unix.gettimeofday () -. t0);
+  r
+
+let time_extract t f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  t.caches.extract_s <- t.caches.extract_s +. (Unix.gettimeofday () -. t0);
+  r
+
+(* [find key] through one of the caches, counting the hit, else [build
+   ()], remembered under [key]; with [memoize] off every call builds. *)
+let memo t ~find ~add key build =
+  match if t.memoize then find key else None with
+  | Some v ->
+      t.caches.memo_hits <- t.caches.memo_hits + 1;
+      v
   | None ->
-      let s = fresh_shard () in
-      Sync.Mutex.lock t.shards_lock;
-      t.shards_ <- s :: t.shards_;
-      Sync.Mutex.unlock t.shards_lock;
-      Parallel.Local.set shard_slot ~epoch:t.epoch s;
-      s
-
-let time_build (shard : shard) f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  shard.build_s <- shard.build_s +. (Unix.gettimeofday () -. t0);
-  r
-
-let time_extract (shard : shard) f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  shard.extract_s <- shard.extract_s +. (Unix.gettimeofday () -. t0);
-  r
+      let v = build () in
+      if t.memoize then add key v;
+      v
 
 let provenance t = t.blocks_
 
@@ -416,8 +376,6 @@ module Default_keys = struct
     receivers : Asn.t list;
     fp_ids : ((Asn.t * Ipv4.t) list, int) Hashtbl.t;
     variants_of_id : (int, (Ipv4.t option * Asn.t list) list) Hashtbl.t;
-    (* The memo tables may be consulted from pool domains. *)
-    lock : Sync.Mutex.t;
   }
 
   let create config =
@@ -427,7 +385,6 @@ module Default_keys = struct
         List.map (fun (p : Participant.t) -> p.asn) (Config.participants config);
       fp_ids = Hashtbl.create 256;
       variants_of_id = Hashtbl.create 256;
-      lock = Sync.Mutex.create ();
     }
 
   (* Each receiver's default is the next hop of the first fingerprint
@@ -482,26 +439,15 @@ module Default_keys = struct
 
   let key_of_prefix t prefix =
     let fp = fingerprint t prefix in
-    Sync.Mutex.lock t.lock;
-    let id =
-      match Hashtbl.find_opt t.fp_ids fp with
-      | Some id -> id
-      | None ->
-          let id = Hashtbl.length t.fp_ids in
-          Hashtbl.replace t.fp_ids fp id;
-          (* [variants_of_fingerprint] only reads the config, so holding
-             the lock across it is deadlock-free. *)
-          Hashtbl.replace t.variants_of_id id (variants_of_fingerprint t fp);
-          id
-    in
-    Sync.Mutex.unlock t.lock;
-    id
+    match Hashtbl.find_opt t.fp_ids fp with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length t.fp_ids in
+        Hashtbl.replace t.fp_ids fp id;
+        Hashtbl.replace t.variants_of_id id (variants_of_fingerprint t fp);
+        id
 
-  let variants t id =
-    Sync.Mutex.lock t.lock;
-    let v = Hashtbl.find t.variants_of_id id in
-    Sync.Mutex.unlock t.lock;
-    v
+  let variants t id = Hashtbl.find t.variants_of_id id
 
   (* Variants for a single prefix, bypassing the fingerprint memo — used
      by the incremental fast path, which must reflect the post-update
@@ -585,127 +531,59 @@ let inbound_pipeline_ast config (receiver : Participant.t) ~default_deliver =
       Policy.if_ c.pred (inbound_action config receiver c) acc)
     receiver.inbound base
 
-(* Pipeline caches are per-shard (domain-private), so lookups are plain
-   hash-table reads with no locking.  Two domains compiling the same
-   receiver each pay the (deterministic) compilation once — the price of
-   lock-freedom, recovered many times over on the hot path. *)
-let compiled_pipeline t shard config (receiver : Participant.t) ~default_deliver
-    =
-  let key = (receiver.Participant.asn, default_deliver) in
-  match
-    if t.memoize then Pipeline_cache.find_opt shard.cls_pipelines key else None
-  with
-  | Some c ->
-      shard.memo_hits <- shard.memo_hits + 1;
-      c
-  | None ->
-      let c =
-        Classifier.compile (inbound_pipeline_ast config receiver ~default_deliver)
-      in
-      if t.memoize then Pipeline_cache.replace shard.cls_pipelines key c;
-      c
+let compiled_pipeline t config (receiver : Participant.t) ~default_deliver =
+  let c = t.caches.cls_pipelines in
+  memo t ~find:(Pipeline_cache.find_opt c) ~add:(Pipeline_cache.replace c)
+    (receiver.Participant.asn, default_deliver)
+    (fun () ->
+      Classifier.compile (inbound_pipeline_ast config receiver ~default_deliver))
 
-(* The same pipeline as a diagram in the shard's manager.  Cache hits
+(* The same pipeline as a diagram in the compile's manager.  Cache hits
    here are what make the FDD path sub-linear in groups: every group of
    a clause [seq]s the same pipeline diagram, so the manager's memo
    tables short-circuit all but the first composition. *)
-let pipeline_fdd t shard config (receiver : Participant.t) ~default_deliver =
-  let key = (receiver.Participant.asn, default_deliver) in
-  match
-    if t.memoize then Pipeline_cache.find_opt shard.fdd_pipelines key else None
-  with
-  | Some d ->
-      shard.memo_hits <- shard.memo_hits + 1;
-      d
-  | None ->
-      let d =
-        Fdd.of_policy shard.fdd
-          (inbound_pipeline_ast config receiver ~default_deliver)
-      in
-      if t.memoize then Pipeline_cache.replace shard.fdd_pipelines key d;
-      d
+let pipeline_fdd t config (receiver : Participant.t) ~default_deliver =
+  let c = t.caches.fdd_pipelines in
+  memo t ~find:(Pipeline_cache.find_opt c) ~add:(Pipeline_cache.replace c)
+    (receiver.Participant.asn, default_deliver)
+    (fun () ->
+      Fdd.of_policy t.caches.fdd
+        (inbound_pipeline_ast config receiver ~default_deliver))
 
-(* Extraction runs once per distinct diagram per shard; per-group blocks
-   are then sliced out of the cached classifier by pattern restriction.
-   This is what makes the FDD path's per-group marginal cost proportional
-   to the block's own rule count instead of the pipeline's size: the
-   diagram walk happens once per clause, not once per (clause, group).
-   Returns the diagrams to hand to the merge pass — the diagram itself on
-   a fresh extraction, nothing on a hit (the merge would only re-import
-   identical structure). *)
-let extract_cached t shard d =
-  let id = Fdd.node_id d in
-  match if t.memoize then Hashtbl.find_opt shard.extracts id else None with
-  | Some c ->
-      shard.memo_hits <- shard.memo_hits + 1;
-      (c, [])
-  | None ->
-      let c = time_extract shard (fun () -> Fdd.to_classifier d) in
-      if t.memoize then Hashtbl.replace shard.extracts id c;
-      (c, [ d ])
+(* Extraction runs once per distinct diagram; per-group blocks are then
+   sliced out of the cached classifier by pattern restriction.  This is
+   what makes the FDD path's per-group marginal cost proportional to the
+   block's own rule count instead of the pipeline's size: the diagram
+   walk happens once per clause, not once per (clause, group). *)
+let extract_cached t d =
+  let c = t.caches.extracts in
+  memo t ~find:(Hashtbl.find_opt c) ~add:(Hashtbl.replace c) (Fdd.node_id d)
+    (fun () -> time_extract t (fun () -> Fdd.to_classifier d))
 
 (* The group-independent head of an outbound clause — the sender's
    in-ports, the clause predicate, and the clause rewrites, but not the
    group's VMAC (that is restricted in per group after extraction). *)
-let spec_head_fdd t shard config (spec : ospec) =
-  match
-    if t.memoize then Hashtbl.find_opt shard.head_fdds spec.spec_id else None
-  with
-  | Some d ->
-      shard.memo_hits <- shard.memo_hits + 1;
-      d
-  | None ->
+let spec_head_fdd t config (spec : ospec) =
+  let c = t.caches.head_fdds in
+  memo t ~find:(Hashtbl.find_opt c) ~add:(Hashtbl.replace c) spec.spec_id
+    (fun () ->
       let head_pred =
         Pred.and_ (in_ports_pred config spec.sender) spec.clause.pred
       in
-      let d =
-        Fdd.of_policy shard.fdd
-          (Policy.seq
-             [ Policy.filter head_pred; Policy.modify spec.clause.mods ])
-      in
-      if t.memoize then Hashtbl.replace shard.head_fdds spec.spec_id d;
-      d
+      Fdd.of_policy t.caches.fdd
+        (Policy.seq [ Policy.filter head_pred; Policy.modify spec.clause.mods ]))
 
-(* The shared tables are read and written from pool domains; the lock is
-   held only around the table operation, never around diagram work, so a
-   simultaneous miss costs at most one duplicated build — and both
-   results are interchangeable, because hash-consing keeps diagrams
-   canonical and extraction depends only on diagram structure. *)
-let shared_find t tbl key =
-  if not t.memoize then None
-  else begin
-    Sync.Mutex.lock t.shared_lock;
-    let r = Hashtbl.find_opt tbl key in
-    Sync.Mutex.unlock t.shared_lock;
-    r
-  end
-
-let shared_put t tbl key v =
-  if t.memoize then begin
-    Sync.Mutex.lock t.shared_lock;
-    if not (Hashtbl.mem tbl key) then Hashtbl.replace tbl key v;
-    Sync.Mutex.unlock t.shared_lock
-  end
-
-(* [owner]'s extracted inbound pipeline for one delivery port, through
-   the run-wide shared cache.  [dport] must determine [default_deliver]
-   (it does: the delivery mods are a function of the owner's port
-   record, which the switch port number identifies). *)
-let shared_pipeline_cls t shard config (owner : Participant.t) ~default_deliver
-    ~dport =
-  let key = (owner.Participant.asn, dport) in
-  match shared_find t t.shared_pipes key with
-  | Some c ->
-      shard.memo_hits <- shard.memo_hits + 1;
-      (c, [])
-  | None ->
-      let pipe =
-        time_build shard (fun () ->
-            pipeline_fdd t shard config owner ~default_deliver)
-      in
-      let c, fresh = extract_cached t shard pipe in
-      shared_put t t.shared_pipes key c;
-      (c, fresh)
+(* [owner]'s extracted inbound pipeline for one delivery port.  [dport]
+   must determine [default_deliver] (it does: the delivery mods are a
+   function of the owner's port record, which the switch port number
+   identifies). *)
+let pipeline_cls t config (owner : Participant.t) ~default_deliver ~dport =
+  let c = t.caches.pipes in
+  memo t ~find:(Hashtbl.find_opt c) ~add:(Hashtbl.replace c)
+    (owner.Participant.asn, dport)
+    (fun () ->
+      extract_cached t
+        (time_build t (fun () -> pipeline_fdd t config owner ~default_deliver)))
 
 (* ------------------------------------------------------------------ *)
 (* Confinement: discarding totality filler.                            *)
@@ -752,32 +630,28 @@ let delivery_port_for_via config (via : Participant.t) group_prefixes =
 
 (* Rules for one outbound clause applied to one prefix group: match the
    sender's in-port, the clause predicate, and the group's VMAC; apply
-   the clause rewrites; hand to the target peer's inbound pipeline.
-
-   Each builder returns its rule block together with the diagrams it
-   composed (empty in crossproduct mode) so the coordinator can
-   hash-cons them into the main manager during the merge phase. *)
-let clause_group_rules t shard config (spec : ospec) (g : group) =
+   the clause rewrites; hand to the target peer's inbound pipeline. *)
+let clause_group_rules t config (spec : ospec) (g : group) =
   let sender_ports = Config.switch_ports_of config spec.sender.asn in
-  if sender_ports = [] then ([], [])
+  if sender_ports = [] then []
   else
     match spec.via with
     | Some via_asn -> (
         let via = Config.participant config via_asn in
         let delivery =
           let key = (via_asn, g.id) in
-          match Hashtbl.find_opt shard.delivery key with
+          match Hashtbl.find_opt t.caches.delivery key with
           | Some d -> d
           | None ->
               let d = delivery_port_for_via config via g.prefixes in
-              Hashtbl.replace shard.delivery key d;
+              Hashtbl.replace t.caches.delivery key d;
               d
         in
         match delivery with
-        | None -> ([], [])
+        | None -> []
         | Some (port, n) -> (
             let deliver = Some (deliver_mods Mods.identity port n) in
-            shard.seq_ops <- shard.seq_ops + 1;
+            t.caches.seq_ops <- t.caches.seq_ops + 1;
             match t.mode with
             | `Crossproduct ->
                 let head_pred =
@@ -793,10 +667,9 @@ let clause_group_rules t shard config (spec : ospec) (g : group) =
                     [ Policy.filter head_pred; Policy.modify spec.clause.mods ]
                 in
                 let pipeline =
-                  compiled_pipeline t shard config via ~default_deliver:deliver
+                  compiled_pipeline t config via ~default_deliver:deliver
                 in
-                ( keep_forwards (Classifier.seq (Classifier.compile head) pipeline),
-                  [] )
+                keep_forwards (Classifier.seq (Classifier.compile head) pipeline)
             | `Fdd ->
                 (* The group-independent body (clause head composed with
                    the via pipeline) is built and extracted once per run;
@@ -805,39 +678,30 @@ let clause_group_rules t shard config (spec : ospec) (g : group) =
                    with the filter inside the diagram, so this is
                    per-packet identical to composing the VMAC into the
                    head. *)
-                let body_cls, fresh =
-                  match shared_find t t.shared_bodies (spec.spec_id, n) with
-                  | Some c ->
-                      shard.memo_hits <- shard.memo_hits + 1;
-                      (c, [])
-                  | None ->
-                      let body =
-                        time_build shard (fun () ->
-                            let pipeline =
-                              pipeline_fdd t shard config via
-                                ~default_deliver:deliver
-                            in
-                            Fdd.seq shard.fdd
-                              (spec_head_fdd t shard config spec)
-                              pipeline)
-                      in
-                      let c, fresh = extract_cached t shard body in
-                      shared_put t t.shared_bodies (spec.spec_id, n) c;
-                      (c, fresh)
+                let bodies = t.caches.bodies in
+                let body_cls =
+                  memo t ~find:(Hashtbl.find_opt bodies)
+                    ~add:(Hashtbl.replace bodies) (spec.spec_id, n)
+                    (fun () ->
+                      extract_cached t
+                        (time_build t (fun () ->
+                             let pipeline =
+                               pipeline_fdd t config via ~default_deliver:deliver
+                             in
+                             Fdd.seq t.caches.fdd (spec_head_fdd t config spec)
+                               pipeline)))
                 in
-                ( keep_forwards
-                    (Classifier.restrict (Pattern.make ~dst_mac:g.vmac ())
-                       body_cls),
-                  fresh )))
-    | None -> ([], [])
+                keep_forwards
+                  (Classifier.restrict (Pattern.make ~dst_mac:g.vmac ()) body_cls)))
+    | None -> []
 
 (* Rules for outbound clauses that do not target a peer (Drop, Default
    with a rewrite, or a forward to the sender's own port).  These match
    on the clause predicate directly rather than on a VMAC. *)
-let clause_direct_rules t shard config (spec : ospec) =
+let clause_direct_rules t config (spec : ospec) =
   let sender = spec.sender in
   let sender_ports = Config.switch_ports_of config sender.asn in
-  if sender_ports = [] then ([], [])
+  if sender_ports = [] then []
   else
     let head_pred = Pred.and_ (in_ports_pred config sender) spec.clause.pred in
     let action =
@@ -859,16 +723,15 @@ let clause_direct_rules t shard config (spec : ospec) =
       | Ppolicy.Peer _ -> None
     in
     match action with
-    | None -> ([], [])
+    | None -> []
     | Some act -> (
-        shard.seq_ops <- shard.seq_ops + 1;
+        t.caches.seq_ops <- t.caches.seq_ops + 1;
         let pol = Policy.seq [ Policy.filter head_pred; act ] in
         match t.mode with
-        | `Crossproduct -> (keep_forwards (Classifier.compile pol), [])
+        | `Crossproduct -> keep_forwards (Classifier.compile pol)
         | `Fdd ->
-            let d = time_build shard (fun () -> Fdd.of_policy shard.fdd pol) in
-            ( keep_forwards (time_extract shard (fun () -> Fdd.to_classifier d)),
-              [ d ] ))
+            let d = time_build t (fun () -> Fdd.of_policy t.caches.fdd pol) in
+            keep_forwards (time_extract t (fun () -> Fdd.to_classifier d)))
 
 (* Default-forwarding rules for one group: traffic tagged with the
    group's VMAC runs through the next-hop participant's inbound pipeline
@@ -880,28 +743,21 @@ let clause_direct_rules t shard config (spec : ospec) =
    costs a couple of extra rules, not one rule per participant.  Variants
    whose senders cannot emit tagged traffic at all (no resolvable next
    hop and no originator pipeline) are dropped outright. *)
-let group_default_rules t shard config (g : group) ~originator =
+let group_default_rules t config (g : group) ~originator =
   (* [patterns] is [pred] split into disjoint patterns (one per in-port
      variant), so the FDD path can slice the owner's extracted pipeline
      instead of re-walking its diagram per group. *)
   let with_pipeline pred patterns owner ~deliver ~dport =
-    shard.seq_ops <- shard.seq_ops + 1;
+    t.caches.seq_ops <- t.caches.seq_ops + 1;
     match t.mode with
     | `Crossproduct ->
-        let pipeline =
-          compiled_pipeline t shard config owner ~default_deliver:deliver
-        in
-        ( keep_forwards (Classifier.seq (Classifier.compile_pred pred) pipeline),
-          [] )
+        let pipeline = compiled_pipeline t config owner ~default_deliver:deliver in
+        keep_forwards (Classifier.seq (Classifier.compile_pred pred) pipeline)
     | `Fdd ->
-        let pipe_cls, fresh =
-          shared_pipeline_cls t shard config owner ~default_deliver:deliver
-            ~dport
-        in
-        ( List.concat_map
-            (fun pat -> keep_forwards (Classifier.restrict pat pipe_cls))
-            patterns,
-          fresh )
+        let pipe_cls = pipeline_cls t config owner ~default_deliver:deliver ~dport in
+        List.concat_map
+          (fun pat -> keep_forwards (Classifier.restrict pat pipe_cls))
+          patterns
   in
   let block_for pred patterns nh_opt =
     match nh_opt with
@@ -935,7 +791,7 @@ let group_default_rules t shard config (g : group) ~originator =
       (fun (_, r1) (_, r2) -> Int.compare (List.length r2) (List.length r1))
       emitting
   with
-  | [] -> ([], [])
+  | [] -> []
   | (majority_nh, _) :: minorities ->
       let minority_blocks =
         List.filter_map
@@ -959,52 +815,43 @@ let group_default_rules t shard config (g : group) ~originator =
         | Some b -> [ b ]
         | None -> []
       in
-      let blocks = minority_blocks @ majority_blocks in
-      (List.concat_map fst blocks, List.concat_map snd blocks)
+      List.concat (minority_blocks @ majority_blocks)
 
 (* MAC-learning rules for default-only (ungrouped) prefixes: the route
    server leaves their next hop untouched, so packets arrive with the
    real next-hop interface MAC; forward them on that interface's port
    through the owner's inbound pipeline. *)
-let participant_untagged_rules t shard config (p : Participant.t) =
+let participant_untagged_rules t config (p : Participant.t) =
   let per_port (port : Participant.port) =
     let n = Config.switch_port config p.asn port.index in
     let deliver = Some (deliver_mods Mods.identity port n) in
-    shard.seq_ops <- shard.seq_ops + 1;
+    t.caches.seq_ops <- t.caches.seq_ops + 1;
     match t.mode with
     | `Crossproduct ->
-        let pipeline =
-          compiled_pipeline t shard config p ~default_deliver:deliver
-        in
-        ( keep_forwards
-            (Classifier.seq
-               (Classifier.compile_pred (Pred.dst_mac port.mac))
-               pipeline),
-          [] )
+        let pipeline = compiled_pipeline t config p ~default_deliver:deliver in
+        keep_forwards
+          (Classifier.seq (Classifier.compile_pred (Pred.dst_mac port.mac)) pipeline)
     | `Fdd ->
-        let pipe_cls, fresh =
-          shared_pipeline_cls t shard config p ~default_deliver:deliver
-            ~dport:(Some n)
+        let pipe_cls =
+          pipeline_cls t config p ~default_deliver:deliver ~dport:(Some n)
         in
-        ( keep_forwards
-            (Classifier.restrict (Pattern.make ~dst_mac:port.mac ()) pipe_cls),
-          fresh )
+        keep_forwards
+          (Classifier.restrict (Pattern.make ~dst_mac:port.mac ()) pipe_cls)
   in
-  let blocks = List.map per_port p.ports in
-  (List.concat_map fst blocks, List.concat_map snd blocks)
+  List.concat_map per_port p.ports
 
 let originator_of config prefix =
   List.find_opt
     (fun (p : Participant.t) -> List.exists (Prefix.equal prefix) p.originated)
     (Config.participants config)
 
-let compose_slot t shard config = function
-  | Via_slot (spec, g) -> clause_group_rules t shard config spec g
-  | Direct_slot spec -> clause_direct_rules t shard config spec
+let compose_slot t config = function
+  | Via_slot (spec, g) -> clause_group_rules t config spec g
+  | Direct_slot spec -> clause_direct_rules t config spec
   | Default_slot g ->
       let originator = originator_of config (List.hd g.prefixes) in
-      group_default_rules t shard config g ~originator
-  | Untagged_slot p -> participant_untagged_rules t shard config p
+      group_default_rules t config g ~originator
+  | Untagged_slot p -> participant_untagged_rules t config p
 
 let slot_key = function
   | Via_slot (spec, g) -> Via_block (spec.spec_id, g.id)
@@ -1159,17 +1006,16 @@ let group_partition_naive config =
 
 (* Reachability pass: sparse export vectors, produced per id band — for
    each via-spec id (and, in the band above [nspecs], each origin set),
-   the list of prefixes it covers.  One job per diversion target scans
+   the list of prefixes it covers.  One pass per diversion target scans
    that target's Adj-RIB-in ONCE for all of its unrestricted specs (the
    old path materialized a [Prefix.Set.t] per spec, re-running the
    export checks per spec x route); destination-restricted specs
    resolve through the prefix trie instead, so a clause covering a
-   handful of prefixes never pays a million-route scan.  Jobs only read
-   route-server state, so they fan out through [run]; each job conses
-   straight onto its own per-spec member lists (no per-route hashing),
-   and since every spec id belongs to exactly one via, the merge is a
-   plain array fill — independent of job completion order. *)
-let export_vectors config ospecs ~run =
+   handful of prefixes never pays a million-route scan.  Each pass
+   conses straight onto its own per-spec member lists (no per-route
+   hashing), and since every spec id belongs to exactly one via, the
+   merge is a plain array fill. *)
+let export_vectors config ospecs =
   let server = Config.server config in
   let trivial_filter = Route_server.trivial_route_filter server in
   let by_via : (Asn.t, ospec list ref) Hashtbl.t = Hashtbl.create 64 in
@@ -1191,7 +1037,7 @@ let export_vectors config ospecs ~run =
        || Route_server.route_filter_passes server route
             ~receiver:spec.sender.asn)
   in
-  let via_job via () =
+  let via_pass via =
     (* Export policy is a property of the (advertiser, receiver) pair,
        not of individual routes: specs the via exports nothing to
        contribute no bits at all. *)
@@ -1235,7 +1081,7 @@ let export_vectors config ospecs ~run =
            (spec.spec_id, !members))
          restricted)
   in
-  let frags = run (List.rev_map via_job !via_order) in
+  let frags = List.map via_pass (List.rev !via_order) in
   let origin = originated_sets config in
   let nspecs = List.length ospecs in
   let per_id = Array.make (nspecs + List.length origin) [] in
@@ -1259,10 +1105,10 @@ let export_vectors config ospecs ~run =
    structurally identical to the naive partition.  [grouped] carries
    each class's full set-bit list (via band and origin band): [compile]
    seeds the incremental class table with it and band-filters the
-   per-spec fan-out view. *)
-let compute_groups_interned config vnh_alloc ospecs ~run =
+   per-spec view of covering classes. *)
+let compute_groups_interned config vnh_alloc ospecs =
   let t_reach = Unix.gettimeofday () in
-  let per_id = export_vectors config ospecs ~run in
+  let per_id = export_vectors config ospecs in
   let reachability_s = Unix.gettimeofday () -. t_reach in
   let t_group = Unix.gettimeofday () in
   let keys = Default_keys.create config in
@@ -1353,49 +1199,34 @@ let drop_all_rule = Classifier.drop_all
 
 (* The optimized classifier is a concatenation of independent rule
    blocks — one per (via-clause, group) pair, per direct clause, per
-   group default, per participant's untagged layer.  Each block is a
-   pure function of the (read-only during compilation) config and route
-   server state, so the blocks are built as a job list handed to [run]
-   (sequential or a domain pool) and concatenated in the original
-   order: the output is structurally identical either way. *)
-let build_optimized t config ~groups_by_spec ~run =
+   group default, per participant's untagged layer — each a function of
+   the config and route-server state, which stay fixed while they are
+   composed, concatenated in slot order. *)
+let build_optimized t config ~groups_by_spec =
   let slots =
-    profile_stage "joblist" (fun () ->
+    profile_stage "slots" (fun () ->
         slots t config ~groups:t.groups_ ~groups_by_spec)
   in
   (if Lazy.force profile_on then
-     Printf.eprintf "[profile] jobs: %d over %d groups\n%!" (List.length slots)
+     Printf.eprintf "[profile] blocks: %d over %d groups\n%!" (List.length slots)
        (List.length t.groups_));
-  (* The composition stage — fanning the rule-generation jobs out and
-     merging shard diagrams back — is timed on its own: it is the stage
-     the FDD core replaces, so both engines report a comparable
-     [compose_s] (see the compile bench). *)
+  (* The composition stage is timed on its own: it is the stage the FDD
+     core replaces, so both engines report a comparable [compose_s] (see
+     the compile bench). *)
   let compose_t0 = Unix.gettimeofday () in
-  let results =
-    profile_stage "run" (fun () ->
-        run
-          (List.map (fun s () -> compose_slot t (shard_of t) config s) slots))
+  let blocks =
+    profile_stage "compose" (fun () -> List.map (compose_slot t config) slots)
   in
-  let blocks = List.map fst results in
   if t.rebuildable then
     List.iter2
       (fun s rules -> Hashtbl.replace t.block_store (slot_key s) rules)
       slots blocks;
-  (* Shard-merge pass: hash-cons every block diagram (built in whichever
-     shard manager its job's domain owned) into the main manager, so the
-     post-merge node/table metrics describe one shared population. *)
-  let merge_t0 = Unix.gettimeofday () in
-  List.iter
-    (fun (_, fdds) ->
-      List.iter (fun d -> ignore (Fdd.import t.main_shard.fdd d)) fdds)
-    results;
-  let merge_s = Unix.gettimeofday () -. merge_t0 in
   let compose_s = Unix.gettimeofday () -. compose_t0 in
   let provs =
     List.map2 (fun s rules -> (slot_provenance s, List.length rules)) slots blocks
     @ [ (Catch_all, List.length drop_all_rule) ]
   in
-  (List.concat blocks @ drop_all_rule, provs, merge_s, compose_s)
+  (List.concat blocks @ drop_all_rule, provs, compose_s)
 
 (* ------------------------------------------------------------------ *)
 (* The naive pipeline (ablation): literal Pyretic-style composition.   *)
@@ -1544,26 +1375,13 @@ let register_arp t config =
     (Config.participants config)
 
 let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
-    ?(grouping = `Interned) ?domains config vnh_alloc =
+    ?(grouping = `Interned) config vnh_alloc =
   let t0 = Unix.gettimeofday () in
-  let run jobs =
-    let exec pool =
-      if Parallel.size pool <= 1 then List.map (fun job -> job ()) jobs
-      else Parallel.map pool (fun job -> job ()) jobs
-    in
-    match domains with
-    | Some n when n <= 1 -> List.map (fun job -> job ()) jobs
-    | Some n -> Parallel.with_pool ~domains:n exec
-    | None -> exec (Parallel.global ())
-  in
   let ospecs = profile_stage "ospecs" (fun () -> collect_ospecs config) in
-  (* Group computation allocates VNHs through [vnh_alloc] on the
-     coordinating domain; only the interned pipeline's read-only
-     reachability scans fan out. *)
   let grouped, reachability_s, group_s =
     profile_stage "groups" (fun () ->
         match grouping with
-        | `Interned -> compute_groups_interned config vnh_alloc ospecs ~run
+        | `Interned -> compute_groups_interned config vnh_alloc ospecs
         | `Naive -> compute_groups_naive config vnh_alloc ospecs)
   in
   let groups_ = List.map fst grouped in
@@ -1608,12 +1426,6 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
           | Some _ -> None)
         ospecs
   in
-  let epoch = Sync.Atomic.fetch_and_add epoch_counter 1 in
-  let main_shard = fresh_shard () in
-  (* Seed the coordinating domain's slot so jobs the submitter drains
-     itself land in [main_shard], and so the fast path's later use of
-     [main_shard] agrees with what this run's DLS says. *)
-  Parallel.Local.set shard_slot ~epoch main_shard;
   let t =
     {
       classifier = [];
@@ -1625,13 +1437,7 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
       ospec_arr = Array.of_list ospecs;
       memoize;
       mode = ir;
-      epoch;
-      main_shard;
-      shared_bodies = Hashtbl.create 256;
-      shared_pipes = Hashtbl.create 256;
-      shared_lock = Sync.Mutex.create ();
-      shards_ = [ main_shard ];
-      shards_lock = Sync.Mutex.create ();
+      caches = fresh_caches ();
       next_group_id = List.length groups_;
       blocks_ = [];
       batch_groups_ = [];
@@ -1655,25 +1461,22 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
               Prefix.Set.mem (List.hd g.prefixes) (Lazy.force spec.prefix_set))
             groups_
   in
-  let classifier, blocks, merge_s, compose_s =
+  let classifier, blocks, compose_s =
     if optimized then
-      profile_stage "blocks" (fun () ->
-          build_optimized t config ~groups_by_spec ~run)
+      profile_stage "blocks" (fun () -> build_optimized t config ~groups_by_spec)
     else begin
       let t0 = Unix.gettimeofday () in
       let c = build_naive t config in
       let dt = Unix.gettimeofday () -. t0 in
-      (c, [ (Unattributed, Classifier.rule_count c) ], 0., dt)
+      (c, [ (Unattributed, Classifier.rule_count c) ], dt)
     end
   in
   register_arp t config;
   let elapsed = Unix.gettimeofday () -. t0 in
   t.classifier <- classifier;
   t.blocks_ <- blocks;
-  let shards = t.shards_ in
-  let sum f = List.fold_left (fun n s -> n + f s) 0 shards in
-  let sum_f f = List.fold_left (fun x s -> x +. f s) 0. shards in
-  let main_fdd = Fdd.stats main_shard.fdd in
+  let c = t.caches in
+  let fdd = Fdd.stats c.fdd in
   let stats =
     {
       group_count = List.length groups_;
@@ -1682,14 +1485,13 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
       compose_s;
       reachability_s;
       group_s;
-      seq_ops = sum (fun s -> s.seq_ops);
-      memo_hits = sum (fun s -> s.memo_hits);
-      fdd_build_s = sum_f (fun s -> s.build_s);
-      fdd_merge_s = merge_s;
-      fdd_extract_s = sum_f (fun s -> s.extract_s);
-      fdd_nodes = main_fdd.Fdd.nodes;
-      fdd_memo_hits = sum (fun s -> (Fdd.stats s.fdd).Fdd.memo_hits);
-      fdd_table_size = main_fdd.Fdd.unique_table_size;
+      seq_ops = c.seq_ops;
+      memo_hits = c.memo_hits;
+      fdd_build_s = c.build_s;
+      fdd_extract_s = c.extract_s;
+      fdd_nodes = fdd.Fdd.nodes;
+      fdd_memo_hits = fdd.Fdd.memo_hits;
+      fdd_table_size = fdd.Fdd.unique_table_size;
     }
   in
   t.stats_ <- stats;
@@ -1714,12 +1516,10 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
   t
 
 (* The pre-FDD composition pipeline, kept verbatim as the correctness
-   oracle: same blocks, same job structure, but every composition is a
-   classifier cross-product. *)
-let compile_crossproduct ?optimized ?memoize ?grouping ?domains config vnh_alloc
-    =
-  compile ?optimized ?memoize ~ir:`Crossproduct ?grouping ?domains config
-    vnh_alloc
+   oracle: same blocks, but every composition is a classifier
+   cross-product. *)
+let compile_crossproduct ?optimized ?memoize ?grouping config vnh_alloc =
+  compile ?optimized ?memoize ~ir:`Crossproduct ?grouping config vnh_alloc
 
 let estimate_with_group_cost t cost_of_group =
   let cost_of_vmac = Hashtbl.create 64 in
@@ -1897,7 +1697,7 @@ let forget_class t (g : group) =
           if i < Array.length t.ospec_arr then begin
             Hashtbl.remove t.block_store (Via_block (i, g.id));
             Option.iter
-              (fun via -> Hashtbl.remove t.main_shard.delivery (via, g.id))
+              (fun via -> Hashtbl.remove t.caches.delivery (via, g.id))
               t.ospec_arr.(i).via
           end)
         ids
@@ -2099,12 +1899,8 @@ let compile_update_batch t config vnh_alloc prefixes =
      diversion and a new announcement immediately starts one, exactly as
      a from-scratch recompile would (§5.2's "data plane stays in sync
      with BGP"). *)
-  (* The fast path runs on the coordinating domain and always composes
-     in [t.main_shard]: its pipeline caches (classifier and FDD alike)
-     persist across bursts, which is what keeps per-burst latency flat.
-     It must not consult the DLS slot — a later compile's epoch would
-     have evicted this run's shard.  Each block is stored as the class's
-     own, for the rebuild to lay out again. *)
+  (* Each block is stored as the class's own, for the rebuild to lay out
+     again. *)
   let blocks =
     List.concat_map
       (fun g ->
@@ -2118,7 +1914,7 @@ let compile_update_batch t config vnh_alloc prefixes =
         @ [ Default_slot g ])
       groups
     |> List.map (fun s ->
-           let rules = fst (compose_slot t t.main_shard config s) in
+           let rules = compose_slot t config s in
            Hashtbl.replace t.block_store (slot_key s) rules;
            (slot_provenance s, rules))
   in
@@ -2199,19 +1995,18 @@ let default_owners config g =
     g.default_variants
 
 (* Drops every cached composition built on a [stale] participant's
-   inbound pipeline, from the shared extraction caches and from the
-   coordinating shard the fast path composes in. *)
+   inbound pipeline. *)
 let forget_pipelines t stale =
   let keep_owner (owner, _) v = if stale owner then None else Some v in
-  Pipeline_cache.filter_map_inplace keep_owner t.main_shard.fdd_pipelines;
-  Pipeline_cache.filter_map_inplace keep_owner t.main_shard.cls_pipelines;
-  Hashtbl.filter_map_inplace keep_owner t.shared_pipes;
+  Pipeline_cache.filter_map_inplace keep_owner t.caches.fdd_pipelines;
+  Pipeline_cache.filter_map_inplace keep_owner t.caches.cls_pipelines;
+  Hashtbl.filter_map_inplace keep_owner t.caches.pipes;
   Hashtbl.filter_map_inplace
     (fun (spec_id, _) v ->
       match t.ospec_arr.(spec_id).via with
       | Some via when stale via -> None
       | _ -> Some v)
-    t.shared_bodies
+    t.caches.bodies
 
 (* Two prefixes with equal class keys get equal blocks (up to the
    class's VMAC): the sender blocks read the clause, the via's inbound
@@ -2227,12 +2022,12 @@ let rebuild t config vnh_alloc ~touched =
   if not t.rebuildable then
     invalid_arg "Compile.rebuild: needs an optimized, interned compile";
   let t0 = Unix.gettimeofday () in
-  let shard = t.main_shard in
-  let seq0 = shard.seq_ops
-  and memo0 = shard.memo_hits
-  and build0 = shard.build_s
-  and extract0 = shard.extract_s
-  and fdd_memo0 = (Fdd.stats shard.fdd).Fdd.memo_hits in
+  let c = t.caches in
+  let seq0 = c.seq_ops
+  and memo0 = c.memo_hits
+  and build0 = c.build_s
+  and extract0 = c.extract_s
+  and fdd_memo0 = (Fdd.stats c.fdd).Fdd.memo_hits in
   let keys = Default_keys.create config in
   let key_of = class_key_fn t config keys in
   let touched = List.sort_uniq Prefix.compare touched in
@@ -2339,7 +2134,7 @@ let rebuild t config vnh_alloc ~touched =
         | Some rules when not (is_stale s) -> (s, rules)
         | _ ->
             incr composed;
-            let rules = fst (compose_slot t shard config s) in
+            let rules = compose_slot t config s in
             Hashtbl.replace t.block_store key rules;
             (s, rules))
       (slots t config ~groups ~groups_by_spec:(covering_groups t groups))
@@ -2353,9 +2148,8 @@ let rebuild t config vnh_alloc ~touched =
   t.groups_ <- groups;
   t.batch_groups_ <- [];
   t.retired_groups_ <- [];
-  t.shards_ <- [ shard ];
   let elapsed = Unix.gettimeofday () -. t0 in
-  let fdd = Fdd.stats shard.fdd in
+  let fdd = Fdd.stats c.fdd in
   let stats =
     {
       group_count = List.length groups;
@@ -2364,11 +2158,10 @@ let rebuild t config vnh_alloc ~touched =
       compose_s;
       reachability_s = t_group -. t0;
       group_s;
-      seq_ops = shard.seq_ops - seq0;
-      memo_hits = shard.memo_hits - memo0;
-      fdd_build_s = shard.build_s -. build0;
-      fdd_merge_s = 0.;
-      fdd_extract_s = shard.extract_s -. extract0;
+      seq_ops = c.seq_ops - seq0;
+      memo_hits = c.memo_hits - memo0;
+      fdd_build_s = c.build_s -. build0;
+      fdd_extract_s = c.extract_s -. extract0;
       fdd_nodes = fdd.Fdd.nodes;
       fdd_memo_hits = fdd.Fdd.memo_hits - fdd_memo0;
       fdd_table_size = fdd.Fdd.unique_table_size;

@@ -36,8 +36,8 @@ type stats = {
   rule_count : int;
   elapsed_s : float;  (** wall-clock compilation time *)
   compose_s : float;
-      (** wall-clock of the composition stage alone — rule-block fan-out
-          plus the shard-merge pass.  This is the stage the two [ir]
+      (** wall-clock of the composition stage alone: building the rule
+          blocks.  This is the stage the two [ir]
           engines implement differently (group computation, reachability
           collection, and ARP registration are engine-independent), so
           FDD-vs-crossproduct comparisons divide these *)
@@ -51,16 +51,13 @@ type stats = {
   seq_ops : int;  (** sequential compositions performed (either IR) *)
   memo_hits : int;  (** §4.3: reuses of a cached pipeline compilation *)
   fdd_build_s : float;
-      (** CPU-seconds constructing diagrams, summed over shards (zero in
-          crossproduct/naive mode, like every field below) *)
-  fdd_merge_s : float;
-      (** wall-clock of the final shard-merge hash-cons pass *)
+      (** wall-clock constructing diagrams (zero in crossproduct/naive
+          mode, like every field below) *)
   fdd_extract_s : float;
-      (** CPU-seconds extracting classifiers from diagrams, summed over
-          shards *)
-  fdd_nodes : int;  (** nodes in the merged main manager *)
-  fdd_memo_hits : int;  (** FDD memo-cache hits, summed over shards *)
-  fdd_table_size : int;  (** unique-table entries in the main manager *)
+      (** wall-clock extracting classifiers from diagrams *)
+  fdd_nodes : int;  (** nodes in the compile's one FDD manager *)
+  fdd_memo_hits : int;  (** that manager's memo-cache hits *)
+  fdd_table_size : int;  (** that manager's unique-table entries *)
 }
 
 type provenance =
@@ -85,11 +82,11 @@ val compile :
   ?memoize:bool ->
   ?ir:[ `Fdd | `Crossproduct ] ->
   ?grouping:[ `Interned | `Naive ] ->
-  ?domains:int ->
   Config.t ->
   Vnh.t ->
   t
-(** Runs the full pipeline.  [optimized] (default true) enables the
+(** Runs the full pipeline on the calling domain, building every block
+    in one FDD manager.  [optimized] (default true) enables the
     §4.3.1 optimizations — composing only participants that exchange
     traffic, exploiting policy disjointness, and memoizing repeated
     sub-compilations; [false] compiles the literal
@@ -117,21 +114,12 @@ val compile :
     identical groups (same ids, members, VNHs, variants), but only
     [`Interned] seeds the class table the incremental fast path
     migrates prefixes through, and (with [optimized]) keeps the blocks
-    {!rebuild} lays out again.
-
-    [domains] controls the pool the independent rule blocks of the
-    optimized path are fanned across: [Some 1] forces a fully sequential
-    build, [Some n] uses a private n-domain pool for this compilation,
-    and [None] (the default) uses {!Parallel.global}.  The classifier is
-    rule-for-rule identical for every setting — blocks are pure, FDD
-    construction is sharded per domain with deterministic extraction,
-    and blocks are concatenated in input order. *)
+    {!rebuild} lays out again. *)
 
 val compile_crossproduct :
   ?optimized:bool ->
   ?memoize:bool ->
   ?grouping:[ `Interned | `Naive ] ->
-  ?domains:int ->
   Config.t ->
   Vnh.t ->
   t

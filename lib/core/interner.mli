@@ -2,9 +2,8 @@
     equal vectors yields the physically same stamped value, so
     downstream grouping can key on a dense id instead of re-hashing
     vectors.  Intern order assigns ids densely from 0, which makes
-    single-domain interning deterministic; the sharded merge in
-    {!Compile} re-sorts classes by their smallest member so cross-domain
-    id assignment never leaks into output. *)
+    interning deterministic; {!Compile} re-sorts classes by their
+    smallest member, so id assignment never leaks into output. *)
 
 type bitset := Sdx_bgp.Bitset.t
 

@@ -34,8 +34,6 @@ type t = {
   mutable workers : unit Sync.Domain.t list;
 }
 
-let size t = t.size
-
 let rec worker t =
   Sync.Mutex.lock t.mutex;
   let rec next () =
@@ -177,25 +175,6 @@ let map_array t f xs =
         done);
     collect results
   end
-
-(* Epoch-validated domain-local slots.  A slot holds one ['a] per domain
-   per epoch: [get] returns the current domain's value if it was stored
-   under the same epoch, else creates a fresh one via [make] and stores
-   it.  Bumping the epoch (a new compile run) invalidates every domain's
-   cached value at once without touching the other domains — exactly the
-   lifecycle of per-domain FDD shard managers. *)
-module Local = struct
-  type 'a t = (int * 'a) option ref Sync.Dls.key
-
-  let create () = Sync.Dls.new_key (fun () -> ref None)
-
-  let find t ~epoch =
-    match !(Sync.Dls.get t) with
-    | Some (e, v) when e = epoch -> Some v
-    | _ -> None
-
-  let set t ~epoch v = Sync.Dls.get t := Some (epoch, v)
-end
 
 let default_domains () =
   match Option.bind (Sys.getenv_opt "SDX_DOMAINS") int_of_string_opt with

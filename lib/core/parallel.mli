@@ -1,10 +1,9 @@
 (** A fixed-size domain pool for fanning independent computations across
     OCaml 5 domains (stdlib [Domain]/[Mutex]/[Condition] only).
 
-    The compiler uses it to run per-clause and per-group rule generation
-    concurrently: tasks must not mutate shared state except through
-    their own synchronization (see DESIGN.md, "Parallel compilation &
-    batching"). *)
+    The data-plane drivers use it to look packet vectors up across
+    worker domains: tasks must not mutate shared state except through
+    their own synchronization (see DESIGN.md §13). *)
 
 type t
 
@@ -12,8 +11,6 @@ val create : domains:int -> t
 (** A pool that runs tasks on [max 1 domains] domains.  [domains - 1]
     worker domains are spawned; the caller of {!map} is the remaining
     one. *)
-
-val size : t -> int
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] is [List.map f xs], computed concurrently.  Results
@@ -32,26 +29,6 @@ val shutdown : t -> unit
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [create], run, then [shutdown] (also on exceptions). *)
-
-(** Epoch-validated domain-local storage, for state that is private to a
-    domain but scoped to one run (e.g. the compiler's per-domain FDD
-    shard managers): each domain lazily creates its own value the first
-    time it asks under a given epoch, and a new epoch invalidates every
-    domain's cached value without coordination. *)
-module Local : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val find : 'a t -> epoch:int -> 'a option
-  (** This domain's value, if one was stored under the same [epoch];
-      [None] if the slot is empty or holds another epoch's value. *)
-
-  val set : 'a t -> epoch:int -> 'a -> unit
-  (** Store this domain's value for [epoch] (the compiler registers each
-      domain's freshly created shard, and pins the main domain's shard so
-      the fast path can reuse it between runs). *)
-end
 
 val default_domains : unit -> int
 (** [SDX_DOMAINS] if set to a positive integer, else

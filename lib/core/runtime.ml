@@ -6,7 +6,6 @@ type t = {
   mutable config : Config.t;
   vnh : Vnh.t;
   optimized : bool;
-  domains : int option;
   mutable compiled : Compile.t;
   (* Fast-path rule blocks, most recent first, each with the stable
      switch priority of its lowest rule and the provenance of its rules.
@@ -156,17 +155,16 @@ let set_check_hook f = check_hook := f
 let run_check_hook t =
   match !check_hook with None -> () | Some f -> f t
 
-let create ?(optimized = true) ?rpki ?domains ?vnh_pool
+let create ?(optimized = true) ?rpki ?vnh_pool
     ?(extras_ceiling = extras_ceiling) config =
   let rejected = announce_originated ?rpki config in
   let vnh = Vnh.create ?pool:vnh_pool () in
-  let compiled = Compile.compile ~optimized ?domains config vnh in
+  let compiled = Compile.compile ~optimized config vnh in
   let t =
     {
       config;
       vnh;
       optimized;
-      domains;
       compiled;
       extras = [];
       rejected;
@@ -244,8 +242,7 @@ let background_stage t build =
 let full_recompile t =
   background_stage t (fun () ->
       Vnh.reset t.vnh;
-      t.compiled <-
-        Compile.compile ~optimized:t.optimized ?domains:t.domains t.config t.vnh;
+      t.compiled <- Compile.compile ~optimized:t.optimized t.config t.vnh;
       Compile.stats t.compiled)
 
 let reoptimize t =

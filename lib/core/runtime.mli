@@ -16,7 +16,6 @@ type t
 val create :
   ?optimized:bool ->
   ?rpki:Rpki.t ->
-  ?domains:int ->
   ?vnh_pool:Prefix.t ->
   ?extras_ceiling:int ->
   Config.t ->
@@ -25,10 +24,9 @@ val create :
     server, then runs the initial compilation.  When [rpki] is given,
     each originated prefix must validate as [Valid] for its owner
     (§3.2's ownership check); prefixes that fail are not originated and
-    a warning is logged.  [domains] is threaded through to
-    {!Compile.compile} for the initial build and every full recompile.
-    [vnh_pool] overrides the VNH allocator's address pool (soak tests
-    use tiny pools to hit lifecycle boundaries quickly), and
+    a warning is logged.  [vnh_pool] overrides the VNH allocator's
+    address pool (soak tests use tiny pools to hit lifecycle boundaries
+    quickly), and
     [extras_ceiling] lowers this instance's fast-path priority ceiling
     below the global {!extras_ceiling} for the same reason. *)
 

@@ -580,22 +580,6 @@ let to_classifier d =
   go Pattern.all d;
   List.rev !acc
 
-let import mgr d =
-  let memo = Hashtbl.create 256 in
-  let rec go d =
-    match Hashtbl.find_opt memo d.id with
-    | Some r -> r
-    | None ->
-        let r =
-          match d.node with
-          | Leaf acts -> leaf mgr acts
-          | Branch (k, hi, lo) -> branch mgr k (go hi) (go lo)
-        in
-        Hashtbl.replace memo d.id r;
-        r
-  in
-  go d
-
 let node_id (d : t) = d.id
 
 let size d =

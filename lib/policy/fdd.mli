@@ -21,20 +21,17 @@
     collapse to the same node.
 
     All nodes, the unique table and the memo tables live in a
-    {!manager}.  A manager is {e not} domain-safe — the compiler gives
-    each pool domain its own manager (sharded construction) and merges
-    the shards' diagrams into one manager with {!import}, a final
-    hash-cons pass.  Diagrams from different managers must never be
-    mixed in one operation. *)
+    {!manager}.  A manager is {e not} domain-safe; the compiler builds
+    every block of a compile in one manager, on one domain.  Diagrams
+    from different managers must never be mixed in one operation. *)
 
 open Sdx_net
 
 type manager
-(** Unique table + memo caches + counters.  One per domain. *)
+(** Unique table + memo caches + counters. *)
 
 type t
-(** A diagram handle.  Only valid with the manager that built it
-    (or, after {!import}, the manager it was imported into). *)
+(** A diagram handle.  Only valid with the manager that built it. *)
 
 val create : unit -> manager
 
@@ -87,10 +84,6 @@ val to_classifier : t -> Classifier.t
     the first match).  The result is deterministic: it depends only on
     the diagram's structure, not on the manager or construction
     order. *)
-
-val import : manager -> t -> t
-(** Hash-cons a diagram (from any manager) into [mgr], sharing
-    structure with everything already there — the shard-merge pass. *)
 
 val size : t -> int
 (** Reachable node count (shared nodes counted once). *)

@@ -1,5 +1,5 @@
 (* sdx_race: a happens-before race detector behind shims for [Mutex],
-   [Condition], [Atomic], [Domain] and [Domain.DLS].
+   [Condition], [Atomic] and [Domain].
 
    The rest of the tree never touches the raw primitives (the
    concurrency lint enforces this); it goes through this module, which
@@ -74,7 +74,6 @@ let session = ref 1
 
 (* Model-mode scheduler context, maintained by Explore. *)
 let model_current = ref (-1)
-let model_exec = ref 0
 let model_trace_hook : (unit -> string list) ref = ref (fun () -> [])
 let model_done_hook : (int -> bool) ref = ref (fun _ -> true)
 
@@ -747,38 +746,6 @@ module Domain = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Domain-local storage                                                *)
-
-module Dls = struct
-  (* Model mode keys per (execution, vthread): vthread numbers repeat
-     across explorer executions, and a fresh execution must never see a
-     previous one's cached value. *)
-  type 'a key = {
-    rk : 'a RDomain.DLS.key;
-    tbl : (int * int, 'a) Hashtbl.t;
-    init : unit -> 'a;
-  }
-
-  let new_key init = { rk = RDomain.DLS.new_key init; tbl = Hashtbl.create 8; init }
-
-  let get k =
-    if in_model () then begin
-      let key = (!model_exec, !model_current) in
-      match Hashtbl.find_opt k.tbl key with
-      | Some v -> v
-      | None ->
-          let v = k.init () in
-          Hashtbl.replace k.tbl key v;
-          v
-    end
-    else RDomain.DLS.get k.rk
-
-  let set k v =
-    if in_model () then Hashtbl.replace k.tbl (!model_exec, !model_current) v
-    else RDomain.DLS.set k.rk v
-end
-
-(* ------------------------------------------------------------------ *)
 (* Mode control & the Model-side hooks Explore drives                  *)
 
 let mode () = !mode_ref
@@ -794,8 +761,7 @@ module Model = struct
         reset_locked ();
         let t0 = new_tid_locked "main" Vclock.empty in
         assert (t0 = 0));
-    model_current := 0;
-    incr model_exec
+    model_current := 0
 
   let new_vthread name = locked (fun () -> new_tid_locked name Vclock.empty)
   let set_current tid = model_current := tid

@@ -1,6 +1,6 @@
 (** The [sdx_race] synchronization shim: the only way the rest of the
-    tree is allowed to touch [Mutex], [Condition], [Atomic], [Domain]
-    and [Domain.DLS] (the concurrency lint rejects raw usage outside
+    tree is allowed to touch [Mutex], [Condition], [Atomic] and
+    [Domain] (the concurrency lint rejects raw usage outside
     [lib/sanitize]).
 
     In [Off] mode (the default, the production path) every wrapper is a
@@ -112,14 +112,6 @@ module Domain : sig
 
   val recommended_count : unit -> int
   (** [Domain.recommended_domain_count] passthrough. *)
-end
-
-module Dls : sig
-  type 'a key
-
-  val new_key : (unit -> 'a) -> 'a key
-  val get : 'a key -> 'a
-  val set : 'a key -> 'a -> unit
 end
 
 (** {1 Internal interfaces for the explorer}

@@ -456,6 +456,33 @@ let test_peer_garbage_tears_down () =
     (Result.is_error (Peer.feed a (Bytes.make 19 '\000')));
   check_bool "idle after garbage" true (Peer.state a = Fsm.Idle)
 
+(* Garbage tears a session down together with its transport; a
+   reconnect starts on a fresh byte stream, so the session comes back
+   and carries UPDATEs again. *)
+let test_peer_reconnects_after_garbage () =
+  let a = mk_peer ~local_asn:(asn 64512) ~local_id:"10.0.0.1" ~remote_asn:(asn 2) in
+  let b = mk_peer ~local_asn:(asn 2) ~local_id:"10.0.0.2" ~remote_asn:(asn 64512) in
+  Peer.connect a;
+  Peer.connect b;
+  shuttle a b;
+  List.iter
+    (fun p ->
+      check_bool "garbage rejected" true
+        (Result.is_error (Peer.feed p (Bytes.make 19 '\000')));
+      check_bool "idle after garbage" true (Peer.state p = Fsm.Idle))
+    [ a; b ];
+  Peer.connect a;
+  Peer.connect b;
+  shuttle a b;
+  check_bool "a re-established" true (Peer.state a = Fsm.Established);
+  check_bool "b re-established" true (Peer.state b = Fsm.Established);
+  Peer.send_update b
+    (Update.announce (route ~prefix:(pfx "20.0.0.0/16") ~learned_from:(asn 2) ()));
+  match List.map (Peer.feed a) (Peer.pending_output b) with
+  | [ Ok [ Update.Announce r ] ] ->
+      check_bool "update decodes" true (Prefix.equal r.prefix (pfx "20.0.0.0/16"))
+  | _ -> Alcotest.fail "expected exactly one announce"
+
 (* Framing: N concatenated UPDATEs, fed whole or split at random
    offsets (mid-header included), yield exactly the updates of N single
    feeds; a declared length below 19 after them still errors. *)
@@ -1318,6 +1345,8 @@ let () =
             test_peer_update_exchange_fragmented;
           Alcotest.test_case "hold expiry flushes" `Quick test_peer_hold_expiry_flushes;
           Alcotest.test_case "garbage tears down" `Quick test_peer_garbage_tears_down;
+          Alcotest.test_case "reconnects after garbage" `Quick
+            test_peer_reconnects_after_garbage;
           Alcotest.test_case "update before establishment" `Quick
             test_peer_update_before_establishment;
         ]

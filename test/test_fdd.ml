@@ -230,29 +230,14 @@ let prop_fdd_sharing =
       let after = (Fdd.stats mgr).Fdd.nodes in
       Fdd.size d1 = Fdd.size d2 && before = after)
 
-let prop_fdd_import_preserves =
-  QCheck2.Test.make ~name:"import across managers preserves semantics"
-    ~count:2000
-    QCheck2.Gen.(triple gen_policy gen_policy gen_packet)
-    (fun (p, q, pkt) ->
-      (* Build the two halves in separate shard managers, merge into a
-         third — the compiler's sharded-construction pattern. *)
-      let shard1 = Fdd.create () and shard2 = Fdd.create () in
-      let main = Fdd.create () in
-      let d1 = Fdd.import main (Fdd.of_policy shard1 p) in
-      let d2 = Fdd.import main (Fdd.of_policy shard2 q) in
-      let d = Fdd.union main d1 d2 in
-      Fdd.check_unique d
-      && fdd_out d pkt = Policy.eval (Policy.Union (p, q)) pkt)
-
 let prop_fdd_extraction_deterministic =
   QCheck2.Test.make
     ~name:"extraction is manager-independent (rule-for-rule)" ~count:1000
     QCheck2.Gen.(pair gen_policy gen_policy)
     (fun (p, q) ->
       (* Same diagram built along different routes in different managers
-         must extract the same classifier — what lets the sharded
-         compiler be structurally reproducible across domain counts. *)
+         must extract the same classifier — what makes a recompile
+         structurally reproducible whatever its managers built before. *)
       let m1 = Fdd.create () in
       let noise = Fdd.of_policy m1 q in
       ignore (Fdd.seq m1 noise noise);
@@ -311,11 +296,11 @@ let test_workload_equivalence () =
     Workload.build rng ~participants:40 ~prefixes:300 ~transit_picks:2 ()
   in
   let fdd_t =
-    Sdx_core.Compile.compile ~ir:`Fdd ~domains:1 w.Workload.config
+    Sdx_core.Compile.compile ~ir:`Fdd w.Workload.config
       (Sdx_core.Vnh.create ())
   in
   let cp_t =
-    Sdx_core.Compile.compile_crossproduct ~domains:1 w.Workload.config
+    Sdx_core.Compile.compile_crossproduct w.Workload.config
       (Sdx_core.Vnh.create ())
   in
   let fdd_cls = Sdx_core.Compile.classifier fdd_t in
@@ -383,7 +368,6 @@ let () =
             prop_fdd_unique;
             prop_fdd_counters_monotone;
             prop_fdd_sharing;
-            prop_fdd_import_preserves;
             prop_fdd_extraction_deterministic;
           ] );
       ( "compiler",

@@ -265,8 +265,6 @@ let test_model_scenarios () =
      model runs under `sdxd race` (CI race job) instead *)
   check_bool "rcu snapshot model race-free" true
     (Explore.ok (Explore.run Race_suite.model_rcu_snapshot));
-  check_bool "dls epoch model race-free" true
-    (Explore.ok (Explore.run Race_suite.model_dls_epoch));
   let misuse = Explore.run Race_suite.model_rcu_misuse in
   check_bool "second snapshot builder violates the owner contract" true
     (List.exists

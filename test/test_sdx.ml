@@ -1289,6 +1289,98 @@ let prop_gateway_readvertisement =
         steps;
       true)
 
+(* Hostile bytes through [Gateway.deliver]: a valid UPDATE's encoding
+   with bytes flipped, cut short, or a header, withdrawn-routes or
+   path-attribute length that lies.  No call raises.  After an [Error]
+   the sender is down and the route server holds nothing it learned from
+   it; once both ends reconnect the session comes back and a valid
+   UPDATE from it is applied. *)
+type hostile =
+  | Flips of (int * int) list  (* (position mod length, xor mask) *)
+  | Truncate of int  (* bytes kept, mod length *)
+  | Header_len of int
+  | Withdrawn_len of int
+  | Attr_len of int
+
+let pp_hostile = function
+  | Flips fs ->
+      "flips " ^ String.concat " " (List.map (fun (i, m) -> Printf.sprintf "%d^%d" i m) fs)
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Header_len v -> Printf.sprintf "header length %d" v
+  | Withdrawn_len v -> Printf.sprintf "withdrawn length %d" v
+  | Attr_len v -> Printf.sprintf "attribute length %d" v
+
+let gen_hostile =
+  let open QCheck2.Gen in
+  let lie = oneof [ int_range 0 18; int_range 19 200; int_range 0 65535 ] in
+  oneof
+    [
+      map (fun fs -> Flips fs) (list_size (int_range 1 4) (pair (int_range 0 999) (int_range 1 255)));
+      map (fun n -> Truncate n) (int_range 0 999);
+      map (fun v -> Header_len v) lie;
+      map (fun v -> Withdrawn_len v) lie;
+      map (fun v -> Attr_len v) lie;
+    ]
+
+let apply_hostile data = function
+  | Flips fs ->
+      let b = Bytes.copy data in
+      let len = Bytes.length b in
+      List.iter (fun (i, m) -> Bytes.set_uint8 b (i mod len) (Bytes.get_uint8 b (i mod len) lxor m)) fs;
+      b
+  | Truncate n -> Bytes.sub data 0 (n mod Bytes.length data)
+  | Header_len v ->
+      let b = Bytes.copy data in
+      Bytes.set_uint16_be b 16 v;
+      b
+  | Withdrawn_len v ->
+      let b = Bytes.copy data in
+      Bytes.set_uint16_be b 19 v;
+      b
+  | Attr_len v ->
+      let b = Bytes.copy data in
+      Bytes.set_uint16_be b (21 + Bytes.get_uint16_be data 19) v;
+      b
+
+let prop_gateway_hostile_bytes =
+  QCheck2.Test.make ~name:"hostile bytes: Ok or Error, reconnect recovers" ~count:300
+    ~print:(fun ((_, u), h) -> Format.asprintf "%a, %s" Update.pp u (pp_hostile h))
+    QCheck2.Gen.(pair gen_gateway_step gen_hostile)
+    (fun ((from, update), hostile) ->
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let gw, clients, shuttle, _ = gateway_world () in
+      let client = List.assoc from clients in
+      let server = Config.server (Runtime.config (Gateway.runtime gw)) in
+      let port = List.assoc from gateway_ports in
+      let announce prefix =
+        client_announce client
+          (Route.make ~prefix ~next_hop:port ~as_path:[ from; Asn.of_int 65001 ]
+             ~learned_from:from ());
+        shuttle ()
+      in
+      announce Fig1.p1;
+      let data = apply_hostile (Wire.encode (Wire.of_update update)) hostile in
+      match Gateway.deliver gw ~from data with
+      | exception e -> fail "deliver raised %s" (Printexc.to_string e)
+      | Ok _ -> true
+      | Error _ ->
+          if List.mem from (Gateway.established gw) then fail "sender still established";
+          if Route_server.prefixes_of server from <> [] then
+            fail "the server still holds routes learned from the sender";
+          (* The router loses the transport too: its hold timer runs out,
+             and what it queues goes nowhere. *)
+          Peer.hold_expired client;
+          ignore (Peer.pending_output client);
+          Peer.connect client;
+          Peer.connect (Gateway.session gw from);
+          shuttle ();
+          if not (List.mem from (Gateway.established gw)) then
+            fail "the session did not come back";
+          announce Fig1.p3;
+          if Route_server.route_from server ~via:from Fig1.p3 = None then
+            fail "a valid UPDATE after the reconnect was not applied";
+          true)
+
 (* ------------------------------------------------------------------ *)
 (* Scenario files                                                      *)
 
@@ -1592,6 +1684,7 @@ let () =
           Alcotest.test_case "teardown is one burst" `Quick
             test_gateway_teardown_one_burst;
           QCheck_alcotest.to_alcotest prop_gateway_readvertisement;
+          QCheck_alcotest.to_alcotest prop_gateway_hostile_bytes;
         ] );
       ( "scenario",
         [
