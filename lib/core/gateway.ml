@@ -87,6 +87,17 @@ let flush_if_requested t asn =
              (List.map (Update.withdraw ~peer:asn) prefixes))
   end
 
+(* One message's updates through the runtime, in order, re-advertising
+   each prefix whose best route moved.  A top-level loop: unlike
+   [List.map] over a closure, the loop itself allocates only the stats
+   list. *)
+let rec apply_updates t ~from = function
+  | [] -> []
+  | update :: rest ->
+      let s = Runtime.handle_update t.runtime update in
+      if s.Runtime.best_changed then readvertise t ~from (Update.prefix update);
+      s :: apply_updates t ~from rest
+
 let deliver t ~from data =
   let peer = session t from in
   match Peer.feed peer data with
@@ -94,15 +105,7 @@ let deliver t ~from data =
       flush_if_requested t from;
       e
   | Ok updates ->
-      let stats =
-        List.map
-          (fun update ->
-            let s = Runtime.handle_update t.runtime update in
-            if s.Runtime.best_changed then
-              readvertise t ~from (Update.prefix update);
-            s)
-          updates
-      in
+      let stats = apply_updates t ~from updates in
       flush_if_requested t from;
       Ok stats
 
