@@ -141,7 +141,7 @@ let run_fig6 ~seed ~scale ~repeats =
                    as the paper's Figure 6 experiment does. *)
                 let px = Prefix.Set.of_list (Rng.sample rng universe x) in
                 let restricted = List.map (Prefix.Set.inter px) sets in
-                Sdx_core.Fec.group_count ~sets:restricted
+                Sdx_oracle.Fec.group_count ~sets:restricted
                   ~default_key:(fun _ -> 0))
           in
           Format.printf " %14d" (average groups_per_run))
@@ -295,42 +295,28 @@ let run_ablation ~seed =
   note
     "the naive composition compiles (P1+..+Pn) >> (P1+..+Pn) through the \
      policy compiler; it explodes quickly, which is why §4.3 exists";
+  note
+    "naive(s) is the compile's grouping stages plus the literal \
+     composition over its groups (the sdx_oracle reference)";
   Format.printf "  %12s %10s %14s %14s %12s %12s@." "participants" "prefixes"
     "optimized(s)" "naive(s)" "opt rules" "naive rules";
   List.iter
     (fun (n, x) ->
-      let build opt =
-        let rng = Rng.create ~seed in
-        let w = Workload.build rng ~participants:n ~prefixes:x () in
-        Sdx_core.Runtime.create ~optimized:opt w.Workload.config
+      let rng = Rng.create ~seed in
+      let w = Workload.build rng ~participants:n ~prefixes:x () in
+      let compiled =
+        Sdx_core.Runtime.compiled (Sdx_core.Runtime.create w.Workload.config)
       in
-      let r_opt = build true in
-      let s_opt = Sdx_core.Compile.stats (Sdx_core.Runtime.compiled r_opt) in
-      let r_naive = build false in
-      let s_naive = Sdx_core.Compile.stats (Sdx_core.Runtime.compiled r_naive) in
+      let s_opt = Sdx_core.Compile.stats compiled in
+      let t0 = Unix.gettimeofday () in
+      let naive = Sdx_oracle.Literal.compose compiled w.Workload.config in
+      let naive_s =
+        s_opt.elapsed_s -. s_opt.compose_s +. (Unix.gettimeofday () -. t0)
+      in
       Format.printf "  %12d %10d %14.3f %14.3f %12d %12d@." n x s_opt.elapsed_s
-        s_naive.elapsed_s s_opt.rule_count s_naive.rule_count)
-    [ (10, 100); (20, 200); (30, 300) ];
-  note "";
-  note
-    "memoization in isolation (4.3.1's third optimization; larger \
-     workload, same rules either way):";
-  Format.printf "  %12s %10s %17s %17s %12s@." "participants" "prefixes"
-    "memoized(s)" "unmemoized(s)" "memo hits";
-  List.iter
-    (fun (n, x) ->
-      let build memoize =
-        let rng = Rng.create ~seed in
-        let w = Workload.build rng ~participants:n ~prefixes:x () in
-        let vnh = Sdx_core.Vnh.create () in
-        Sdx_core.Compile.stats
-          (Sdx_core.Compile.compile ~memoize w.Workload.config vnh)
-      in
-      let with_memo = build true in
-      let without = build false in
-      Format.printf "  %12d %10d %17.3f %17.3f %12d@." n x with_memo.elapsed_s
-        without.elapsed_s with_memo.memo_hits)
-    [ (100, 1000); (300, 2500) ]
+        naive_s s_opt.rule_count
+        (Sdx_policy.Classifier.rule_count naive))
+    [ (10, 100); (20, 200); (30, 300) ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: §4.2 VMAC data-plane compression                          *)
@@ -472,12 +458,13 @@ type compile_point = {
   sw_probes : int;
   sw_cross_s : float;
   sw_fdd_s : float;
-  (* Composition-stage wall clock (Compile.stats.compose_s) for each
-     engine: the stage the two IR engines implement differently.  Total
-     times additionally include group computation, reachability
-     collection and ARP registration, which are engine-independent code
-     shared by both paths — the gated speedup divides the compose
-     times so it measures the FDD core, not the shared phases. *)
+  (* Composition-stage wall clock for each engine: the compile's
+     [Compile.stats.compose_s], and the cross-product oracle's compose
+     of the same blocks.  Total times additionally include group
+     computation, reachability collection and ARP registration, which
+     both share (the oracle's total is the compile's other stages plus
+     its own compose) — the gated speedup divides the compose times so
+     it measures the FDD core, not the shared phases. *)
   sw_cross_compose_s : float;
   sw_fdd_compose_s : float;
   sw_build_s : float;
@@ -486,11 +473,11 @@ type compile_point = {
   sw_memo_hits : int;
   sw_table : int;
   sw_identical : bool;
-  (* Group-phase instrumentation (ISSUE 9): wall-clock of the
-     export-vector reachability pass and the interning pass, the
-     naive-oracle (per-spec sets + Fec partition) wall-clock, the
-     resulting phase speedup, and whether the interned partition is
-     structurally identical to the oracle's. *)
+  (* Group-phase instrumentation: wall-clock of the export-vector
+     reachability pass and the interning pass, the naive-oracle
+     (per-spec sets + Fec partition) wall-clock, the resulting phase
+     speedup, and whether the interned partition is structurally
+     identical to the oracle's. *)
   sw_reachability_s : float;
   sw_group_s : float;
   sw_naive_group_s : float;
@@ -535,23 +522,32 @@ let run_json ~seed ~scale ~out ~verify =
           Workload.build rng ~participants ~prefixes ~transit_picks
             ~inbound_density:3.0 ()
         in
-        let compile ~ir =
-          let vnh = Sdx_core.Vnh.create () in
-          (* Each timed engine run starts from a compacted heap: the
-             previous engine's garbage would otherwise smear major-GC
-             slices into this engine's phase timers, and at the 50k+
-             points that smear (over a several-hundred-MB heap) swings
-             the phase ratios by 2-3x run to run. *)
+        (* Each timed run starts from a compacted heap: the previous
+           run's garbage would otherwise smear major-GC slices into this
+           one's phase timers, and at the 50k+ points that smear (over a
+           several-hundred-MB heap) swings the phase ratios by 2-3x run
+           to run. *)
+        let compile () =
           Gc.compact ();
           let t0 = Unix.gettimeofday () in
-          let c = Sdx_core.Compile.compile ~ir w.Workload.config vnh in
+          let c = Sdx_core.Compile.compile w.Workload.config (Sdx_core.Vnh.create ()) in
           (c, Unix.gettimeofday () -. t0)
         in
-        let cross, cross_s = compile ~ir:`Crossproduct in
-        let fdd, fdd_s = compile ~ir:`Fdd in
-        let cross_cls = Sdx_core.Compile.classifier cross in
-        let fdd_cls = Sdx_core.Compile.classifier fdd in
+        (* The cross-product oracle runs first, straight after a compile
+           of its own whose blocks it composes, and its total is that
+           compile's other stages plus its compose; the timed FDD
+           compile runs second.  Cold compiles are deterministic, so
+           both lay out the same blocks with the same VMACs. *)
+        let cross, cross_s =
+          let c, c_s = compile () in
+          let o = Sdx_oracle.Crossproduct.compose c w.Workload.config in
+          (o, c_s -. (Sdx_core.Compile.stats c).compose_s +. o.compose_s)
+        in
+        let cross_compose = cross.compose_s in
+        let cross_cls = cross.classifier in
+        let fdd, fdd_s = compile () in
         let stats = Sdx_core.Compile.stats fdd in
+        let fdd_cls = Sdx_core.Compile.classifier fdd in
         (* Probe volume scales with the table so oracle-equivalence
            coverage does not thin out at the 1M point. *)
         let probes = max 2_500 (stats.rule_count / 16) in
@@ -561,16 +557,13 @@ let run_json ~seed ~scale ~out ~verify =
         let identical =
           Sdx_policy.Classifier.equivalent_on fdd_cls cross_cls pkts
         in
-        let cross_compose = (Sdx_core.Compile.stats cross).compose_s in
         (* The naive grouping oracle: per-spec reachability sets plus the
            pairwise-signature Fec partition, compared structurally
            against the interned pipeline's groups.  Timed from a
            compacted heap, like every engine run above. *)
         Gc.compact ();
         let naive_t0 = Unix.gettimeofday () in
-        let naive_parts =
-          Sdx_core.Compile.group_partition_naive w.Workload.config
-        in
+        let naive_parts = Sdx_oracle.Naive.partition w.Workload.config in
         let naive_s = Unix.gettimeofday () -. naive_t0 in
         let group_identical =
           List.map
@@ -1522,7 +1515,7 @@ let run_bechamel () =
                   pipeline)));
       Test.make ~name:"mds-partition-100x1000"
         (Staged.stage (fun () ->
-             ignore (Sdx_core.Fec.group_count ~sets ~default_key:(fun _ -> 0))));
+             ignore (Sdx_oracle.Fec.group_count ~sets ~default_key:(fun _ -> 0))));
       Test.make ~name:"incremental-update"
         (Staged.stage (fun () ->
              ignore

@@ -129,14 +129,13 @@ let run_demo verbose obs_stats stats_json =
 (* ------------------------------------------------------------------ *)
 (* compile: a synthetic workload through the pipeline                  *)
 
-let run_compile participants prefixes seed naive obs_stats stats_json =
+let run_compile participants prefixes seed obs_stats stats_json =
   let rng = Sdx_ixp.Rng.create ~seed in
   let w = Sdx_ixp.Workload.build rng ~participants ~prefixes () in
-  let runtime = Runtime.create ~optimized:(not naive) w.Sdx_ixp.Workload.config in
+  let runtime = Runtime.create w.Sdx_ixp.Workload.config in
   let stats = Compile.stats (Runtime.compiled runtime) in
   Format.printf "participants:       %d@." participants;
   Format.printf "prefixes:           %d@." prefixes;
-  Format.printf "mode:               %s@." (if naive then "naive" else "optimized");
   Format.printf "prefix groups:      %d@." stats.group_count;
   Format.printf "flow rules:         %d@." stats.rule_count;
   Format.printf "compile time:       %.3f s@." stats.elapsed_s;
@@ -417,15 +416,10 @@ let compile_cmd =
   let prefixes =
     Arg.(value & opt int 500 & info [ "x"; "prefixes" ] ~doc:"Prefix count.")
   in
-  let naive =
-    Arg.(value & flag & info [ "naive" ] ~doc:"Disable the 4.3 optimizations.")
-  in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a synthetic 6.1 workload and print statistics.")
     Term.(
-      const (fun n x seed naive stats stats_json ->
-          run_compile n x seed naive stats stats_json)
-      $ participants $ prefixes $ seed_t $ naive $ stats_t $ stats_json_t)
+      const run_compile $ participants $ prefixes $ seed_t $ stats_t $ stats_json_t)
 
 let load_cmd =
   let path =

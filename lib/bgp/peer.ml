@@ -59,8 +59,11 @@ let perform t action =
 let event t e = List.iter (perform t) (Fsm.handle t.fsm e)
 
 let connect t =
-  (* A new transport: bytes left from the old one frame nothing on it. *)
+  (* A new transport: bytes left from the old one frame nothing on it,
+     and what was queued for the old one must not go out ahead of the
+     OPEN. *)
   t.rx <- Bytes.empty;
+  t.tx <- [];
   event t Fsm.Manual_start;
   (* The in-memory transport connects instantly. *)
   event t Fsm.Tcp_connected
@@ -93,21 +96,28 @@ let handle_message t msg =
       event t Fsm.Update_received;
       if was_established then Wire.to_updates ~peer:t.peer_asn u else []
 
+let length_below_19 =
+  { Wire.code = 1; subcode = 2; reason = "declared message length below 19" }
+
 (* Frames every complete message of [rx ^ data] in place, from an
    offset, and keeps only the unconsumed tail: one copy of the bytes per
    call, however many messages they hold.  The declared length lives at
-   bytes 16-17 of each header.  An error discards the buffer: the
-   session is torn down with the transport the bytes arrived on. *)
+   bytes 16-17 of each header.  An error queues the NOTIFICATION RFC
+   4271 §6 asks for (unless the session is already down) and discards
+   the buffer: the session is torn down with the transport the bytes
+   arrived on. *)
 let feed t data =
   let buf = if Bytes.length t.rx = 0 then data else Bytes.cat t.rx data in
   let len = Bytes.length buf in
   let keep pos =
     t.rx <- (if pos = len then Bytes.empty else Bytes.sub buf pos (len - pos))
   in
-  let fail e =
+  let fail (e : Wire.error) =
     t.rx <- Bytes.empty;
+    if Fsm.state t.fsm <> Fsm.Idle then
+      transmit t (Wire.Notification { code = e.code; subcode = e.subcode });
     event t Fsm.Manual_stop;
-    Error e
+    Error e.reason
   in
   let rec drain pos acc =
     if len - pos < 19 then begin
@@ -116,7 +126,7 @@ let feed t data =
     end
     else
       let declared = Bytes.get_uint16_be buf (pos + 16) in
-      if declared < 19 then fail "declared message length below 19"
+      if declared < 19 then fail length_below_19
       else if len - pos < declared then begin
         keep pos;
         Ok (List.rev acc)

@@ -20,15 +20,18 @@ val state : t -> Fsm.state
 val connect : t -> unit
 (** Start the session: after the (modeled) TCP connection comes up, the
     local OPEN is queued for transmission.  Received bytes not yet
-    framed are dropped, so a reconnect starts on an empty buffer. *)
+    framed and output not yet drained are dropped, so a reconnect starts
+    on an empty stream both ways. *)
 
 val feed : t -> bytes -> (Update.t list, string) result
 (** Append received transport bytes (any framing) and process every
     complete message: FSM transitions run, replies (KEEPALIVE,
     NOTIFICATION) are queued, and the route-server updates implied by
-    UPDATE messages are returned.  An error tears the session down and
-    discards every byte buffered so far, with the transport they came
-    on.  Messages are framed in place, so a call costs linear time in
+    UPDATE messages are returned.  A framing or decode error queues the
+    NOTIFICATION it calls for ({!Wire.error}; 1/2 for a declared length
+    below 19) unless the session is already down, then tears the session
+    down and discards every byte buffered so far, with the transport
+    they came on.  Messages are framed in place, so a call costs linear time in
     the bytes it carries plus those left over from the previous call.
     The session keeps no reference to [data]. *)
 

@@ -153,16 +153,26 @@ let encode msg =
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 
-exception Bad of string
+type error = { code : int; subcode : int; reason : string }
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+exception Bad of error
+
+(* [bad code subcode fmt]: the RFC 4271 NOTIFICATION error code and
+   subcode the failure calls for, and its text. *)
+let bad code subcode fmt =
+  Printf.ksprintf (fun reason -> raise (Bad { code; subcode; reason })) fmt
 
 (* [base] is where the message starts in [buf]; offsets in errors are
    relative to it. *)
 type cursor = { buf : bytes; base : int; mutable pos : int; limit : int }
 
+(* A truncated UPDATE is a malformed attribute list (3/1); any other
+   message too short for its type has a bad length (1/2). *)
 let need c n =
-  if c.pos + n > c.limit then bad "truncated at offset %d" (c.pos - c.base)
+  if c.pos + n > c.limit then
+    if Bytes.get_uint8 c.buf (c.base + 18) = t_update then
+      bad 3 1 "truncated at offset %d" (c.pos - c.base)
+    else bad 1 2 "truncated at offset %d" (c.pos - c.base)
 
 let u8 c =
   need c 1;
@@ -180,7 +190,7 @@ let u32 c =
 
 let decode_prefix c =
   let len = u8 c in
-  if len > 32 then bad "prefix length %d" len;
+  if len > 32 then bad 3 10 "prefix length %d" len;
   let bytes_needed = (len + 7) / 8 in
   let network = ref 0 in
   for i = 0 to bytes_needed - 1 do
@@ -207,18 +217,18 @@ let decode_attrs c until =
     let type_code = u8 c in
     let len = if flags land 0x10 <> 0 then u16 c else u8 c in
     let value_end = c.pos + len in
-    if value_end > until then bad "attribute overruns message";
+    if value_end > until then bad 3 1 "attribute overruns message";
     (if type_code = a_origin then
        origin :=
          match u8 c with
          | 0 -> Route.Igp
          | 1 -> Route.Egp
          | 2 -> Route.Incomplete
-         | v -> bad "origin %d" v
+         | v -> bad 3 6 "origin %d" v
      else if type_code = a_as_path then begin
        if len > 0 then begin
          let seg_type = u8 c in
-         if seg_type <> 2 then bad "AS_PATH segment type %d" seg_type;
+         if seg_type <> 2 then bad 3 11 "AS_PATH segment type %d" seg_type;
          let count = u8 c in
          (* Read sequentially: the wire order is the path order. *)
          let rec read k acc =
@@ -244,7 +254,7 @@ let decode_attrs c until =
        communities := read n []
      end
      else c.pos <- value_end (* skip unknown attributes *));
-    if c.pos <> value_end then bad "attribute %d length mismatch" type_code
+    if c.pos <> value_end then bad 3 5 "attribute %d length mismatch" type_code
   done;
   match !next_hop with
   | None -> None
@@ -263,17 +273,17 @@ let decode_sub buf ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length buf - len then
     invalid_arg "Wire.decode_sub: range outside the buffer";
   match
-    if len < header_len then bad "shorter than a BGP header";
+    if len < header_len then bad 1 2 "shorter than a BGP header";
     for i = 0 to 15 do
-      if Bytes.get buf (pos + i) <> marker_byte then bad "bad marker"
+      if Bytes.get buf (pos + i) <> marker_byte then bad 1 1 "bad marker"
     done;
     let declared = Bytes.get_uint16_be buf (pos + 16) in
-    if declared <> len then bad "declared length %d, got %d" declared len;
+    if declared <> len then bad 1 2 "declared length %d, got %d" declared len;
     let type_code = Bytes.get_uint8 buf (pos + 18) in
     let c = { buf; base = pos; pos = pos + header_len; limit = pos + len } in
     if type_code = t_open then begin
       let version = u8 c in
-      if version <> 4 then bad "BGP version %d" version;
+      if version <> 4 then bad 2 1 "BGP version %d" version;
       let asn = Asn.of_int (u16 c) in
       let hold_time = u16 c in
       let bgp_id = Ipv4.of_int (u32 c) in
@@ -287,7 +297,7 @@ let decode_sub buf ~pos ~len =
       let attrs_len = u16 c in
       let attrs = decode_attrs c (c.pos + attrs_len) in
       let nlri = decode_prefixes c c.limit in
-      if nlri <> [] && attrs = None then bad "NLRI without a NEXT_HOP";
+      if nlri <> [] && attrs = None then bad 3 3 "NLRI without a NEXT_HOP";
       Update { withdrawn; attrs; nlri }
     end
     else if type_code = t_keepalive then Keepalive
@@ -296,7 +306,7 @@ let decode_sub buf ~pos ~len =
       let subcode = u8 c in
       Notification { code; subcode }
     end
-    else bad "message type %d" type_code
+    else bad 1 3 "message type %d" type_code
   with
   | msg -> Ok msg
   | exception Bad e -> Error e

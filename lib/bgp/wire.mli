@@ -38,11 +38,19 @@ val as_trans : Asn.t
 val encode : t -> bytes
 (** The full message, marker and length included. *)
 
-val decode : bytes -> (t, string) result
+type error = { code : int; subcode : int; reason : string }
+(** Why a message failed to decode: the RFC 4271 NOTIFICATION error code
+    and subcode the receiver sends before closing (1/1 bad marker, 1/2
+    bad message length, 1/3 unknown type; 2/1 unsupported version; 3/1
+    malformed attribute list, covering a truncated UPDATE, 3/3 NLRI
+    without NEXT_HOP, 3/5 attribute length, 3/6 invalid ORIGIN, 3/10
+    invalid network field, 3/11 malformed AS_PATH), and a text. *)
+
+val decode : bytes -> (t, error) result
 (** Decodes exactly one message; validates the marker, declared length,
     and attribute structure. *)
 
-val decode_sub : bytes -> pos:int -> len:int -> (t, string) result
+val decode_sub : bytes -> pos:int -> len:int -> (t, error) result
 (** {!decode} of the [len] bytes at [pos], read in place.
     @raise Invalid_argument if the range is outside the buffer. *)
 

@@ -4,18 +4,6 @@ open Sdx_bgp
 
 let blackhole_port = 0
 
-let profile_on = lazy (Sys.getenv_opt "SDX_PROFILE" <> None)
-
-let profile_stage name f =
-  if not (Lazy.force profile_on) then f ()
-    else begin
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      Printf.eprintf "[profile] %-12s %8.3fs\n%!" name
-        (Unix.gettimeofday () -. t0);
-      r
-    end
-
 type group = {
   id : int;
   vnh : Ipv4.t;
@@ -95,13 +83,9 @@ module Obs = struct
   let fdd_table_size = gauge "sdx_fdd_unique_table_size"
 end
 
-(* An outbound clause together with the prefixes whose default behavior it
-   overrides — one element of the collection the MDS partition runs on.
-   [prefix_set] is the clause's covered-prefix set materialized the
-   pre-ISSUE-9 way (a full [reachable_prefixes] scan per spec); it is
-   lazy because only the naive grouping oracle and the naive build
-   consume it — the export-vector pipeline derives coverage from the
-   interned class signatures instead.  [restriction] is the clause
+(* An outbound clause — one element of the collection the MDS partition
+   runs on.  The prefixes whose default behavior it overrides are read
+   off the interned class signatures; [restriction] is the clause
    predicate's destination restriction, precomputed once. *)
 type ospec = {
   spec_id : int;  (** position in collection order; keys the block caches *)
@@ -109,7 +93,6 @@ type ospec = {
   clause : Ppolicy.clause;
   via : Asn.t option;
   restriction : Prefix.t list option;
-  prefix_set : Prefix.Set.t Lazy.t;
 }
 
 (* Class signature: (via-spec membership, preference-ordered route
@@ -161,7 +144,6 @@ module Pipeline_cache = Hashtbl.Make (Pipeline_key)
 type caches = {
   fdd : Fdd.manager;
   fdd_pipelines : Fdd.t Pipeline_cache.t;
-  cls_pipelines : Classifier.t Pipeline_cache.t;
   head_fdds : (int, Fdd.t) Hashtbl.t;
       (* clause-head diagram per [spec_id]: group-independent, so every
          group of a clause reuses one diagram *)
@@ -189,7 +171,6 @@ let fresh_caches () =
   {
     fdd = Fdd.create ();
     fdd_pipelines = Pipeline_cache.create 64;
-    cls_pipelines = Pipeline_cache.create 64;
     head_fdds = Hashtbl.create 64;
     extracts = Hashtbl.create 64;
     bodies = Hashtbl.create 256;
@@ -237,8 +218,6 @@ type t = {
   mutable stats_ : stats;
   ospecs : ospec list;
   ospec_arr : ospec array;  (* [ospecs] indexed by [spec_id] *)
-  memoize : bool;
-  mode : [ `Fdd | `Crossproduct ];
   caches : caches;
   mutable next_group_id : int;
   mutable blocks_ : (provenance * int) list;
@@ -258,10 +237,8 @@ type t = {
      existing class instead of minting a VNH and re-emitting rules. *)
   class_intern : group Class_tbl.t;
   class_keys : (int, Class_key.t) Hashtbl.t;  (* the inverse, by group id *)
-  (* Every live block as last composed, for [rebuild] to lay out again;
-     kept only when [rebuildable] (an optimized, interned compile). *)
+  (* Every live block as last composed, for [rebuild] to lay out again. *)
   block_store : (block_key, Classifier.t) Hashtbl.t;
-  rebuildable : bool;
   (* The address every [Default] clause that rewrites [dst_ip] resolves
      through a Loc-RIB, the one route lookup a block makes outside its
      class key, with the participant whose inbound pipeline holds the
@@ -299,15 +276,15 @@ let time_extract t f =
   r
 
 (* [find key] through one of the caches, counting the hit, else [build
-   ()], remembered under [key]; with [memoize] off every call builds. *)
+   ()], remembered under [key]. *)
 let memo t ~find ~add key build =
-  match if t.memoize then find key else None with
+  match find key with
   | Some v ->
       t.caches.memo_hits <- t.caches.memo_hits + 1;
       v
   | None ->
       let v = build () in
-      if t.memoize then add key v;
+      add key v;
       v
 
 let provenance t = t.blocks_
@@ -353,14 +330,6 @@ let rec dst_restriction (p : Pred.t) : Prefix.t list option =
       | Some xs, Some ys -> Some (xs @ ys)
       | _ -> None)
   | Pred.True | Pred.False | Pred.Not _ -> None
-
-let restrict_set restriction set =
-  match restriction with
-  | None -> set
-  | Some allowed ->
-      Prefix.Set.filter
-        (fun p -> List.exists (fun a -> Prefix.overlaps p a) allowed)
-        set
 
 (* ------------------------------------------------------------------ *)
 (* Default-forwarding keys (pass 2 of the VNH computation, §4.2).      *)
@@ -531,13 +500,6 @@ let inbound_pipeline_ast config (receiver : Participant.t) ~default_deliver =
       Policy.if_ c.pred (inbound_action config receiver c) acc)
     receiver.inbound base
 
-let compiled_pipeline t config (receiver : Participant.t) ~default_deliver =
-  let c = t.caches.cls_pipelines in
-  memo t ~find:(Pipeline_cache.find_opt c) ~add:(Pipeline_cache.replace c)
-    (receiver.Participant.asn, default_deliver)
-    (fun () ->
-      Classifier.compile (inbound_pipeline_ast config receiver ~default_deliver))
-
 (* The same pipeline as a diagram in the compile's manager.  Cache hits
    here are what make the FDD path sub-linear in groups: every group of
    a clause [seq]s the same pipeline diagram, so the manager's memo
@@ -652,47 +614,27 @@ let clause_group_rules t config (spec : ospec) (g : group) =
         | Some (port, n) -> (
             let deliver = Some (deliver_mods Mods.identity port n) in
             t.caches.seq_ops <- t.caches.seq_ops + 1;
-            match t.mode with
-            | `Crossproduct ->
-                let head_pred =
-                  Pred.conj
-                    [
-                      in_ports_pred config spec.sender;
-                      spec.clause.pred;
-                      Pred.dst_mac g.vmac;
-                    ]
-                in
-                let head =
-                  Policy.seq
-                    [ Policy.filter head_pred; Policy.modify spec.clause.mods ]
-                in
-                let pipeline =
-                  compiled_pipeline t config via ~default_deliver:deliver
-                in
-                keep_forwards (Classifier.seq (Classifier.compile head) pipeline)
-            | `Fdd ->
-                (* The group-independent body (clause head composed with
-                   the via pipeline) is built and extracted once per run;
-                   the group's share is the VMAC slice of that
-                   classifier.  Restricting the input pattern commutes
-                   with the filter inside the diagram, so this is
-                   per-packet identical to composing the VMAC into the
-                   head. *)
-                let bodies = t.caches.bodies in
-                let body_cls =
-                  memo t ~find:(Hashtbl.find_opt bodies)
-                    ~add:(Hashtbl.replace bodies) (spec.spec_id, n)
-                    (fun () ->
-                      extract_cached t
-                        (time_build t (fun () ->
-                             let pipeline =
-                               pipeline_fdd t config via ~default_deliver:deliver
-                             in
-                             Fdd.seq t.caches.fdd (spec_head_fdd t config spec)
-                               pipeline)))
-                in
-                keep_forwards
-                  (Classifier.restrict (Pattern.make ~dst_mac:g.vmac ()) body_cls)))
+            (* The group-independent body (clause head composed with the
+               via pipeline) is built and extracted once per run; the
+               group's share is the VMAC slice of that classifier.
+               Restricting the input pattern commutes with the filter
+               inside the diagram, so this is per-packet identical to
+               composing the VMAC into the head. *)
+            let bodies = t.caches.bodies in
+            let body_cls =
+              memo t ~find:(Hashtbl.find_opt bodies)
+                ~add:(Hashtbl.replace bodies) (spec.spec_id, n)
+                (fun () ->
+                  extract_cached t
+                    (time_build t (fun () ->
+                         let pipeline =
+                           pipeline_fdd t config via ~default_deliver:deliver
+                         in
+                         Fdd.seq t.caches.fdd (spec_head_fdd t config spec)
+                           pipeline)))
+            in
+            keep_forwards
+              (Classifier.restrict (Pattern.make ~dst_mac:g.vmac ()) body_cls)))
     | None -> []
 
 (* Rules for outbound clauses that do not target a peer (Drop, Default
@@ -727,11 +669,8 @@ let clause_direct_rules t config (spec : ospec) =
     | Some act -> (
         t.caches.seq_ops <- t.caches.seq_ops + 1;
         let pol = Policy.seq [ Policy.filter head_pred; act ] in
-        match t.mode with
-        | `Crossproduct -> keep_forwards (Classifier.compile pol)
-        | `Fdd ->
-            let d = time_build t (fun () -> Fdd.of_policy t.caches.fdd pol) in
-            keep_forwards (time_extract t (fun () -> Fdd.to_classifier d)))
+        let d = time_build t (fun () -> Fdd.of_policy t.caches.fdd pol) in
+        keep_forwards (time_extract t (fun () -> Fdd.to_classifier d)))
 
 (* Default-forwarding rules for one group: traffic tagged with the
    group's VMAC runs through the next-hop participant's inbound pipeline
@@ -744,20 +683,18 @@ let clause_direct_rules t config (spec : ospec) =
    whose senders cannot emit tagged traffic at all (no resolvable next
    hop and no originator pipeline) are dropped outright. *)
 let group_default_rules t config (g : group) ~originator =
-  (* [patterns] is [pred] split into disjoint patterns (one per in-port
-     variant), so the FDD path can slice the owner's extracted pipeline
-     instead of re-walking its diagram per group. *)
-  let with_pipeline pred patterns owner ~deliver ~dport =
+  (* [patterns] is the block's predicate split into disjoint patterns
+     (one per in-port variant), so the block slices the owner's extracted
+     pipeline instead of re-walking its diagram per group.  The predicate
+     is no longer read but still built: the fast path composes default
+     blocks, and where the update loop's minor collections fall turns on
+     a few words of its allocation (EXPERIMENTS.md). *)
+  let with_pipeline _pred patterns owner ~deliver ~dport =
     t.caches.seq_ops <- t.caches.seq_ops + 1;
-    match t.mode with
-    | `Crossproduct ->
-        let pipeline = compiled_pipeline t config owner ~default_deliver:deliver in
-        keep_forwards (Classifier.seq (Classifier.compile_pred pred) pipeline)
-    | `Fdd ->
-        let pipe_cls = pipeline_cls t config owner ~default_deliver:deliver ~dport in
-        List.concat_map
-          (fun pat -> keep_forwards (Classifier.restrict pat pipe_cls))
-          patterns
+    let pipe_cls = pipeline_cls t config owner ~default_deliver:deliver ~dport in
+    List.concat_map
+      (fun pat -> keep_forwards (Classifier.restrict pat pipe_cls))
+      patterns
   in
   let block_for pred patterns nh_opt =
     match nh_opt with
@@ -826,17 +763,10 @@ let participant_untagged_rules t config (p : Participant.t) =
     let n = Config.switch_port config p.asn port.index in
     let deliver = Some (deliver_mods Mods.identity port n) in
     t.caches.seq_ops <- t.caches.seq_ops + 1;
-    match t.mode with
-    | `Crossproduct ->
-        let pipeline = compiled_pipeline t config p ~default_deliver:deliver in
-        keep_forwards
-          (Classifier.seq (Classifier.compile_pred (Pred.dst_mac port.mac)) pipeline)
-    | `Fdd ->
-        let pipe_cls =
-          pipeline_cls t config p ~default_deliver:deliver ~dport:(Some n)
-        in
-        keep_forwards
-          (Classifier.restrict (Pattern.make ~dst_mac:port.mac ()) pipe_cls)
+    let pipe_cls =
+      pipeline_cls t config p ~default_deliver:deliver ~dport:(Some n)
+    in
+    keep_forwards (Classifier.restrict (Pattern.make ~dst_mac:port.mac ()) pipe_cls)
   in
   List.concat_map per_port p.ports
 
@@ -866,11 +796,11 @@ let slot_provenance = function
   | Default_slot g -> Group_default { group = g.id }
   | Untagged_slot p -> Untagged { owner = p.asn }
 
-(* The optimized classifier's block order: for each outbound clause in
-   collection order, its block per covering class (classes in [groups]
-   order) or its one direct block; then each class's default block; then
-   each participant's untagged layer.  The catch-all follows. *)
-let slots t config ~groups ~groups_by_spec =
+(* The classifier's block order: for each outbound clause in collection
+   order, its block per covering class (classes in [groups] order) or its
+   one direct block; then each class's default block; then each
+   participant's untagged layer.  The catch-all follows. *)
+let layout t config ~groups ~groups_by_spec =
   List.concat_map
     (fun spec ->
       match spec.via with
@@ -903,7 +833,6 @@ let covering_groups t groups =
 (* Collecting outbound specs and originated prefixes.                  *)
 
 let collect_ospecs config =
-  let server = Config.server config in
   let next_id = ref 0 in
   let fresh_id () =
     let id = !next_id in
@@ -914,34 +843,22 @@ let collect_ospecs config =
     (fun (sender : Participant.t) ->
       List.map
         (fun (clause : Ppolicy.clause) ->
-          let restriction = dst_restriction clause.pred in
-          match clause.target with
-          | Ppolicy.Peer via ->
-              {
-                spec_id = fresh_id ();
-                sender;
-                clause;
-                via = Some via;
-                restriction;
-                prefix_set =
-                  lazy
-                    (restrict_set restriction
-                       (Prefix.Set.of_list
-                          (Route_server.reachable_prefixes server
-                             ~receiver:sender.asn ~via)));
-              }
-          | Ppolicy.Drop | Ppolicy.Default | Ppolicy.Phys _ | Ppolicy.Redirect _ ->
-              (* These clauses compile to rules matching the predicate
-                 directly rather than a VMAC tag, so they impose no
-                 prefix-group structure. *)
-              {
-                spec_id = fresh_id ();
-                sender;
-                clause;
-                via = None;
-                restriction;
-                prefix_set = lazy Prefix.Set.empty;
-              })
+          let via =
+            match clause.target with
+            | Ppolicy.Peer via -> Some via
+            | Ppolicy.Drop | Ppolicy.Default | Ppolicy.Phys _ | Ppolicy.Redirect _ ->
+                (* These clauses compile to rules matching the predicate
+                   directly rather than a VMAC tag, so they impose no
+                   prefix-group structure. *)
+                None
+          in
+          {
+            spec_id = fresh_id ();
+            sender;
+            clause;
+            via;
+            restriction = dst_restriction clause.pred;
+          })
         sender.outbound)
     (Config.participants config)
 
@@ -957,9 +874,8 @@ let originated_sets config =
 (* Group computation.                                                  *)
 
 (* Groups from a deterministic partition: cells arrive sorted by their
-   smallest member with members in prefix order, so positional ids and
-   [Vnh.fresh] draws land identically however the partition was
-   computed. *)
+   smallest member with members in prefix order, so ids are positional
+   and [Vnh.fresh] draws follow that order. *)
 let groups_of_keyed_parts keys vnh_alloc parts =
   List.mapi
     (fun id (key, prefixes) ->
@@ -967,42 +883,7 @@ let groups_of_keyed_parts keys vnh_alloc parts =
       { id; vnh; vmac; prefixes; default_variants = Default_keys.variants keys key })
     parts
 
-let groups_of_parts keys vnh_alloc parts =
-  groups_of_keyed_parts keys vnh_alloc
-    (List.map
-       (fun prefixes ->
-         (Default_keys.key_of_prefix keys (List.hd prefixes), prefixes))
-       parts)
-
-(* The pre-ISSUE-9 grouping, kept verbatim as the correctness oracle
-   (same role [compile_crossproduct] plays for composition): per-spec
-   reachability sets materialized eagerly, then the pairwise-signature
-   [Fec] partition. *)
-let compute_groups_naive config vnh_alloc ospecs =
-  let t_reach = Unix.gettimeofday () in
-  let keys = Default_keys.create config in
-  let origin_sets = List.map snd (originated_sets config) in
-  let sets = List.map (fun s -> Lazy.force s.prefix_set) ospecs @ origin_sets in
-  let reachability_s = Unix.gettimeofday () -. t_reach in
-  let t_group = Unix.gettimeofday () in
-  let parts =
-    Fec.partition ~sets ~default_key:(Default_keys.key_of_prefix keys)
-  in
-  let groups = groups_of_parts keys vnh_alloc parts in
-  (List.map (fun g -> (g, None)) groups, reachability_s,
-   Unix.gettimeofday () -. t_group)
-
-(* The naive partition alone (no VNH draws, no group records) — the
-   oracle the bench compares the interned pipeline's output against,
-   and the timing baseline for its speedup figure. *)
-let group_partition_naive config =
-  let ospecs = collect_ospecs config in
-  let keys = Default_keys.create config in
-  let origin_sets = List.map snd (originated_sets config) in
-  let sets = List.map (fun s -> Lazy.force s.prefix_set) ospecs @ origin_sets in
-  Fec.partition ~sets ~default_key:(Default_keys.key_of_prefix keys)
-
-(* --- The sub-linear pipeline (ISSUE 9). ---------------------------- *)
+(* --- The export-vector grouping. ------------------------------------ *)
 
 (* Reachability pass: sparse export vectors, produced per id band — for
    each via-spec id (and, in the band above [nspecs], each origin set),
@@ -1102,10 +983,9 @@ let export_vectors config ospecs =
    per-prefix sort, and the packed bitset is materialized once per
    distinct class, not per prefix.  Cells are keyed by (class id,
    default key id) and re-sorted by smallest member, so the output is
-   structurally identical to the naive partition.  [grouped] carries
-   each class's full set-bit list (via band and origin band): [compile]
-   seeds the incremental class table with it and band-filters the
-   per-spec view of covering classes. *)
+   deterministic.  [grouped] carries each class's full set-bit list (via
+   band and origin band): [compile] seeds the incremental class table
+   with it and band-filters the per-spec view of covering classes. *)
 let compute_groups_interned config vnh_alloc ospecs =
   let t_reach = Unix.gettimeofday () in
   let per_id = export_vectors config ospecs in
@@ -1125,52 +1005,45 @@ let compute_groups_interned config vnh_alloc ospecs =
     Array.fold_left (fun n members -> n + List.length members) 0 per_id
   in
   let packed = Array.make (max npairs 1) 0 in
-  profile_stage "grp.pivot" (fun () ->
-      let pos = ref 0 in
-      Array.iteri
-        (fun i members ->
-          List.iter
-            (fun (p : Prefix.t) ->
-              let pkey = (Ipv4.to_int p.Prefix.network lsl 6) lor p.Prefix.len in
-              packed.(!pos) <- (pkey lsl 24) lor i;
-              incr pos)
-            members)
-        per_id;
-      Array.sort (fun (a : int) b -> Int.compare a b) packed);
+  let pos = ref 0 in
+  Array.iteri
+    (fun i members ->
+      List.iter
+        (fun (p : Prefix.t) ->
+          let pkey = (Ipv4.to_int p.Prefix.network lsl 6) lor p.Prefix.len in
+          packed.(!pos) <- (pkey lsl 24) lor i;
+          incr pos)
+        members)
+    per_id;
+  Array.sort (fun (a : int) b -> Int.compare a b) packed;
   let interner = Interner.create ~expected:((npairs / 16) + 16) () in
   let cells : (int * int, Prefix.t list ref) Hashtbl.t = Hashtbl.create 4096 in
   let ids_of_class : (int, int list) Hashtbl.t = Hashtbl.create 1024 in
-  profile_stage "grp.scan" (fun () ->
-      let flush lo hi =
-        let pkey = packed.(lo) lsr 24 in
-        let prefix = Prefix.make (Ipv4.of_int (pkey lsr 6)) (pkey land 63) in
-        let rev_ids = ref [] in
-        for k = lo to hi - 1 do
-          rev_ids := (packed.(k) land 0xFFFFFF) :: !rev_ids
-        done;
-        let cls = Interner.intern_rev_sorted interner ~width !rev_ids in
-        if not (Hashtbl.mem ids_of_class cls.Interner.id) then
-          Hashtbl.add ids_of_class cls.Interner.id
-            cls.Interner.ids;
-        let key =
-          (cls.Interner.id, Default_keys.key_of_prefix keys prefix)
-        in
-        match Hashtbl.find_opt cells key with
-        | Some members -> members := prefix :: !members
-        | None -> Hashtbl.replace cells key (ref [ prefix ])
-      in
-      if npairs > 0 then begin
-        let run_start = ref 0 in
-        for k = 1 to npairs do
-          if k = npairs || packed.(k) lsr 24 <> packed.(!run_start) lsr 24
-          then begin
-            flush !run_start k;
-            run_start := k
-          end
-        done
-      end);
+  let flush lo hi =
+    let pkey = packed.(lo) lsr 24 in
+    let prefix = Prefix.make (Ipv4.of_int (pkey lsr 6)) (pkey land 63) in
+    let rev_ids = ref [] in
+    for k = lo to hi - 1 do
+      rev_ids := (packed.(k) land 0xFFFFFF) :: !rev_ids
+    done;
+    let cls = Interner.intern_rev_sorted interner ~width !rev_ids in
+    if not (Hashtbl.mem ids_of_class cls.Interner.id) then
+      Hashtbl.add ids_of_class cls.Interner.id cls.Interner.ids;
+    let key = (cls.Interner.id, Default_keys.key_of_prefix keys prefix) in
+    match Hashtbl.find_opt cells key with
+    | Some members -> members := prefix :: !members
+    | None -> Hashtbl.replace cells key (ref [ prefix ])
+  in
+  if npairs > 0 then begin
+    let run_start = ref 0 in
+    for k = 1 to npairs do
+      if k = npairs || packed.(k) lsr 24 <> packed.(!run_start) lsr 24 then begin
+        flush !run_start k;
+        run_start := k
+      end
+    done
+  end;
   let parts =
-    profile_stage "grp.parts" @@ fun () ->
     List.sort
       (fun (_, _, a) (_, _, b) ->
         match (a, b) with
@@ -1185,182 +1058,38 @@ let compute_groups_interned config vnh_alloc ospecs =
          cells [])
   in
   let groups =
-    profile_stage "grp.mint" @@ fun () ->
     groups_of_keyed_parts keys vnh_alloc
       (List.map (fun (_, key_id, members) -> (key_id, members)) parts)
   in
-  let grouped = List.map2 (fun (ids, _, _) g -> (g, Some ids)) parts groups in
+  let grouped = List.map2 (fun (ids, _, _) g -> (g, ids)) parts groups in
   (grouped, reachability_s, Unix.gettimeofday () -. t_group)
 
 (* ------------------------------------------------------------------ *)
-(* The optimized pipeline.                                             *)
+(* Composition.                                                        *)
 
 let drop_all_rule = Classifier.drop_all
 
-(* The optimized classifier is a concatenation of independent rule
-   blocks — one per (via-clause, group) pair, per direct clause, per
-   group default, per participant's untagged layer — each a function of
-   the config and route-server state, which stay fixed while they are
-   composed, concatenated in slot order. *)
-let build_optimized t config ~groups_by_spec =
-  let slots =
-    profile_stage "slots" (fun () ->
-        slots t config ~groups:t.groups_ ~groups_by_spec)
-  in
-  (if Lazy.force profile_on then
-     Printf.eprintf "[profile] blocks: %d over %d groups\n%!" (List.length slots)
-       (List.length t.groups_));
-  (* The composition stage is timed on its own: it is the stage the FDD
-     core replaces, so both engines report a comparable [compose_s] (see
-     the compile bench). *)
+(* The classifier is a concatenation of independent rule blocks — one
+   per (via-clause, group) pair, per direct clause, per group default,
+   per participant's untagged layer — each a function of the config and
+   route-server state, which stay fixed while they are composed,
+   concatenated in slot order.  Every block is stored for [rebuild]. *)
+let build_blocks t config ~groups_by_spec =
+  let slots = layout t config ~groups:t.groups_ ~groups_by_spec in
+  (* The composition stage is timed on its own: it is the stage the
+     cross-product reference compiler replaces, so both report a
+     comparable compose time (see the compile bench). *)
   let compose_t0 = Unix.gettimeofday () in
-  let blocks =
-    profile_stage "compose" (fun () -> List.map (compose_slot t config) slots)
-  in
-  if t.rebuildable then
-    List.iter2
-      (fun s rules -> Hashtbl.replace t.block_store (slot_key s) rules)
-      slots blocks;
+  let blocks = List.map (compose_slot t config) slots in
+  List.iter2
+    (fun s rules -> Hashtbl.replace t.block_store (slot_key s) rules)
+    slots blocks;
   let compose_s = Unix.gettimeofday () -. compose_t0 in
   let provs =
     List.map2 (fun s rules -> (slot_provenance s, List.length rules)) slots blocks
     @ [ (Catch_all, List.length drop_all_rule) ]
   in
   (List.concat blocks @ drop_all_rule, provs, compose_s)
-
-(* ------------------------------------------------------------------ *)
-(* The naive pipeline (ablation): literal Pyretic-style composition.   *)
-
-let build_naive t config =
-  let default_ast =
-    let group_terms =
-      List.concat_map
-        (fun g ->
-          let originator = originator_of config (List.hd g.prefixes) in
-          List.filter_map
-            (fun (nh_opt, receivers) ->
-              let pipeline =
-                match nh_opt with
-                | Some nh -> (
-                    match Config.port_of_next_hop config nh with
-                    | None -> None
-                    | Some (owner, port, n) ->
-                        Some
-                          (inbound_pipeline_ast config owner
-                             ~default_deliver:
-                               (Some (deliver_mods Mods.identity port n))))
-                | None ->
-                    Option.map
-                      (fun owner ->
-                        inbound_pipeline_ast config owner ~default_deliver:None)
-                      originator
-              in
-              (* Each variant only applies to the senders whose best route
-                 it is — without the pin, a packet would match every
-                 variant's term and be multicast. *)
-              let ports =
-                List.concat_map
-                  (fun asn -> Config.switch_ports_of config asn)
-                  receivers
-              in
-              Option.map
-                (fun pl ->
-                  Policy.seq
-                    [
-                      Policy.filter
-                        (Pred.and_ (Pred.any_of_ports ports) (Pred.dst_mac g.vmac));
-                      pl;
-                    ])
-                pipeline)
-            g.default_variants)
-        t.groups_
-    in
-    let port_terms =
-      List.concat_map
-        (fun (p : Participant.t) ->
-          List.map
-            (fun (port : Participant.port) ->
-              let n = Config.switch_port config p.asn port.index in
-              Policy.seq
-                [
-                  Policy.filter (Pred.dst_mac port.mac);
-                  inbound_pipeline_ast config p
-                    ~default_deliver:(Some (deliver_mods Mods.identity port n));
-                ])
-            p.ports)
-        (Config.participants config)
-    in
-    Policy.union (group_terms @ port_terms)
-  in
-  let sender_ast (sender : Participant.t) =
-    let peer_clause_action spec via_asn g =
-      let via = Config.participant config via_asn in
-      match delivery_port_for_via config via g.prefixes with
-      | None -> Policy.drop
-      | Some (port, n) ->
-          Policy.seq
-            [
-              Policy.modify spec.clause.mods;
-              inbound_pipeline_ast config via
-                ~default_deliver:(Some (deliver_mods Mods.identity port n));
-            ]
-    in
-    (* Direct clauses (drop, own port, rewrite-and-default, middlebox
-       steering) match the predicate itself, with no VMAC involved. *)
-    let direct_clause_action spec =
-      match spec.clause.target with
-      | Ppolicy.Drop ->
-          Policy.modify
-            (Mods.then_ spec.clause.mods (Mods.make ~port:blackhole_port ()))
-      | Ppolicy.Phys k ->
-          let port = Participant.port sender k in
-          let n = Config.switch_port config sender.asn k in
-          Policy.modify (deliver_mods spec.clause.mods port n)
-      | Ppolicy.Redirect mbox ->
-          Policy.modify (redirect_mods config spec.clause.mods mbox)
-      | Ppolicy.Default -> (
-          match resolve_default config ~receiver:sender.asn spec.clause.mods with
-          | Some m -> Policy.modify m
-          | None ->
-              Policy.modify
-                (Mods.then_ spec.clause.mods (Mods.make ~port:blackhole_port ())))
-      | Ppolicy.Peer _ -> Policy.drop
-    in
-    let specs =
-      List.filter (fun s -> Asn.equal s.sender.Participant.asn sender.asn) t.ospecs
-    in
-    let chain =
-      List.fold_right
-        (fun spec acc ->
-          match spec.via with
-          | Some via_asn ->
-              let groups =
-                List.filter
-                  (fun g ->
-                    Prefix.Set.mem (List.hd g.prefixes)
-                      (Lazy.force spec.prefix_set))
-                  t.groups_
-              in
-              List.fold_right
-                (fun g acc ->
-                  Policy.if_
-                    (Pred.and_ spec.clause.pred (Pred.dst_mac g.vmac))
-                    (peer_clause_action spec via_asn g)
-                    acc)
-                groups acc
-          | None ->
-              Policy.if_ spec.clause.pred (direct_clause_action spec) acc)
-        specs default_ast
-    in
-    Policy.seq [ Policy.filter (in_ports_pred config sender); chain ]
-  in
-  let terms =
-    List.filter_map
-      (fun (p : Participant.t) ->
-        if Participant.is_remote p then None else Some (sender_ast p))
-      (Config.participants config)
-  in
-  Classifier.compile (Policy.union terms)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1374,44 +1103,37 @@ let register_arp t config =
         p.ports)
     (Config.participants config)
 
-let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
-    ?(grouping = `Interned) config vnh_alloc =
+let compile config vnh_alloc =
   let t0 = Unix.gettimeofday () in
-  let ospecs = profile_stage "ospecs" (fun () -> collect_ospecs config) in
+  let ospecs = collect_ospecs config in
   let grouped, reachability_s, group_s =
-    profile_stage "groups" (fun () ->
-        match grouping with
-        | `Interned -> compute_groups_interned config vnh_alloc ospecs
-        | `Naive -> compute_groups_naive config vnh_alloc ospecs)
+    compute_groups_interned config vnh_alloc ospecs
   in
   let groups_ = List.map fst grouped in
   let by_prefix = Hashtbl.create 1024 in
   List.iter
     (fun g -> List.iter (fun p -> Hashtbl.replace by_prefix p g) g.prefixes)
     groups_;
-  (* Interned grouping leaves its class signatures behind: the canonical
-     class table the incremental fast path migrates into, keyed on the
-     full set-bit list plus default fingerprint, and its inverse. *)
+  (* The grouping leaves its class signatures behind: the canonical class
+     table the incremental fast path migrates into, keyed on the full
+     set-bit list plus default fingerprint, and its inverse. *)
   let class_intern = Class_tbl.create 1024 in
   let class_keys = Hashtbl.create 1024 in
-  (match grouping with
-  | `Naive -> ()
-  | `Interned ->
-      let server = Config.server config in
-      List.iter
-        (fun (g, mem) ->
-          (* Every member of a cell shares one fingerprint id, so the
-             head's fingerprint is the class's. *)
-          let head = List.hd g.prefixes in
-          let fp =
-            List.map
-              (fun (r : Route.t) -> (r.learned_from, r.next_hop))
-              (Route_server.ranked server head)
-          in
-          let key = (Option.value mem ~default:[], fp) in
-          Class_tbl.replace class_intern key g;
-          Hashtbl.replace class_keys g.id key)
-        grouped);
+  let server = Config.server config in
+  List.iter
+    (fun (g, ids) ->
+      (* Every member of a cell shares one fingerprint id, so the head's
+         fingerprint is the class's. *)
+      let head = List.hd g.prefixes in
+      let fp =
+        List.map
+          (fun (r : Route.t) -> (r.learned_from, r.next_hop))
+          (Route_server.ranked server head)
+      in
+      let key = (ids, fp) in
+      Class_tbl.replace class_intern key g;
+      Hashtbl.replace class_keys g.id key)
+    grouped;
   let default_rewrites =
     List.concat_map
       (fun (p : Participant.t) ->
@@ -1435,8 +1157,6 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
       stats_ = zero_stats;
       ospecs;
       ospec_arr = Array.of_list ospecs;
-      memoize;
-      mode = ir;
       caches = fresh_caches ();
       next_group_id = List.length groups_;
       blocks_ = [];
@@ -1445,31 +1165,11 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
       class_intern;
       class_keys;
       block_store = Hashtbl.create 1024;
-      rebuildable = optimized && grouping = `Interned;
       default_rewrites;
     }
   in
-  let groups_by_spec =
-    match grouping with
-    | `Interned -> covering_groups t groups_
-    | `Naive ->
-        (* Naive grouping left no class signatures behind; fall back to
-           the eager per-spec reachability sets. *)
-        fun spec ->
-          List.filter
-            (fun g ->
-              Prefix.Set.mem (List.hd g.prefixes) (Lazy.force spec.prefix_set))
-            groups_
-  in
   let classifier, blocks, compose_s =
-    if optimized then
-      profile_stage "blocks" (fun () -> build_optimized t config ~groups_by_spec)
-    else begin
-      let t0 = Unix.gettimeofday () in
-      let c = build_naive t config in
-      let dt = Unix.gettimeofday () -. t0 in
-      (c, [ (Unattributed, Classifier.rule_count c) ], dt)
-    end
+    build_blocks t config ~groups_by_spec:(covering_groups t groups_)
   in
   register_arp t config;
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -1509,17 +1209,18 @@ let compile ?(optimized = true) ?(memoize = true) ?(ir = `Fdd)
       [
         ("rules", string_of_int stats.rule_count);
         ("groups", string_of_int stats.group_count);
-        ("mode", if optimized then "optimized" else "naive");
-        ("ir", match ir with `Fdd -> "fdd" | `Crossproduct -> "crossproduct");
       ]
     ();
   t
 
-(* The pre-FDD composition pipeline, kept verbatim as the correctness
-   oracle: same blocks, but every composition is a classifier
-   cross-product. *)
-let compile_crossproduct ?optimized ?memoize ?grouping config vnh_alloc =
-  compile ?optimized ?memoize ~ir:`Crossproduct ?grouping config vnh_alloc
+(* What a reference compiler reads: the collection, the blocks the last
+   build laid out, and the grouping's default keys. *)
+let clauses t = t.ospecs
+
+let slots t config =
+  layout t config ~groups:t.groups_ ~groups_by_spec:(covering_groups t t.groups_)
+
+let default_keys config = Default_keys.key_of_prefix (Default_keys.create config)
 
 let estimate_with_group_cost t cost_of_group =
   let cost_of_vmac = Hashtbl.create 64 in
@@ -1999,7 +1700,6 @@ let default_owners config g =
 let forget_pipelines t stale =
   let keep_owner (owner, _) v = if stale owner then None else Some v in
   Pipeline_cache.filter_map_inplace keep_owner t.caches.fdd_pipelines;
-  Pipeline_cache.filter_map_inplace keep_owner t.caches.cls_pipelines;
   Hashtbl.filter_map_inplace keep_owner t.caches.pipes;
   Hashtbl.filter_map_inplace
     (fun (spec_id, _) v ->
@@ -2019,8 +1719,6 @@ let forget_pipelines t stale =
    touched prefix covers the address.  Every other live block is laid
    out as stored. *)
 let rebuild t config vnh_alloc ~touched =
-  if not t.rebuildable then
-    invalid_arg "Compile.rebuild: needs an optimized, interned compile";
   let t0 = Unix.gettimeofday () in
   let c = t.caches in
   let seq0 = c.seq_ops
@@ -2137,7 +1835,7 @@ let rebuild t config vnh_alloc ~touched =
             let rules = compose_slot t config s in
             Hashtbl.replace t.block_store key rules;
             (s, rules))
-      (slots t config ~groups ~groups_by_spec:(covering_groups t groups))
+      (layout t config ~groups ~groups_by_spec:(covering_groups t groups))
   in
   let compose_s = Unix.gettimeofday () -. compose_t0 in
   let classifier = List.concat_map snd blocks @ drop_all_rule in

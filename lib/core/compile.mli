@@ -37,22 +37,19 @@ type stats = {
   elapsed_s : float;  (** wall-clock compilation time *)
   compose_s : float;
       (** wall-clock of the composition stage alone: building the rule
-          blocks.  This is the stage the two [ir]
-          engines implement differently (group computation, reachability
-          collection, and ARP registration are engine-independent), so
-          FDD-vs-crossproduct comparisons divide these *)
+          blocks.  This is the stage a reference compiler composing the
+          same blocks differently replaces (group computation,
+          reachability collection, and ARP registration are shared), so
+          comparisons with it divide these *)
   reachability_s : float;
       (** wall-clock of the per-prefix export-vector (reachability)
-          pass — under naive grouping, of forcing the per-spec
-          reachability sets *)
+          pass *)
   group_s : float;
       (** wall-clock of the grouping pass proper (vector interning and
-          VNH assignment, or the [Fec] partition) *)
-  seq_ops : int;  (** sequential compositions performed (either IR) *)
+          VNH assignment) *)
+  seq_ops : int;  (** sequential compositions performed *)
   memo_hits : int;  (** §4.3: reuses of a cached pipeline compilation *)
-  fdd_build_s : float;
-      (** wall-clock constructing diagrams (zero in crossproduct/naive
-          mode, like every field below) *)
+  fdd_build_s : float;  (** wall-clock constructing diagrams *)
   fdd_extract_s : float;
       (** wall-clock extracting classifiers from diagrams *)
   fdd_nodes : int;  (** nodes in the compile's one FDD manager *)
@@ -71,68 +68,26 @@ type provenance =
   | Untagged of { owner : Asn.t }
       (** MAC-learning layer for [owner]'s real interface MACs *)
   | Catch_all  (** the final drop-all rule *)
-  | Unattributed  (** naive (ablation) build — no per-rule origin *)
+  | Unattributed
+      (** no block claims the rule: never produced by a compile; the
+          checker marks rules its provenance blocks fail to cover with
+          it *)
 
 val pp_provenance : Format.formatter -> provenance -> unit
 
 type t
 
-val compile :
-  ?optimized:bool ->
-  ?memoize:bool ->
-  ?ir:[ `Fdd | `Crossproduct ] ->
-  ?grouping:[ `Interned | `Naive ] ->
-  Config.t ->
-  Vnh.t ->
-  t
-(** Runs the full pipeline on the calling domain, building every block
-    in one FDD manager.  [optimized] (default true) enables the
+val compile : Config.t -> Vnh.t -> t
+(** Runs the full pipeline on the calling domain: groups the prefixes by
+    interning each one's export vector into canonical FEC classes (one
+    scan of each diversion target's Adj-RIB-in serves all of its
+    clauses), then builds every rule block in one FDD manager with the
     §4.3.1 optimizations — composing only participants that exchange
     traffic, exploiting policy disjointness, and memoizing repeated
-    sub-compilations; [false] compiles the literal
-    [(P1 + ... + Pn) >> (P1 + ... + Pn)] composition through the policy
-    compiler, for the ablation benchmark.  [memoize] (default true)
-    isolates just the sub-compilation cache ("the SDX controller
-    memoizes all the intermediate compilation results"), so its
-    contribution can be measured separately.
-
-    [ir] selects the composition engine of the optimized path: [`Fdd]
-    (the default) builds hash-consed forwarding decision diagrams per
-    block and extracts a priority-ordered classifier at the end;
-    [`Crossproduct] is the pre-FDD classifier algebra, kept as the
-    correctness oracle (see {!compile_crossproduct}).  Both produce
-    per-packet-identical classifiers; block boundaries and provenance
-    are the same.
-
-    [grouping] selects the prefix-grouping pipeline: [`Interned] (the
-    default) builds one packed export vector per prefix and groups by
-    interning equal vectors into canonical FEC classes — sub-linear in
-    (specs x prefixes) because each diversion target's Adj-RIB-in is
-    scanned once for all of its clauses; [`Naive] is the pre-ISSUE-9
-    per-spec reachability materialization plus pairwise-signature
-    partition, kept as the grouping oracle.  Both produce structurally
-    identical groups (same ids, members, VNHs, variants), but only
-    [`Interned] seeds the class table the incremental fast path
-    migrates prefixes through, and (with [optimized]) keeps the blocks
+    sub-compilations — and extracts a priority-ordered classifier.  The
+    class table it leaves behind is what the incremental fast path
+    migrates prefixes through, and its stored blocks are what
     {!rebuild} lays out again. *)
-
-val compile_crossproduct :
-  ?optimized:bool ->
-  ?memoize:bool ->
-  ?grouping:[ `Interned | `Naive ] ->
-  Config.t ->
-  Vnh.t ->
-  t
-(** [compile ~ir:`Crossproduct]: the sequential cross-product engine the
-    FDD core is benchmarked (and property-tested) against. *)
-
-val group_partition_naive : Config.t -> Prefix.t list list
-(** The naive grouping pipeline's partition alone (per-spec reachability
-    sets + pairwise-signature [Fec] partition), with no VNH draws or
-    group records: members sorted by prefix, cells sorted by smallest
-    member.  The oracle the bench compares
-    [List.map (fun g -> g.prefixes) (groups t)] against, and the timing
-    baseline for the grouping speedup. *)
 
 val classifier : t -> Classifier.t
 val groups : t -> group list
@@ -274,9 +229,8 @@ val rebuild : t -> Config.t -> Vnh.t -> touched:Prefix.t list -> stats
     fresh {!compile} of the same route-server state up to renaming group
     ids, VNHs and VMACs; a class that survives keeps its VNH, VMAC and
     ARP binding.  The returned stats (also {!stats}) describe this
-    rebuild alone.
-    @raise Invalid_argument unless [t] came from an optimized, interned
-    {!compile}.
+    rebuild alone.  Every compile can be rebuilt, a compile made by a
+    policy change included.
     @raise Failure when the pool cannot hold every class, as {!compile}
     would. *)
 
@@ -284,3 +238,75 @@ val rewrites_into : t -> Prefix.t list -> bool
 (** Whether a [Default] clause rewrites a destination into one of these
     prefixes: a best-route change there moves where that clause
     delivers, which only {!rebuild} (or {!compile}) recomposes. *)
+
+(** {2 What a reference compiler reads}
+
+    The blocks a build laid out and the pure helpers it composes them
+    from, exported so that a reference compiler (the [sdx_oracle]
+    library that tests and benchmarks link) can compose the same blocks
+    another way and compare.  Nothing in the program calls these. *)
+
+type ospec = private {
+  spec_id : int;
+      (** position in the collection: every participant's outbound
+          clauses, participants in configuration order *)
+  sender : Participant.t;
+  clause : Ppolicy.clause;
+  via : Asn.t option;  (** the [fwd(AS)] target; [None] for a direct clause *)
+  restriction : Prefix.t list option;  (** {!dst_restriction} of the predicate *)
+}
+(** One collected outbound clause. *)
+
+(** One rule block, named by its inputs. *)
+type slot =
+  | Via_slot of ospec * group  (** a via-clause applied to one class *)
+  | Direct_slot of ospec  (** a clause that matches its predicate directly *)
+  | Default_slot of group  (** one class's default forwarding *)
+  | Untagged_slot of Participant.t  (** one participant's MAC-learning layer *)
+
+val clauses : t -> ospec list
+(** Every outbound clause, in collection order. *)
+
+val slots : t -> Config.t -> slot list
+(** The blocks of {!classifier} in classifier order, the catch-all
+    excluded: for each clause in collection order its block per covering
+    class (classes in {!groups} order) or its one direct block, then
+    each class's default block, then each participant's untagged layer.
+    They pair one to one with {!provenance}.  Read them after {!compile}
+    or {!rebuild}: the fast path moves members between classes without
+    laying the base classifier out again. *)
+
+val default_keys : Config.t -> Prefix.t -> int
+(** A fresh numbering of default-forwarding fingerprints, as the grouping
+    keys its cells: two prefixes get one number iff their
+    preference-ordered (advertiser, next hop) candidate lists are equal.
+    Numbers are handed out in first-asked order. *)
+
+val dst_restriction : Pred.t -> Prefix.t list option
+(** [Some ps] when the predicate implies the destination address lies
+    inside one of [ps]; [None] when no destination constraint could be
+    extracted. *)
+
+val deliver_mods : Mods.t -> Participant.port -> int -> Mods.t
+(** [deliver_mods extra port n]: [extra], then rewrite the destination
+    MAC to [port]'s and forward on switch port [n]. *)
+
+val delivery_port_for_via :
+  Config.t -> Participant.t -> Prefix.t list -> (Participant.port * int) option
+(** The port (and its switch port) on which a via delivers a class with
+    these members: the next hop of the first member's route the via
+    announced, else the via's first port. *)
+
+val resolve_default : Config.t -> receiver:Asn.t -> Mods.t -> Mods.t option
+(** A [Default] clause's delivery: the rewritten destination address
+    looked up in [receiver]'s Loc-RIB, delivered on the chosen route's
+    port; [None] without a rewrite or a resolvable route. *)
+
+val redirect_mods : Config.t -> Mods.t -> Asn.t -> Mods.t
+(** Delivery to a middlebox participant's first port. *)
+
+val inbound_pipeline_ast :
+  Config.t -> Participant.t -> default_deliver:Mods.t option -> Policy.t
+(** A participant's inbound clauses as an [if_]-chain falling through to
+    [default_deliver] (a blackhole forward when [None]).  Drops are
+    forwards to {!blackhole_port}. *)

@@ -5,7 +5,6 @@ open Sdx_bgp
 type t = {
   mutable config : Config.t;
   vnh : Vnh.t;
-  optimized : bool;
   mutable compiled : Compile.t;
   (* Fast-path rule blocks, most recent first, each with the stable
      switch priority of its lowest rule and the provenance of its rules.
@@ -155,16 +154,14 @@ let set_check_hook f = check_hook := f
 let run_check_hook t =
   match !check_hook with None -> () | Some f -> f t
 
-let create ?(optimized = true) ?rpki ?vnh_pool
-    ?(extras_ceiling = extras_ceiling) config =
+let create ?rpki ?vnh_pool ?(extras_ceiling = extras_ceiling) config =
   let rejected = announce_originated ?rpki config in
   let vnh = Vnh.create ?pool:vnh_pool () in
-  let compiled = Compile.compile ~optimized config vnh in
+  let compiled = Compile.compile config vnh in
   let t =
     {
       config;
       vnh;
-      optimized;
       compiled;
       extras = [];
       rejected;
@@ -237,20 +234,17 @@ let background_stage t build =
   stats
 
 (* A from-scratch compile over a reset VNH pool: the initial build's
-   pipeline, for policy changes, compiler failures and the unoptimized
-   ablation. *)
+   pipeline, for policy changes and compiler failures. *)
 let full_recompile t =
   background_stage t (fun () ->
       Vnh.reset t.vnh;
-      t.compiled <- Compile.compile ~optimized:t.optimized t.config t.vnh;
+      t.compiled <- Compile.compile t.config t.vnh;
       Compile.stats t.compiled)
 
 let reoptimize t =
-  if not t.optimized then full_recompile t
-  else
-    background_stage t (fun () ->
-        Compile.rebuild t.compiled t.config t.vnh
-          ~touched:(Hashtbl.fold (fun p () acc -> p :: acc) t.touched []))
+  background_stage t (fun () ->
+      Compile.rebuild t.compiled t.config t.vnh
+        ~touched:(Hashtbl.fold (fun p () acc -> p :: acc) t.touched []))
 
 let rec flows t =
   let base_cls = Compile.classifier t.compiled in

@@ -14,7 +14,6 @@ open Sdx_bgp
 type t
 
 val create :
-  ?optimized:bool ->
   ?rpki:Rpki.t ->
   ?vnh_pool:Prefix.t ->
   ?extras_ceiling:int ->
@@ -177,8 +176,7 @@ val reoptimize : t -> Compile.stats
     The base classifier equals a fresh {!Compile.compile} of the same
     route-server state up to renaming group ids, VNHs and VMACs, and a
     class that survives keeps its VNH and VMAC.  Returns the rebuild's
-    own stats.  A runtime created with [~optimized:false] recompiles
-    from scratch instead. *)
+    own stats. *)
 
 val set_policies :
   t -> Asn.t -> inbound:Ppolicy.t -> outbound:Ppolicy.t -> Compile.stats

@@ -456,9 +456,10 @@ let test_peer_garbage_tears_down () =
     (Result.is_error (Peer.feed a (Bytes.make 19 '\000')));
   check_bool "idle after garbage" true (Peer.state a = Fsm.Idle)
 
-(* Garbage tears a session down together with its transport; a
-   reconnect starts on a fresh byte stream, so the session comes back
-   and carries UPDATEs again. *)
+(* Garbage tears a session down together with its transport, after
+   queueing the NOTIFICATION it calls for (1/2: the declared length is
+   below 19); a reconnect starts on a fresh byte stream, so the session
+   comes back and carries UPDATEs again. *)
 let test_peer_reconnects_after_garbage () =
   let a = mk_peer ~local_asn:(asn 64512) ~local_id:"10.0.0.1" ~remote_asn:(asn 2) in
   let b = mk_peer ~local_asn:(asn 2) ~local_id:"10.0.0.2" ~remote_asn:(asn 64512) in
@@ -469,7 +470,10 @@ let test_peer_reconnects_after_garbage () =
     (fun p ->
       check_bool "garbage rejected" true
         (Result.is_error (Peer.feed p (Bytes.make 19 '\000')));
-      check_bool "idle after garbage" true (Peer.state p = Fsm.Idle))
+      check_bool "idle after garbage" true (Peer.state p = Fsm.Idle);
+      check_bool "exactly one NOTIFICATION 1/2" true
+        (List.map Wire.decode (Peer.pending_output p)
+        = [ Ok (Wire.Notification { code = 1; subcode = 2 }) ]))
     [ a; b ];
   Peer.connect a;
   Peer.connect b;
@@ -1090,7 +1094,7 @@ let test_wire_update_roundtrip () =
           check_bool "learned from session peer" true
             (Asn.equal r'.learned_from (asn 100))
       | _ -> Alcotest.fail "expected one announce")
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e.reason
 
 let test_wire_withdraw_roundtrip () =
   let msg = Wire.of_update (Update.withdraw ~peer:(asn 100) (pfx "20.0.0.0/16")) in
@@ -1101,7 +1105,7 @@ let test_wire_withdraw_roundtrip () =
           check_bool "prefix" true (Prefix.equal prefix (pfx "20.0.0.0/16"));
           check_bool "peer" true (Asn.equal peer (asn 100))
       | _ -> Alcotest.fail "expected one withdraw")
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e.reason
 
 let test_wire_as_trans () =
   (* A 4-byte AS number falls back to AS_TRANS on the wire. *)
@@ -1119,6 +1123,53 @@ let test_wire_rejects_garbage () =
   let truncated = Wire.encode Wire.Keepalive in
   Bytes.set_uint8 truncated 17 99 (* lie about the length *);
   check_bool "length mismatch" true (Result.is_error (Wire.decode truncated))
+
+(* Each decode error carries the NOTIFICATION code and subcode RFC 4271
+   §6 assigns it.  Offsets in the announcement: ORIGIN's length and
+   value at 25-26, AS_PATH's segment type at 30, and the NLRI (a /16:
+   a length byte and two address bytes) at the end. *)
+let test_wire_error_codes () =
+  let announce =
+    Wire.encode
+      (Wire.of_update
+         (Update.announce
+            (route ~prefix:(pfx "20.0.0.0/16") ~learned_from:(asn 100) ())))
+  in
+  let edit base f =
+    let b = Bytes.copy base in
+    f b;
+    b
+  in
+  let expect name (code, subcode) data =
+    match Wire.decode data with
+    | Ok _ -> Alcotest.failf "%s: decoded" name
+    | Error (e : Wire.error) ->
+        Alcotest.(check (pair int int)) name (code, subcode) (e.code, e.subcode)
+  in
+  let keepalive = Wire.encode Wire.Keepalive in
+  let opn =
+    Wire.encode (Wire.Open { asn = asn 1; hold_time = 90; bgp_id = ip "10.0.0.1" })
+  in
+  expect "bad marker" (1, 1) (Bytes.make 19 '\000');
+  expect "shorter than a header" (1, 2) (Bytes.make 5 '\xff');
+  expect "declared length below 19" (1, 2)
+    (edit keepalive (fun b -> Bytes.set_uint16_be b 16 18));
+  expect "unknown type" (1, 3) (edit keepalive (fun b -> Bytes.set_uint8 b 18 9));
+  expect "OPEN too short for its type" (1, 2)
+    (edit keepalive (fun b -> Bytes.set_uint8 b 18 1));
+  expect "unsupported version" (2, 1) (edit opn (fun b -> Bytes.set_uint8 b 19 3));
+  expect "truncated UPDATE" (3, 1)
+    (edit (Bytes.sub announce 0 (Bytes.length announce - 1)) (fun b ->
+         Bytes.set_uint16_be b 16 (Bytes.length b)));
+  expect "attribute overrun" (3, 1) (edit announce (fun b -> Bytes.set_uint8 b 25 200));
+  expect "attribute length mismatch" (3, 5)
+    (edit announce (fun b -> Bytes.set_uint8 b 25 2));
+  expect "bad ORIGIN" (3, 6) (edit announce (fun b -> Bytes.set_uint8 b 26 7));
+  expect "prefix length above 32" (3, 10)
+    (edit announce (fun b -> Bytes.set_uint8 b (Bytes.length b - 3) 33));
+  expect "AS_PATH segment type" (3, 11) (edit announce (fun b -> Bytes.set_uint8 b 30 1));
+  expect "NLRI without NEXT_HOP" (3, 3)
+    (Wire.encode (Wire.Update { withdrawn = []; attrs = None; nlri = [ pfx "20.0.0.0/16" ] }))
 
 let gen_wire_route =
   let open QCheck2.Gen in
@@ -1374,6 +1425,7 @@ let () =
           Alcotest.test_case "withdraw roundtrip" `Quick test_wire_withdraw_roundtrip;
           Alcotest.test_case "as-trans" `Quick test_wire_as_trans;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
+          Alcotest.test_case "error codes" `Quick test_wire_error_codes;
         ]
         @ qsuite [ prop_wire_update_roundtrip; prop_wire_never_crashes ] );
       ( "fsm",

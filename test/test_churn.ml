@@ -165,7 +165,7 @@ let test_burst_survives_exhausted_pool () =
 
 (* ------------------------------------------------------------------ *)
 (* Interned grouping: class migration, retirement, and the naive
-   oracle (ISSUE 9).                                                   *)
+   oracle.                                                             *)
 
 (* Withdrawing B's p3 route leaves p3 with exactly p4's signature (only
    C announces it, same candidate fingerprint), so the fast path must
@@ -287,8 +287,11 @@ let test_secondary_originator_classes_stay_distinct () =
 
 (* The interned export-vector pipeline must produce the same partition
    as the naive oracle (per-spec reachability sets + pairwise Fec
-   partition), and the same classifier when compiled under either
-   grouping, on randomly churned RIBs. *)
+   partition) on randomly churned RIBs.  With equal partitions, the one
+   input on which the classifiers composed over either grouping could
+   differ is each via-clause's covering: its via blocks must name
+   exactly the groups inside the clause's naive reachable set, in group
+   order. *)
 let prop_interned_matches_naive =
   QCheck.Test.make ~count:25
     ~name:"interned grouping = naive oracle on random churned RIBs"
@@ -308,20 +311,48 @@ let prop_interned_matches_naive =
           (fun (g : Compile.group) -> g.Compile.prefixes)
           (Compile.groups interned)
       in
-      let naive_parts = Compile.group_partition_naive w.Workload.config in
+      let naive_parts = Sdx_oracle.Naive.partition w.Workload.config in
       if parts <> naive_parts then
         QCheck.Test.fail_reportf
           "seed %d (%d participants, %d prefixes): interned partition (%d \
            cells) differs from the naive oracle (%d cells)"
           seed participants prefixes (List.length parts)
           (List.length naive_parts);
-      let naive =
-        Compile.compile ~grouping:`Naive w.Workload.config (Vnh.create ())
-      in
-      if Compile.classifier interned <> Compile.classifier naive then
-        QCheck.Test.fail_reportf
-          "seed %d: classifiers differ between `Interned and `Naive grouping"
-          seed;
+      let covering = Hashtbl.create 64 in
+      List.iter
+        (function
+          | Compile.Via_slot (spec, g) ->
+              Hashtbl.replace covering spec.Compile.spec_id
+                (g.Compile.id
+                :: Option.value (Hashtbl.find_opt covering spec.spec_id) ~default:[])
+          | Compile.Direct_slot _ | Compile.Default_slot _ | Compile.Untagged_slot _ -> ())
+        (Compile.slots interned w.Workload.config);
+      List.iter
+        (fun (spec : Compile.ospec) ->
+          match spec.via with
+          | None -> ()
+          | Some via ->
+              let reach =
+                Sdx_oracle.Naive.reachable w.Workload.config ~sender:spec.sender ~via
+                  spec.clause
+              in
+              let expected =
+                List.filter_map
+                  (fun (g : Compile.group) ->
+                    if List.for_all (fun p -> Prefix.Set.mem p reach) g.prefixes then
+                      Some g.id
+                    else None)
+                  (Compile.groups interned)
+              in
+              let laid_out =
+                List.rev (Option.value (Hashtbl.find_opt covering spec.spec_id) ~default:[])
+              in
+              if laid_out <> expected then
+                QCheck.Test.fail_reportf
+                  "seed %d: clause %d's via blocks cover %d groups, its naive \
+                   reachable set %d"
+                  seed spec.spec_id (List.length laid_out) (List.length expected))
+        (Compile.clauses interned);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -601,6 +632,27 @@ let random_bursts rng (w : Workload.t) ~rewrite_target =
       else [ [ Sdx_bgp.Update.withdraw ~peer:(asn i) rewrite_target ] ]
   | _ -> [ Workload.burst rng w ~size:(1 + Rng.int rng 4) ]
 
+(* The participant with the most outbound clauses, and two fixed sets
+   for them to swap between: its own, and all but the first in reverse
+   order, which drops a clause, re-ranks the rest and renumbers every
+   clause collected after them. *)
+let policy_swap (w : Workload.t) =
+  match Config.participants w.config with
+  | [] -> invalid_arg "policy_swap: no participants"
+  | first :: rest ->
+      let p =
+        List.fold_left
+          (fun (best : Participant.t) (p : Participant.t) ->
+            if List.length p.outbound > List.length best.outbound then p else best)
+          first rest
+      in
+      let trimmed = match p.outbound with [] -> [] | _ :: tl -> List.rev tl in
+      (p, [| p.outbound; trimmed |])
+
+(* Bursts, policy changes and re-optimizations at random points; after
+   each re-optimization the state equals a fresh compile.  A policy
+   change is a full recompile, so the next re-optimization rebuilds
+   from one. *)
 let prop_rebuild_matches_fresh_compile =
   QCheck.Test.make ~count:15
     ~name:"re-optimization equals a fresh compile up to renaming"
@@ -609,10 +661,18 @@ let prop_rebuild_matches_fresh_compile =
       let rng = Rng.create ~seed in
       let w, rewrite_target = rewrite_exchange rng in
       let runtime = Runtime.create w.config in
+      let swapper, outbound_sets = policy_swap w in
+      let installed = ref 0 in
       for step = 1 to 40 do
         List.iter
           (fun burst -> ignore (Runtime.handle_burst runtime burst))
           (random_bursts rng w ~rewrite_target);
+        if Rng.int rng 8 = 0 then begin
+          installed := 1 - !installed;
+          ignore
+            (Runtime.set_policies runtime swapper.asn ~inbound:swapper.inbound
+               ~outbound:outbound_sets.(!installed))
+        end;
         if Rng.int rng 4 = 0 || step = 40 then begin
           ignore (Runtime.reoptimize runtime);
           match rebuild_mismatch runtime with

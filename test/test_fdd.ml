@@ -295,16 +295,10 @@ let test_workload_equivalence () =
   let w =
     Workload.build rng ~participants:40 ~prefixes:300 ~transit_picks:2 ()
   in
-  let fdd_t =
-    Sdx_core.Compile.compile ~ir:`Fdd w.Workload.config
-      (Sdx_core.Vnh.create ())
-  in
-  let cp_t =
-    Sdx_core.Compile.compile_crossproduct w.Workload.config
-      (Sdx_core.Vnh.create ())
-  in
+  let fdd_t = Sdx_core.Compile.compile w.Workload.config (Sdx_core.Vnh.create ()) in
+  let oracle = Sdx_oracle.Crossproduct.compose fdd_t w.Workload.config in
   let fdd_cls = Sdx_core.Compile.classifier fdd_t in
-  let cp_cls = Sdx_core.Compile.classifier cp_t in
+  let cp_cls = oracle.classifier in
   let rules = Array.of_list cp_cls in
   let mismatches = ref 0 in
   for _ = 1 to 3000 do
@@ -313,11 +307,12 @@ let test_workload_equivalence () =
       incr mismatches
   done;
   Alcotest.(check int) "per-packet identical" 0 !mismatches;
+  check_bool "same blocks in the same order" true
+    (List.map fst oracle.provenance
+    = List.map fst (Sdx_core.Compile.provenance fdd_t));
   let s = Sdx_core.Compile.stats fdd_t in
   check_bool "fdd nodes populated" true (s.Sdx_core.Compile.fdd_nodes > 0);
-  check_bool "fdd memo hits populated" true (s.fdd_memo_hits > 0);
-  let s0 = Sdx_core.Compile.stats cp_t in
-  check_bool "oracle reports no fdd nodes" true (s0.Sdx_core.Compile.fdd_nodes = 0)
+  check_bool "fdd memo hits populated" true (s.fdd_memo_hits > 0)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 

@@ -381,10 +381,11 @@ let tagged_probes runtime asns =
 let test_random_naive_optimized_equivalence () =
   for seed = 1 to 25 do
     let config, asns = build_random_config seed in
-    let opt = Sdx_core.Runtime.create ~optimized:true config in
-    let naive = Sdx_core.Runtime.create ~optimized:false config in
+    let opt = Sdx_core.Runtime.create config in
     let copt = Sdx_core.Runtime.classifier opt in
-    let cnaive = Sdx_core.Runtime.classifier naive in
+    let cnaive =
+      Sdx_oracle.Literal.compose (Sdx_core.Runtime.compiled opt) config
+    in
     List.iter
       (fun pkt ->
         if

@@ -12,7 +12,9 @@ let pfx = Prefix.of_string
 let ip = Ipv4.of_string
 
 (* ------------------------------------------------------------------ *)
-(* Fec                                                                 *)
+(* Fec (the naive grouping's partition, in the reference compiler)     *)
+
+module Fec = Sdx_oracle.Fec
 
 let test_fec_paper_example () =
   (* §4.2's three passes: pass-1 sets {p1,p2,p3} and {p1,p2,p3,p4};
@@ -324,13 +326,13 @@ let test_compile_stats () =
   check_bool "memoization fired" true (stats.memo_hits > 0);
   check_bool "timed" true (stats.elapsed_s >= 0.0)
 
-(* Naive (literal Pyretic composition) and optimized compilation agree on
-   every tagged packet. *)
+(* The literal Pyretic composition (the reference compiler's) and the
+   optimized compilation agree on every tagged packet. *)
 let test_naive_optimized_equivalent () =
   let config = Fig1.make_config () in
-  let opt = Runtime.create ~optimized:true config in
-  let naive = Runtime.create ~optimized:false config in
-  let copt = Runtime.classifier opt and cnaive = Runtime.classifier naive in
+  let opt = Runtime.create config in
+  let copt = Runtime.classifier opt in
+  let cnaive = Sdx_oracle.Literal.compose (Runtime.compiled opt) config in
   let dsts =
     [ "20.0.1.9"; "20.0.2.9"; "20.0.3.9"; "20.0.4.9"; "20.0.5.9" ]
   in
@@ -358,20 +360,6 @@ let test_naive_optimized_equivalent () =
             srcs)
         dsts)
     senders
-
-let test_memoization_transparent () =
-  (* The sub-compilation cache changes nothing but the work done. *)
-  let config = Fig1.make_config () in
-  let with_memo =
-    Compile.compile ~memoize:true config (Vnh.create ())
-  in
-  let without =
-    Compile.compile ~memoize:false config (Vnh.create ())
-  in
-  check_bool "identical classifiers" true
-    (Compile.classifier with_memo = Compile.classifier without);
-  check_bool "cache fired" true ((Compile.stats with_memo).memo_hits > 0);
-  check_int "no hits without cache" 0 (Compile.stats without).memo_hits
 
 (* The in-switch two-table variant of Figure 2: untagged ingress through
    (tagging table, policy table) behaves exactly like router-tagged
@@ -1292,9 +1280,10 @@ let prop_gateway_readvertisement =
 (* Hostile bytes through [Gateway.deliver]: a valid UPDATE's encoding
    with bytes flipped, cut short, or a header, withdrawn-routes or
    path-attribute length that lies.  No call raises.  After an [Error]
-   the sender is down and the route server holds nothing it learned from
-   it; once both ends reconnect the session comes back and a valid
-   UPDATE from it is applied. *)
+   the sender is down, the route server holds nothing it learned from
+   it, and the sender's outbox holds one NOTIFICATION, which takes the
+   router down too; once both ends reconnect the session comes back and
+   a valid UPDATE from it is applied. *)
 type hostile =
   | Flips of (int * int) list  (* (position mod length, xor mask) *)
   | Truncate of int  (* bytes kept, mod length *)
@@ -1367,10 +1356,17 @@ let prop_gateway_hostile_bytes =
           if List.mem from (Gateway.established gw) then fail "sender still established";
           if Route_server.prefixes_of server from <> [] then
             fail "the server still holds routes learned from the sender";
-          (* The router loses the transport too: its hold timer runs out,
-             and what it queues goes nowhere. *)
-          Peer.hold_expired client;
-          ignore (Peer.pending_output client);
+          (match Gateway.outbox gw from with
+          | [ notification ] -> (
+              match Wire.decode notification with
+              | Ok (Wire.Notification _) -> (
+                  match Peer.feed client notification with
+                  | Ok _ -> ()
+                  | Error e -> fail "the router rejected the NOTIFICATION: %s" e)
+              | _ -> fail "the sender's outbox holds no NOTIFICATION")
+          | out -> fail "the sender's outbox holds %d messages" (List.length out));
+          if Peer.state client = Fsm.Established then
+            fail "the router is still established";
           Peer.connect client;
           Peer.connect (Gateway.session gw from);
           shuttle ();
@@ -1629,8 +1625,6 @@ let () =
             test_naive_optimized_equivalent;
           Alcotest.test_case "in-switch tagging equivalent" `Quick
             test_in_switch_tagging_equivalent;
-          Alcotest.test_case "memoization transparent" `Quick
-            test_memoization_transparent;
         ] );
       ( "incremental",
         [
