@@ -353,41 +353,6 @@ let run_vmac_ablation ~seed ~scale =
     [ 100; 300 ]
 
 (* ------------------------------------------------------------------ *)
-(* Multi-switch fabrics                                                *)
-
-let run_multiswitch ~seed ~scale =
-  section "Extension: splitting the classifier across a multi-switch fabric (4.1)";
-  note
-    "per-switch tables hold only local ingress rules plus the shared \
-     dst-MAC layer; totals grow mildly with switch count";
-  let x = max 100 (int_of_float (10_000.0 *. scale)) in
-  let rng = Rng.create ~seed in
-  let w = Workload.build rng ~participants:60 ~prefixes:x () in
-  let runtime = Workload.runtime w in
-  let classifier = Sdx_core.Runtime.classifier runtime in
-  let port_count = Sdx_core.Config.port_count w.Workload.config in
-  let all_ports = List.init port_count (fun i -> i + 1) in
-  Format.printf "  %10s %16s %16s %14s@." "switches" "logical rules"
-    "largest switch" "total rules";
-  List.iter
-    (fun k ->
-      let switches = List.init k (fun i -> i) in
-      let links = List.init (k - 1) (fun i -> (i, i + 1)) in
-      let port_home = List.map (fun p -> (p, p mod k)) all_ports in
-      let topo = Sdx_fabric.Topology.create ~switches ~links ~port_home in
-      let fabric = Sdx_fabric.Topology.build topo classifier in
-      let largest =
-        List.fold_left
-          (fun m s -> max m (Sdx_fabric.Topology.rule_count fabric s))
-          0 switches
-      in
-      Format.printf "  %10d %16d %16d %14d@." k
-        (Sdx_policy.Classifier.rule_count classifier)
-        largest
-        (Sdx_fabric.Topology.total_rules fabric))
-    [ 1; 2; 4; 8 ]
-
-(* ------------------------------------------------------------------ *)
 (* Trace replay: the end-to-end §4.3.2 evaluation                      *)
 
 let run_replay ~seed ~scale =
@@ -1553,7 +1518,6 @@ let run_all ~seed ~scale ~samples ~repeats =
   run_fig10 ~seed ~scale ~samples;
   run_ablation ~seed;
   run_vmac_ablation ~seed ~scale;
-  run_multiswitch ~seed ~scale;
   run_replay ~seed ~scale;
   run_dataplane ~seed ~scale ~packets:100_000 ~domains:0
     ~out:"BENCH_dataplane.json";
@@ -1623,9 +1587,6 @@ let commands =
       Term.(
         const (fun seed scale -> run_vmac_ablation ~seed ~scale)
         $ seed_t $ scale_t);
-    cmd "multiswitch" "Classifier split across a multi-switch fabric."
-      Term.(
-        const (fun seed scale -> run_multiswitch ~seed ~scale) $ seed_t $ scale_t);
     cmd "replay" "Replay a day of IXP churn through the runtime."
       Term.(const (fun seed scale -> run_replay ~seed ~scale) $ seed_t $ scale_t);
     cmd "json" "Write BENCH_compile.json (machine-readable compile bench)."

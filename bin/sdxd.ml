@@ -272,18 +272,21 @@ let run_replay participants prefixes seed scale verify obs_stats stats_json
 module Check = Sdx_check.Check
 
 (* Spread the exchange's 1-based switch ports round-robin over a line of
-   [switches] fabric switches so the loop pass exercises real trunks. *)
+   [switches] fabric switches and commit the runtime's flows to it, so
+   the loop pass walks real trunks and transit copies. *)
 let line_fabric runtime ~switches =
   let nports = Config.port_count (Runtime.config runtime) in
   if switches <= 1 || nports = 0 then None
   else
-    let topo =
-      Sdx_fabric.Topology.create
-        ~switches:(List.init switches (fun i -> i + 1))
-        ~links:(List.init (switches - 1) (fun i -> (i + 1, i + 2)))
-        ~port_home:(List.init nports (fun i -> (i + 1, (i mod switches) + 1)))
+    let fabric =
+      Sdx_fabric.Fabric.create
+        (Sdx_fabric.Topology.create
+           ~switches:(List.init switches (fun i -> i + 1))
+           ~links:(List.init (switches - 1) (fun i -> (i + 1, i + 2)))
+           ~port_home:(List.init nports (fun i -> (i + 1, (i mod switches) + 1))))
     in
-    Some (Sdx_fabric.Topology.build topo (Runtime.classifier runtime))
+    ignore (Sdx_fabric.Fabric.commit fabric (Runtime.flows runtime));
+    Some fabric
 
 let check_subject name runtime ~switches ~passes ~verbose =
   let fabric = line_fabric runtime ~switches in
@@ -508,8 +511,8 @@ let check_cmd =
       value & opt int 2
       & info [ "switches" ]
           ~doc:
-            "Spread ports over this many fabric switches for the loop pass \
-             (1 disables the fabric walk).")
+            "Commit the flows to a line of this many fabric switches and \
+             walk their tables in the loop pass (1 disables the fabric walk).")
   in
   let passes =
     Arg.(

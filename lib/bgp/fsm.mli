@@ -27,7 +27,7 @@ type action =
   | Send_notification of { code : int; subcode : int }
   | Flush_routes
       (** withdraw everything learned from the peer (the implicit
-          withdrawals {!Session.reset} materializes) *)
+          withdrawals, one per prefix it announced) *)
 
 type t
 

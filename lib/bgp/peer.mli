@@ -59,8 +59,9 @@ val pending_output : t -> bytes list
 
 val flush_requested : t -> bool
 (** True once the FSM has asked for the peer's routes to be withdrawn
-    (session loss after establishment); reading it clears the flag, and
-    {!Session.reset} materializes the withdrawals. *)
+    (session loss after establishment); reading it clears the flag.  The
+    caller materializes the withdrawals, one per prefix the peer
+    announced (the SDX gateway sends them as one burst). *)
 
 val peer_asn : t -> Asn.t
 

@@ -819,12 +819,20 @@ let redirect_loops config =
   List.rev !findings
 
 (* (b) Symbolic reachability over a multi-switch fabric: walk every
-   packet set entering on a physical port through the per-switch tables,
-   crossing trunks, and flag any return to an already-visited
+   packet set entering on a physical port through the entries each
+   switch actually holds (ingress band and version-tagged transit copies
+   alike), crossing trunks, and flag any return to an already-visited
    (switch, in-port) with a non-empty packet set — a forwarding cycle
    the spanning-tree construction should make impossible. *)
 let fabric_loops ?(max_states = 20_000) fab =
-  let topo = Topology.topo fab in
+  let topo = Fabric.topo fab in
+  let tables = Hashtbl.create 8 in
+  List.iter
+    (fun s ->
+      Hashtbl.replace tables s
+        (Sdx_openflow.Table.entries
+           (Sdx_openflow.Switch.table (Fabric.switch fab s) 0)))
+    (Fabric.switches fab);
   let findings = ref [] in
   let truncated = ref false in
   let budget = ref max_states in
@@ -833,11 +841,11 @@ let fabric_loops ?(max_states = 20_000) fab =
     if !budget <= 0 then truncated := true
     else begin
       decr budget;
-      match Topology.table fab s with
+      match Hashtbl.find_opt tables s with
       | None -> ()
       | Some table ->
           List.iter
-            (fun (r : Classifier.rule) ->
+            (fun (r : Sdx_openflow.Flow.t) ->
               match Pattern.inter pat r.pattern with
               | None -> ()
               | Some hit ->
@@ -921,7 +929,7 @@ let fabric_loops ?(max_states = 20_000) fab =
                                   witness = Some (witness_of_pattern hit);
                                 }
                                 :: !findings))
-                    r.action)
+                    r.actions)
             table
     end
   in
@@ -1231,8 +1239,7 @@ let run ?fabric ?(passes = all_passes) subj =
 
 let runtime ?fabric ?passes rt = run ?fabric ?passes (subject_of_runtime rt)
 
-let compiled ?fabric ?passes c config =
-  run ?fabric ?passes (subject_of_compiled c config)
+let compiled ?passes c config = run ?passes (subject_of_compiled c config)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental driver: re-verify only the obligations a burst touched.  *)
@@ -1300,10 +1307,10 @@ let run_incremental ?(passes = incremental_passes) ~dirty:(d : Runtime.dirty)
    dirty-set when one is available, a full pass when the table was
    rebuilt since the last consume.  Either way the runtime's current
    state counts as verified afterwards ([Runtime.consume_dirty]). *)
-let runtime_incremental ?fabric rt =
+let runtime_incremental rt =
   match Runtime.consume_dirty rt with
   | Some dirty -> run_incremental ~dirty (subject_of_runtime rt)
-  | None -> runtime ?fabric rt
+  | None -> runtime rt
 
 (* ------------------------------------------------------------------ *)
 (* Live-network lints: dynamic counters the static passes cannot see.  *)
@@ -1374,7 +1381,7 @@ let network_lints net =
   (* The loop pass over the live sharded tables rides along: version
      tags move loop freedom from the policy layer to the installed
      per-switch rules, so walk what is actually installed. *)
-  counter_findings @ fabric_loops (Fabric.check_view fab)
+  counter_findings @ fabric_loops fab
 
 let errors r = List.filter (fun f -> f.severity = Error) r.findings
 let warnings r = List.filter (fun f -> f.severity = Warning) r.findings

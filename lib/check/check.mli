@@ -14,8 +14,9 @@
       participant, cross-checked against the Loc-RIBs — including rules
       installed by the incremental fast path;
     - {b loops}: forwarding-cycle detection over middlebox redirect
-      chains (the Prelude failure mode) and, when a fabric is supplied,
-      symbolic reachability over the multi-switch tables;
+      chains (the Prelude failure mode) and, when a committed fabric is
+      supplied, symbolic reachability over the entries its switches
+      hold;
     - {b arp}: the ARP responder answers exactly the live binding
       universe — every participant port and every active VNH resolves to
       its MAC, and no retired VNH still answers
@@ -77,13 +78,13 @@ val with_rules :
 
 (** {1 Running} *)
 
-val run : ?fabric:Topology.fabric -> ?passes:string list -> subject -> report
-(** Runs the selected passes (default: all).  [fabric] enables the
-    multi-switch symbolic-reachability half of the loop pass.  Records
+val run : ?fabric:Fabric.t -> ?passes:string list -> subject -> report
+(** Runs the selected passes (default: all).  [fabric], a committed
+    {!Sdx_fabric.Fabric}, enables the multi-switch half of the loop
+    pass: {!fabric_loops} over the entries its switches hold.  Records
     [sdx_check_*] metrics and a ["check"] trace span. *)
 
-val runtime :
-  ?fabric:Topology.fabric -> ?passes:string list -> Runtime.t -> report
+val runtime : ?fabric:Fabric.t -> ?passes:string list -> Runtime.t -> report
 
 (** {1 Incremental checking}
 
@@ -110,22 +111,19 @@ val run_incremental :
     two cross-validate (the qcheck suite asserts it).  [rules_checked]
     counts the dirty rules actually in range. *)
 
-val runtime_incremental : ?fabric:Topology.fabric -> Runtime.t -> report
+val runtime_incremental : Runtime.t -> report
 (** Per-burst entry point: {!Sdx_core.Runtime.consume_dirty}, then
     {!run_incremental} over [Some] dirty-set or a full {!runtime} pass
     after a rebuild ([None]).  Wire it into [Replay.soak]'s
     [check_incremental] callback to verify every burst commit inline. *)
 
-val compiled :
-  ?fabric:Topology.fabric ->
-  ?passes:string list ->
-  Compile.t ->
-  Config.t ->
-  report
+val compiled : ?passes:string list -> Compile.t -> Config.t -> report
 
-val fabric_loops : ?max_states:int -> Topology.fabric -> finding list
-(** Just the symbolic walk over one fabric's tables (also reachable via
-    [run ~fabric]). *)
+val fabric_loops : ?max_states:int -> Fabric.t -> finding list
+(** Just the symbolic walk over the entries a fabric's switches hold,
+    version-tagged transit copies included (also reachable via
+    [run ~fabric]).  A packet set re-entering a (switch, trunk port) it
+    already crossed is a ["fabric-cycle"] Error with a witness. *)
 
 val network_lints : Network.t -> finding list
 (** Dynamic lints over a live {!Sdx_fabric.Network}: packets lost at the

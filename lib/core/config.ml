@@ -66,6 +66,12 @@ let make ?export participants =
     (fun (p : Participant.t) ->
       List.iter
         (fun (port : Participant.port) ->
+          (match Mac_space.reserved port.mac with
+          | Some block ->
+              invalid_arg
+                (Printf.sprintf "Config.make: %s port MAC %s lies in %s"
+                   (Asn.to_string p.asn) (Mac.to_string port.mac) block)
+          | None -> ());
           let n = !next in
           incr next;
           Hashtbl.replace port_numbers (p.asn, port.index) n;

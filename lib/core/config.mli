@@ -13,8 +13,10 @@ val make :
   t
 (** Builds the configuration and an empty route server with the given
     export-policy matrix.
-    @raise Invalid_argument on duplicate ASNs or duplicate port
-    addresses. *)
+    @raise Invalid_argument on duplicate ASNs, invalid policies,
+    duplicate port addresses, or a port MAC in a block the SDX mints
+    addresses from ({!Mac_space.reserved}), naming the participant and
+    the MAC. *)
 
 val participants : t -> Participant.t list
 

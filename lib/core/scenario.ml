@@ -74,9 +74,14 @@ let parse text =
             | [] -> ()
             | "port" :: mac_s :: ip_s :: rest -> (
                 match (Mac.of_string_opt mac_s, Ipv4.of_string_opt ip_s) with
-                | Some mac, Some ip ->
-                    d.ports <- (mac, ip) :: d.ports;
-                    ports rest
+                | Some mac, Some ip -> (
+                    match Mac_space.reserved mac with
+                    | Some block ->
+                        fail lineno
+                          (Printf.sprintf "port MAC %s lies in %s" mac_s block)
+                    | None ->
+                        d.ports <- (mac, ip) :: d.ports;
+                        ports rest)
                 | None, _ -> fail lineno (Printf.sprintf "bad MAC %S" mac_s)
                 | _, None -> fail lineno (Printf.sprintf "bad address %S" ip_s))
             | w :: _ -> fail lineno (Printf.sprintf "unexpected %S" w)

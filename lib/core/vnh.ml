@@ -19,8 +19,6 @@ type stats = {
   reclaimed_total : int;
 }
 
-let vmac_base = 0x02_00_00_00_00_00
-
 let create ?(pool = Prefix.of_string "172.16.0.0/12") () =
   let size = 1 lsl (32 - Prefix.length pool) in
   {
@@ -36,7 +34,7 @@ let create ?(pool = Prefix.of_string "172.16.0.0/12") () =
 
 (* Index 0 is the network address itself, skipped so a VNH is never
    all-zero in the host part. *)
-let pair t i = (Prefix.host t.pool i, Mac.of_int (vmac_base + i))
+let pair t i = (Prefix.host t.pool i, Mac.of_int (Mac_space.vmac_base + i))
 
 let took t =
   t.live_ <- t.live_ + 1;

@@ -762,22 +762,3 @@ let reader snap =
     match Topology.home_of_port topo pkt.Packet.port with
     | None -> []
     | Some s0 -> deliveries (at_switch w 0 s0 pkt [])
-
-(* ------------------------------------------------------------------ *)
-
-(* A static view of the installed tables for the symbolic loop checker:
-   the checker walks {!Topology.fabric} values, so rebuild one from the
-   live switch tables. *)
-let check_view t =
-  let view = Topology.build t.topo [] in
-  List.iter
-    (fun m ->
-      let rules =
-        List.map
-          (fun (f : Flow.t) ->
-            { Classifier.pattern = f.Flow.pattern; action = f.Flow.actions })
-          (Table.entries m.table)
-      in
-      Topology.set_table view m.id rules)
-    t.members;
-  view

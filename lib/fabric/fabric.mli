@@ -137,7 +137,3 @@ val mixed_version_packets : t -> int
 val transit_misses : t -> int
 (** The subset of mixed-version packets dropped because a tagged frame
     found no transit rule at some switch. *)
-
-val check_view : t -> Topology.fabric
-(** A static classifier view of the live tables for
-    {!Sdx_check}-style symbolic walks (loop freedom over trunks). *)

@@ -1,10 +1,6 @@
-open Sdx_net
-open Sdx_policy
-
 type t = {
   switches : int list;
   switch_count : int;
-  links : (int * int) list;
   tree_edges : (int * int) list;
   hosts_ports : (int, unit) Hashtbl.t;  (* switches with a physical port *)
   (* parent.(s) on the BFS tree rooted at the smallest switch id *)
@@ -97,7 +93,6 @@ let create ~switches ~links ~port_home =
   {
     switches;
     switch_count = n;
-    links;
     tree_edges = !tree_edges;
     hosts_ports;
     parent;
@@ -132,7 +127,6 @@ let switches t = t.switches
 let has_physical_ports t s = Hashtbl.mem t.hosts_ports s
 
 let edge_switches t = List.filter (has_physical_ports t) t.switches
-let core_switches t = List.filter (fun s -> not (has_physical_ports t s)) t.switches
 let home_of_port t p = if p >= 0 && p < Array.length t.homes then t.homes.(p) else None
 
 let trunk_destination t p =
@@ -188,94 +182,3 @@ let trunk_port t ~from ~toward_neighbor =
   let a = slot t from and b = slot t toward_neighbor in
   let p = if a < 0 || b < 0 then -1 else t.trunk_ports.((a * t.switch_count) + b) in
   if p < 0 then raise Not_found else p
-
-(* ------------------------------------------------------------------ *)
-
-type fabric = {
-  topo : t;
-  tables : (int, Classifier.t) Hashtbl.t;
-}
-
-(* Rewrite a rule's outputs for switch [s]: local ports stay, remote
-   ports leave on the trunk toward their home switch. *)
-let localize_rule t s (r : Classifier.rule) =
-  let localize_mod (m : Mods.t) =
-    match m.port with
-    | None -> m
-    | Some p -> (
-        if p = Sdx_core.Compile.blackhole_port then m
-        else
-          match home_of_port t p with
-          | None -> m
-          | Some home ->
-              if home = s then m
-              else
-                let hop = Option.get (next_hop t ~from:s ~toward:home) in
-                { m with port = Some (trunk_port t ~from:s ~toward_neighbor:hop) })
-  in
-  { r with action = List.map localize_mod r.action }
-
-let build t classifier =
-  let tables = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      let rules =
-        List.filter_map
-          (fun (r : Classifier.rule) ->
-            match r.pattern.Pattern.port with
-            | Some p -> (
-                match home_of_port t p with
-                | Some home when home = s -> Some (localize_rule t s r)
-                | Some _ -> None  (* another switch's ingress rule *)
-                | None -> None (* pinned to a port that no longer exists *))
-            | None ->
-                (* Destination-MAC rules serve both local ingress and
-                   trunk transit: install everywhere. *)
-                Some (localize_rule t s r))
-          classifier
-      in
-      Hashtbl.replace tables s (rules @ Classifier.drop_all))
-    t.switches;
-  { topo = t; tables }
-
-let topo f = f.topo
-
-let tables f =
-  List.filter_map
-    (fun s -> Option.map (fun c -> (s, c)) (Hashtbl.find_opt f.tables s))
-    f.topo.switches
-
-let table f s = Hashtbl.find_opt f.tables s
-let set_table f s c = Hashtbl.replace f.tables s c
-
-let rule_count f s =
-  match Hashtbl.find_opt f.tables s with
-  | Some c -> Classifier.rule_count c
-  | None -> 0
-
-let total_rules f = Hashtbl.fold (fun _ c n -> n + Classifier.rule_count c) f.tables 0
-
-let process f (pkt : Packet.t) =
-  (* Follow the packet switch by switch; trunks are loop-free (tree), and
-     the hop bound guards against miswired tables anyway. *)
-  let max_hops = 4 * switch_count f.topo in
-  let rec at_switch hops s (pkt : Packet.t) =
-    if hops > max_hops then []
-    else
-      let table = Hashtbl.find f.tables s in
-      List.concat_map
-        (fun (out : Packet.t) ->
-          match trunk_destination f.topo out.port with
-          | Some (owner, neighbor) ->
-              assert (owner = s);
-              (* The frame crosses the trunk and enters the neighbor on
-                 the neighbor's side of the link. *)
-              let in_port = trunk_port f.topo ~from:neighbor ~toward_neighbor:s in
-              at_switch (hops + 1) neighbor { out with port = in_port }
-          | None -> [ out ])
-        (Classifier.eval table pkt)
-  in
-  match home_of_port f.topo pkt.port with
-  | None -> []
-  | Some s ->
-      Packet.Set.elements (Packet.Set.of_list (at_switch 0 s pkt))

@@ -1,24 +1,16 @@
-(** Multi-switch SDX fabrics (§4.1, last paragraph).
+(** The physical layout of a multi-switch SDX fabric (§4.1, last
+    paragraph).
 
     A large exchange spans several physical switches, each hosting a
-    subset of the participants' ports and connected by trunk links.  The
-    SDX compiles its policy for one big logical switch; this module
-    splits that classifier into per-switch tables:
-
-    - policy rules pinned to an in-port are installed on that port's
-      switch, with forwarding actions rewritten to the local port or the
-      trunk toward the owning switch;
-    - destination-MAC rules (default forwarding) are installed on every
-      switch, so frames already processed at their ingress switch are
-      carried across trunks by plain layer-2 forwarding — re-applying
-      them is harmless because inbound pipelines are deterministic in the
-      header fields.
+    subset of the participants' ports and connected by trunk links.
+    This module describes that layout and nothing else: which switch
+    hosts each physical port, the trunk ports between neighboring
+    switches, and the next hop from one switch toward another.
+    {!Fabric} splits the SDX's one logical table over it.
 
     Trunks are chosen along a spanning tree computed over the (possibly
     cyclic) link graph — the conventional spanning tree §3.2 mentions for
     coexistence with non-SDN participants. *)
-
-open Sdx_net
 
 type t
 
@@ -54,9 +46,6 @@ val has_physical_ports : t -> int -> bool
 val edge_switches : t -> int list
 (** Switches hosting at least one physical port, ascending. *)
 
-val core_switches : t -> int list
-(** Switches hosting none — pure transit. *)
-
 val home_of_port : t -> int -> int option
 (** The switch hosting a physical port; [None] for any other port.
     Reads an array and allocates nothing. *)
@@ -82,32 +71,3 @@ val spanning_tree_edges : t -> (int * int) list
 
 val next_hop : t -> from:int -> toward:int -> int option
 (** Next switch on the tree path; [None] when already there. *)
-
-type fabric
-
-val build : t -> Sdx_policy.Classifier.t -> fabric
-(** Splits the logical classifier and installs the per-switch tables. *)
-
-val topo : fabric -> t
-
-val tables : fabric -> (int * Sdx_policy.Classifier.t) list
-(** The installed per-switch tables, ascending switch id — the input the
-    loop-freedom checker walks. *)
-
-val table : fabric -> int -> Sdx_policy.Classifier.t option
-
-val set_table : fabric -> int -> Sdx_policy.Classifier.t -> unit
-(** Replaces one switch's table in place.  Exists for fault-injection
-    tests (e.g. splicing a forwarding cycle the checker must catch);
-    production code never calls it. *)
-
-val rule_count : fabric -> int -> int
-(** Rules installed on one switch. *)
-
-val total_rules : fabric -> int
-
-val process : fabric -> Packet.t -> Packet.t list
-(** Runs a packet (located at a physical port) through the distributed
-    fabric, hopping trunks as needed; the result is the set of packets
-    leaving on physical ports — identical to what the logical
-    single-switch classifier would produce. *)

@@ -3,9 +3,10 @@ open Sdx_net
 (* Trunk frames are re-addressed into a reserved destination-MAC tag
    space so transit rules can select the *version* of the destination's
    transit rules that stamped them: the first octet is 0x06 (version
-   parity 0) or 0x0E (parity 1) —
-   locally-administered, unicast, and used by no participant MAC or VNH
-   VMAC — and the low 40 bits carry an interned index of the original
+   parity 0) or 0x0E (parity 1), both defined in
+   {!Sdx_core.Mac_space} — locally-administered, unicast, and used by no
+   participant MAC ([Config.make] rejects them) or VNH VMAC — and the
+   low 40 bits carry an interned index of the original
    destination MAC.  Both the stamp (at the version-flipping ingress
    rule) and the strip (at the delivering transit rule) are plain
    constant dst-MAC rewrites, because the transit rule's pattern pins
@@ -15,8 +16,8 @@ open Sdx_net
    for arbitrary 48-bit participant MACs (Figure 1's aa:..:01 etc. use
    the high bits a flag would need). *)
 
-let parity0_octet = 0x06
-let parity1_octet = 0x0E
+let parity0_octet = Sdx_core.Mac_space.tag_octet_even
+let parity1_octet = Sdx_core.Mac_space.tag_octet_odd
 let octet_of mac = Mac.to_int mac lsr 40
 let is_tagged mac = octet_of mac = parity0_octet || octet_of mac = parity1_octet
 
@@ -66,5 +67,3 @@ let strip t mac =
   | Some _ ->
       let id = index mac in
       if id < t.next then Some t.macs.(id) else None
-
-let interned t = t.next

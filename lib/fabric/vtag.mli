@@ -37,6 +37,3 @@ val index : Mac.t -> int
 (** The interned index a tag carries: equal for both parities of one
     original address, distinct across addresses.  Meaningless for
     untagged MACs. *)
-
-val interned : t -> int
-(** Distinct original addresses interned so far. *)

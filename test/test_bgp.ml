@@ -758,7 +758,7 @@ let prop_route_server_oracle =
         | _ -> false
       in
       let fail fmt = QCheck2.Test.fail_reportf fmt in
-      let check_views () =
+      let assert_views () =
         List.iter
           (fun prefix ->
             let routes = routes_of prefix in
@@ -807,13 +807,13 @@ let prop_route_server_oracle =
       List.iter
         (fun update ->
           apply update;
-          check_views ();
+          assert_views ();
           match update with
           | Update.Announce r ->
               (* An identical route, announced again, moves nobody. *)
               let again = Route_server.apply server (Update.announce { r with med = r.med }) in
               if again.best_changed_for <> [] then fail "re-announcement moved a best route";
-              check_views ()
+              assert_views ()
           | Update.Withdraw _ -> ())
         updates;
       true)
@@ -1281,42 +1281,6 @@ let test_fsm_error_handling () =
   check_bool "idle ignores" true (Fsm.handle fsm Fsm.Keepalive_received = [])
 
 (* ------------------------------------------------------------------ *)
-(* Sessions                                                            *)
-
-let test_session_reset () =
-  let s = Session.create ~peer:(asn 1) in
-  check_bool "starts idle" true (Session.state s = Session.Idle);
-  Session.establish s;
-  check_bool "established" true (Session.state s = Session.Established);
-  let withdrawals = Session.reset s [ pfx "20.0.0.0/16"; pfx "21.0.0.0/16" ] in
-  check_int "withdraw all" 2 (List.length withdrawals);
-  check_bool "idle again" true (Session.state s = Session.Idle);
-  check_bool "withdraws from peer" true
-    (List.for_all (fun u -> Asn.equal (Update.peer u) (asn 1)) withdrawals)
-
-let test_session_table_transfer () =
-  let s = Session.create ~peer:(asn 2) in
-  let transferred = Session.table_transfer s [ route () ] in
-  check_bool "re-established" true (Session.state s = Session.Established);
-  check_bool "announces as peer" true
-    (match transferred with
-    | [ Update.Announce r ] -> Asn.equal r.learned_from (asn 2)
-    | _ -> false)
-
-let test_transfer_burst_heuristic () =
-  let updates =
-    List.init 95 (fun i ->
-        Update.announce
-          (route ~prefix:(Prefix.make (Ipv4.of_int (0x14000000 + (i * 256))) 24) ()))
-  in
-  check_bool "full transfer detected" true
-    (Session.is_transfer_burst ~updates ~table_size:100);
-  check_bool "small burst not a transfer" false
-    (Session.is_transfer_burst ~updates:[ List.hd updates ] ~table_size:100);
-  check_bool "empty table" false
-    (Session.is_transfer_burst ~updates ~table_size:0)
-
-(* ------------------------------------------------------------------ *)
 (* Pretty-printers (rendering used by the CLI and logs)                *)
 
 let test_pretty_printers () =
@@ -1438,10 +1402,4 @@ let () =
           Alcotest.test_case "error handling" `Quick test_fsm_error_handling;
         ] );
       ("pp", [ Alcotest.test_case "pretty printers" `Quick test_pretty_printers ]);
-      ( "session",
-        [
-          Alcotest.test_case "reset" `Quick test_session_reset;
-          Alcotest.test_case "table transfer" `Quick test_session_table_transfer;
-          Alcotest.test_case "transfer heuristic" `Quick test_transfer_burst_heuristic;
-        ] );
     ]

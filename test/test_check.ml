@@ -80,15 +80,17 @@ let prop_bursts_stay_clean =
         QCheck.Test.fail_reportf "seed %d: %s" seed (pp_errors report)
       else true)
 
-(* A 2-switch fabric over the Figure 1 ports: A and B1 on switch 1,
-   B2/C/D on switch 2. *)
+(* A 2-switch fabric over the Figure 1 ports (A and B1 on switch 1,
+   B2/C/D on switch 2), holding the runtime's committed flows. *)
 let two_switch_fabric runtime =
-  let topo =
-    Topology.create ~switches:[ 1; 2 ]
-      ~links:[ (1, 2) ]
-      ~port_home:[ (1, 1); (2, 1); (3, 2); (4, 2); (5, 2) ]
+  let fab =
+    Fabric.create
+      (Topology.create ~switches:[ 1; 2 ]
+         ~links:[ (1, 2) ]
+         ~port_home:[ (1, 1); (2, 1); (3, 2); (4, 2); (5, 2) ])
   in
-  Topology.build topo (Runtime.classifier runtime)
+  ignore (Fabric.commit fab (Runtime.flows runtime));
+  fab
 
 let test_fabric_clean () =
   let runtime = Fig1.make_runtime () in
@@ -179,25 +181,26 @@ let test_mutation_stale_export () =
     (error_with_code "stale-default-forward" report)
 
 (* Mutation 4: splice a forwarding cycle across the two-switch fabric's
-   trunk; the symbolic walk must find it. *)
+   trunk, as a miswired controller would, by sending flow-mods down the
+   switches' connections; the symbolic walk must find it. *)
 let test_mutation_spliced_cycle () =
   let runtime = Fig1.make_runtime () in
   let fab = two_switch_fabric runtime in
-  let topo = Topology.topo fab in
+  let topo = Fabric.topo fab in
   let p1t = Topology.trunk_port topo ~from:1 ~toward_neighbor:2 in
   let p2t = Topology.trunk_port topo ~from:2 ~toward_neighbor:1 in
-  let rule ~in_port ~out =
-    {
-      Classifier.pattern = Pattern.make ~port:in_port ~dst_port:9999 ();
-      action = [ Mods.make ~port:out () ];
-    }
+  let splice s ~in_port ~out =
+    Sdx_openflow.Connection.send (Fabric.connection fab s)
+      (Sdx_openflow.Message.add
+         (Sdx_openflow.Flow.make ~priority:(Fabric.transit_base - 1)
+            ~pattern:(Pattern.make ~port:in_port ~dst_port:9999 ())
+            ~actions:[ Mods.make ~port:out () ]))
   in
-  let table s = Option.get (Topology.table fab s) in
   (* Physical ingress on switch 1 enters the bounce; each trunk side
      reflects the packet back across the link. *)
-  Topology.set_table fab 1
-    (rule ~in_port:1 ~out:p1t :: rule ~in_port:p1t ~out:p1t :: table 1);
-  Topology.set_table fab 2 (rule ~in_port:p2t ~out:p2t :: table 2);
+  splice 1 ~in_port:1 ~out:p1t;
+  splice 1 ~in_port:p1t ~out:p1t;
+  splice 2 ~in_port:p2t ~out:p2t;
   let findings = Check.fabric_loops fab in
   check_bool "spliced cycle caught" true (has_code "fabric-cycle" findings);
   let witness =

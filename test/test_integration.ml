@@ -279,7 +279,7 @@ let build_random_config seed =
   let ports_of i =
     let count = if Rng.bool rng ~p:0.25 then 2 else 1 in
     List.init count (fun j ->
-        ( Mac.of_int (0x0E_00_00_00_00_00 + (i * 16) + j),
+        ( Mac.of_int (0x0A_00_00_00_00_00 + (i * 16) + j),
           Ipv4.of_int (0x0E000000 + (i * 256) + j + 1) ))
   in
   let random_pred () =
@@ -398,6 +398,9 @@ let test_random_naive_optimized_equivalence () =
       (tagged_probes opt asns)
   done
 
+(* A random line of 2-3 switches, committed through the production
+   fabric, delivers what the logical classifier does, with no
+   mixed-version packet and no loop over its installed tables. *)
 let test_random_topology_equivalence () =
   for seed = 1 to 25 do
     let config, asns = build_random_config seed in
@@ -412,21 +415,39 @@ let test_random_topology_equivalence () =
         (Sdx_core.Config.port_count config)
         (fun i -> (i + 1, Rng.int rng switch_count))
     in
-    let topo = Sdx_fabric.Topology.create ~switches ~links ~port_home in
-    let fabric = Sdx_fabric.Topology.build topo classifier in
+    let fabric =
+      Sdx_fabric.Fabric.create
+        (Sdx_fabric.Topology.create ~switches ~links ~port_home)
+    in
+    ignore (Sdx_fabric.Fabric.commit fabric (Sdx_core.Runtime.flows runtime));
     let keep_real pkts =
-      List.filter
-        (fun (p : Packet.t) -> p.port <> Sdx_core.Compile.blackhole_port)
-        pkts
+      Packet.Set.elements
+        (Packet.Set.of_list
+           (List.filter
+              (fun (p : Packet.t) -> p.port <> Sdx_core.Compile.blackhole_port)
+              pkts))
     in
     List.iter
       (fun pkt ->
         let big = keep_real (Sdx_policy.Classifier.eval classifier pkt) in
-        let split = keep_real (Sdx_fabric.Topology.process fabric pkt) in
+        let split = keep_real (Sdx_fabric.Fabric.process fabric pkt) in
         if big <> split then
           Alcotest.failf "seed %d: distributed fabric diverges on %a" seed
             Packet.pp pkt)
-      (tagged_probes runtime asns)
+      (tagged_probes runtime asns);
+    check_int
+      (Printf.sprintf "seed %d: no mixed-version packets" seed)
+      0
+      (Sdx_fabric.Fabric.mixed_version_packets fabric);
+    match
+      List.filter
+        (fun (f : Sdx_check.Check.finding) ->
+          f.Sdx_check.Check.severity = Sdx_check.Check.Error)
+        (Sdx_check.Check.fabric_loops fabric)
+    with
+    | [] -> ()
+    | f :: _ ->
+        Alcotest.failf "seed %d: %a" seed Sdx_check.Check.pp_finding f
   done
 
 (* Failure injection: a session reset withdraws a peer's whole table; the
@@ -441,9 +462,7 @@ let test_session_reset_end_to_end () =
   in
   let announced = Route_server.prefixes_of server victim in
   check_bool "victim announces" true (announced <> []);
-  let session = Session.create ~peer:victim in
-  Session.establish session;
-  let withdrawals = Session.reset session announced in
+  let withdrawals = List.map (Update.withdraw ~peer:victim) announced in
   ignore (Sdx_core.Runtime.handle_burst runtime withdrawals);
   Sdx_fabric.Network.sync net;
   check_int "table flushed" 0 (List.length (Route_server.prefixes_of server victim));

@@ -11,6 +11,11 @@ let check_int = Alcotest.(check int)
 let pfx = Prefix.of_string
 let ip = Ipv4.of_string
 
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Fec (the naive grouping's partition, in the reference compiler)     *)
 
@@ -155,10 +160,34 @@ let test_config_duplicates_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* Port MACs in the blocks the SDX mints addresses from are rejected,
+   naming the participant and the MAC: the trunk-tag octets and the VMAC
+   block, whose last index below 2^32 is still inside it. *)
+let test_config_reserved_macs_rejected () =
+  let with_mac s =
+    Participant.make ~asn:(Asn.of_int 999) ~ports:[ (Mac.of_string s, ip "172.7.0.1") ] ()
+  in
+  List.iter
+    (fun s ->
+      match Config.make [ Fig1.participant_c; with_mac s ] with
+      | _ -> Alcotest.failf "port MAC %s accepted" s
+      | exception Invalid_argument msg ->
+          check_bool (s ^ " names the participant and the MAC") true
+            (contains_sub msg "AS999" && contains_sub msg s))
+    [ "06:aa:aa:aa:aa:01"; "0e:aa:aa:aa:aa:01"; "02:00:00:00:00:02"; "02:00:ff:ff:ff:ff" ];
+  List.iter
+    (fun s ->
+      check_bool (s ^ " accepted") true
+        (try
+           ignore (Config.make [ Fig1.participant_c; with_mac s ]);
+           true
+         with Invalid_argument _ -> false))
+    [ "02:01:00:00:00:00"; "0a:00:00:00:00:01"; "16:00:00:00:00:01" ]
+
 let test_config_policy_validation () =
   let mk ?inbound ?outbound () =
     Participant.make ~asn:(Asn.of_int 999)
-      ~ports:[ (Mac.of_string "0e:0e:0e:0e:0e:01", ip "172.7.0.1") ]
+      ~ports:[ (Mac.of_string "0a:0e:0e:0e:0e:01", ip "172.7.0.1") ]
       ?inbound ?outbound ()
   in
   (* A policy-free anchor participant (Fig1's AS A would itself fail
@@ -734,11 +763,6 @@ let test_parser_errors () =
       let e = parse_err s in
       check_bool "position within input" true (e.position <= String.length s))
     cases
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_parser_error_positions () =
   (* Errors carry 1-based line/column pointing at the offending token. *)
@@ -1439,6 +1463,7 @@ let test_scenario_errors_located () =
       ("participant AS100\nfrobnicate AS100", 2);
       ("participant AS100\nparticipant AS100", 2);
       ("outbound AS100 drop", 1);
+      ("participant AS100\nparticipant AS200 port 0e:aa:aa:aa:aa:01 172.0.0.2", 2);
     ]
   in
   List.iter
@@ -1609,6 +1634,8 @@ let () =
           Alcotest.test_case "ports" `Quick test_config_ports;
           Alcotest.test_case "duplicates rejected" `Quick test_config_duplicates_rejected;
           Alcotest.test_case "policy validation" `Quick test_config_policy_validation;
+          Alcotest.test_case "reserved port MACs rejected" `Quick
+            test_config_reserved_macs_rejected;
           Alcotest.test_case "unknown lookups" `Quick test_config_unknown_lookups;
         ] );
       ( "compile",
