@@ -817,7 +817,7 @@ let dataplane_sweep ~seed ~scale ~packets =
   in
   ( total,
     List.map (fun s -> dataplane_point ~seed ~packets all_flows s) sizes,
-    runtime )
+    all_flows )
 
 let pp_dataplane_points points =
   Format.printf "  %10s %14s %14s %9s %7s %6s %7s %7s %7s %6s %10s@." "rules"
@@ -849,18 +849,18 @@ type parallel_result = {
   par_workers : int;
   par_single_pps : float;
   par_aggregate_pps : float;  (* at [par_workers] workers *)
-  par_shard_pps : float;  (* one vector sharded across the driver *)
   par_identical : bool;
   par_sweep : parallel_point list;
 }
 
-let dataplane_parallel ~seed ~packets ~domains runtime =
+let dataplane_parallel ~seed ~packets ~domains flows =
   let module Table = Sdx_openflow.Table in
   let module Parallel = Sdx_core.Parallel in
-  let dp = Sdx_core.Runtime.dataplane ~domains runtime in
-  let snap = Sdx_core.Runtime.dataplane_snapshot dp in
+  let table = Table.create () in
+  Table.install_all table flows;
+  let snap = Table.snapshot table in
   let rules = Table.snapshot_size snap in
-  let flow_arr = Array.of_list (Sdx_core.Runtime.flows runtime) in
+  let flow_arr = Array.of_list flows in
   let rng = Rng.create ~seed:(seed + 7919) in
   let pkts = Array.init packets (fun _ -> synth_packet rng flow_arr) in
   let m_oracle = max 1_000 (min packets (4_000_000 / max 1 rules)) in
@@ -877,13 +877,6 @@ let dataplane_parallel ~seed ~packets ~domains runtime =
   let single_s = Unix.gettimeofday () -. t0 in
   for i = 0 to m_oracle - 1 do
     if find pkts.(i) <> oracle.(i) then identical := false
-  done;
-  (* The Runtime driver: one vector sharded across the worker pool. *)
-  let t0 = Unix.gettimeofday () in
-  let sharded = Sdx_core.Runtime.dataplane_process dp pkts in
-  let shard_s = Unix.gettimeofday () -. t0 in
-  for i = 0 to m_oracle - 1 do
-    if sharded.(i) <> oracle.(i) then identical := false
   done;
   (* Workers sweep: aggregate pps with w independent reader domains. *)
   let sweep_ws =
@@ -920,7 +913,6 @@ let dataplane_parallel ~seed ~packets ~domains runtime =
     par_workers = domains;
     par_single_pps = float_of_int packets /. single_s;
     par_aggregate_pps = top.pw_aggregate_pps;
-    par_shard_pps = float_of_int packets /. shard_s;
     par_identical = !identical;
     par_sweep = sweep;
   }
@@ -935,9 +927,7 @@ let pp_parallel_result r =
         (p.pw_aggregate_pps /. r.par_single_pps)
         p.pw_identical)
     r.par_sweep;
-  Format.printf
-    "  single-core %.0f pkt/s; sharded vector through the driver %.0f pkt/s@."
-    r.par_single_pps r.par_shard_pps
+  Format.printf "  single-core %.0f pkt/s@." r.par_single_pps
 
 let run_dataplane ~seed ~scale ~packets ~domains ~out =
   let oc = open_report out in
@@ -946,7 +936,7 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
     "tables are prefixes of one compiled 300-participant scenario; packets \
      are 70%% rule-directed / 30%% noise; 'linear pkt/s' is the pre-engine \
      list scan on the same table";
-  let total, points, runtime = dataplane_sweep ~seed ~scale ~packets in
+  let total, points, all_flows = dataplane_sweep ~seed ~scale ~packets in
   note "compiled scenario yields %d rules; sweep truncates it per row" total;
   pp_dataplane_points points;
   let identical = List.for_all (fun p -> p.dp_identical) points in
@@ -962,7 +952,7 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
   let domains =
     if domains > 0 then domains else Sdx_core.Parallel.default_domains ()
   in
-  let par = dataplane_parallel ~seed ~packets ~domains runtime in
+  let par = dataplane_parallel ~seed ~packets ~domains all_flows in
   pp_parallel_result par;
   Printf.fprintf oc
     "{\n\
@@ -976,7 +966,6 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
     \  \"workers\": %d,\n\
     \  \"single_core_pps\": %.0f,\n\
     \  \"aggregate_pps\": %.0f,\n\
-    \  \"shard_pps\": %.0f,\n\
     \  \"parallel_identical\": %b,\n\
     \  \"mac_entries\": %d,\n\
     \  \"mac_keys\": %d,\n\
@@ -991,7 +980,7 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
     top.dp_rules packets top.dp_engine_pps top.dp_linear_pps
     (top.dp_engine_pps /. top.dp_linear_pps)
     identical par.par_workers par.par_single_pps par.par_aggregate_pps
-    par.par_shard_pps par.par_identical
+    par.par_identical
     top.dp_stats.Sdx_openflow.Table.mac_entries top.dp_stats.mac_keys
     top.dp_stats.mac_largest_bucket top.dp_stats.exact_entries
     top.dp_stats.prefix_entries top.dp_stats.residual_entries

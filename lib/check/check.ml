@@ -3,6 +3,7 @@ open Sdx_policy
 open Sdx_bgp
 open Sdx_core
 open Sdx_fabric
+open Sdx_openflow
 
 type severity = Info | Warning | Error
 
@@ -76,6 +77,8 @@ type subject = {
          A bare compile has no priority assignment yet, so the same
          overlap is advisory. *)
   attribution_gap : int;  (* rules the provenance blocks fail to cover *)
+  groups : (int, Compile.group) Hashtbl.t Lazy.t;  (* by id *)
+  originators : (Prefix.t, Participant.t) Hashtbl.t Lazy.t;
 }
 
 (* Expand block-level provenance into a per-rule attribution. *)
@@ -95,6 +98,30 @@ let attribute classifier provs =
     provs;
   (arr, Array.length arr - min (Array.length arr) !i)
 
+(* Each key of the [xs] to the first [x] listing it, as a scan in list
+   order finds it. *)
+let first_by key xs =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun k -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k x)
+        (key x))
+    xs;
+  tbl
+
+let groups_by_id compiled =
+  lazy
+    (first_by
+       (fun (g : Compile.group) -> [ g.id ])
+       (Compile.all_groups compiled))
+
+let originators config =
+  lazy
+    (first_by
+       (fun (p : Participant.t) -> p.originated)
+       (Config.participants config))
+
 let subject_of_compiled compiled config =
   let classifier = Compile.classifier compiled in
   let rules, gap = attribute classifier (Compile.provenance compiled) in
@@ -106,6 +133,8 @@ let subject_of_compiled compiled config =
     base_rules = Classifier.rule_count classifier;
     fastpath = false;
     attribution_gap = gap;
+    groups = groups_by_id compiled;
+    originators = originators config;
   }
 
 let subject_of_runtime rt =
@@ -119,6 +148,8 @@ let subject_of_runtime rt =
     base_rules = Runtime.base_rule_count rt;
     fastpath = true;
     attribution_gap = gap;
+    groups = groups_by_id (Runtime.compiled rt);
+    originators = originators (Runtime.config rt);
   }
 
 let rules subj = Array.to_list subj.rules
@@ -144,10 +175,7 @@ let witness_of_pattern (p : Pattern.t) =
 (* ------------------------------------------------------------------ *)
 (* Shared config lookups.                                              *)
 
-let group_by_id subj id =
-  List.find_opt
-    (fun (g : Compile.group) -> g.id = id)
-    (Compile.all_groups subj.compiled)
+let group_by_id subj id = Hashtbl.find_opt (Lazy.force subj.groups) id
 
 (* Prefixes of [g] still bound to [g] — older fast-path blocks may
    reference groups a later burst superseded; their rules are dead, not
@@ -160,58 +188,37 @@ let live_prefixes subj (g : Compile.group) =
       | None -> false)
     g.Compile.prefixes
 
-let originator_of config prefix =
-  List.find_opt
-    (fun (p : Participant.t) -> List.exists (Prefix.equal prefix) p.originated)
-    (Config.participants config)
+let originator_of subj prefix =
+  Hashtbl.find_opt (Lazy.force subj.originators) prefix
 
-(* Fabric ports a packet handed to [p]'s inbound pipeline can leave on:
-   [p]'s own ports, its redirect targets' ports, and the delivery port of
-   any Default-with-rewrite clause (re-resolved through [p]'s RIB). *)
+(* Fabric ports a packet handed to participant [asn] under [clauses] can
+   leave on: [asn]'s own ports, its redirect targets' ports, and the
+   delivery port of any Default-with-rewrite clause (re-resolved through
+   [asn]'s RIB).  Under its inbound clauses, where its inbound pipeline
+   delivers; under its outbound ones, where a direct (no-via) outbound
+   clause may deliver. *)
+let delivery_ports config asn clauses =
+  let of_clause (c : Ppolicy.clause) =
+    match c.target with
+    | Ppolicy.Redirect m -> Config.switch_ports_of config m
+    | Ppolicy.Default -> (
+        match c.mods.Mods.dst_ip with
+        | None -> []
+        | Some addr -> (
+            match
+              Route_server.lookup_best (Config.server config) ~receiver:asn addr
+            with
+            | None -> []
+            | Some (_, route) -> (
+                match Config.port_of_next_hop config route.next_hop with
+                | None -> []
+                | Some (_, _, n) -> [ n ])))
+    | Ppolicy.Peer _ | Ppolicy.Phys _ | Ppolicy.Drop -> []
+  in
+  Config.switch_ports_of config asn @ List.concat_map of_clause clauses
+
 let inbound_delivery_ports config (p : Participant.t) =
-  let own = Config.switch_ports_of config p.asn in
-  let of_clause (c : Ppolicy.clause) =
-    match c.target with
-    | Ppolicy.Redirect m -> Config.switch_ports_of config m
-    | Ppolicy.Default -> (
-        match c.mods.Mods.dst_ip with
-        | None -> []
-        | Some addr -> (
-            match
-              Route_server.lookup_best (Config.server config) ~receiver:p.asn
-                addr
-            with
-            | None -> []
-            | Some (_, route) -> (
-                match Config.port_of_next_hop config route.next_hop with
-                | None -> []
-                | Some (_, _, n) -> [ n ])))
-    | Ppolicy.Peer _ | Ppolicy.Phys _ | Ppolicy.Drop -> []
-  in
-  own @ List.concat_map of_clause p.inbound
-
-(* Ports a direct (no-via) outbound clause of [sender] may deliver on. *)
-let direct_delivery_ports config (sender : Participant.t) =
-  let own = Config.switch_ports_of config sender.asn in
-  let of_clause (c : Ppolicy.clause) =
-    match c.target with
-    | Ppolicy.Redirect m -> Config.switch_ports_of config m
-    | Ppolicy.Default -> (
-        match c.mods.Mods.dst_ip with
-        | None -> []
-        | Some addr -> (
-            match
-              Route_server.lookup_best (Config.server config)
-                ~receiver:sender.asn addr
-            with
-            | None -> []
-            | Some (_, route) -> (
-                match Config.port_of_next_hop config route.next_hop with
-                | None -> []
-                | Some (_, _, n) -> [ n ])))
-    | Ppolicy.Peer _ | Ppolicy.Phys _ | Ppolicy.Drop -> []
-  in
-  own @ List.concat_map of_clause sender.outbound
+  delivery_ports config p.asn p.inbound
 
 let output_ports (r : Classifier.rule) =
   List.filter_map (fun (m : Mods.t) -> m.port) r.action
@@ -323,7 +330,8 @@ let isolation ?(only = fun _ -> true) subj =
             | Some v ->
                 inbound_delivery_ports config (Config.participant config v)
             | None ->
-                direct_delivery_ports config (Config.participant config sender))
+                delivery_ports config sender
+                  (Config.participant config sender).outbound)
           in
           match
             List.find_opt (fun o -> not (mem_port o allowed)) (output_ports r)
@@ -438,7 +446,7 @@ let isolation ?(only = fun _ -> true) subj =
                            match g.Compile.prefixes with
                            | [] -> []
                            | head :: _ -> (
-                               match originator_of config head with
+                               match originator_of subj head with
                                | Some owner ->
                                    inbound_delivery_ports config owner
                                | None -> [])))
@@ -480,6 +488,18 @@ let isolation ?(only = fun _ -> true) subj =
       | Compile.Unattributed -> ())
     subj.rules;
   List.rev !findings
+
+(* The rules as one first-match table: rule [i] of [n] sits at priority
+   [n - 1 - i], so a hit's rule index is [n - 1 - priority].  The
+   snapshot keeps the entries after [clear], which takes them back out
+   of the installed-entries gauge the live switches' tables share. *)
+let first_match (c : Classifier.t) =
+  let n = List.length c in
+  let table = Table.create () in
+  Table.install_all table (Flow.of_classifier ~base_priority:(n - 1) c);
+  let find = Table.searcher (Table.snapshot table) in
+  Table.clear table;
+  fun pkt -> Option.map (fun (f : Flow.t) -> n - 1 - f.priority) (find pkt)
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: BGP consistency (§4.1, "Enforcing consistency with BGP      *)
@@ -575,16 +595,7 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
   (* (b) Trace one representative tagged packet per (sender, live group)
      through the classifier and compare the delivery against the routes
      currently feasible for that sender. *)
-  let first_match_index pkt =
-    let n = Array.length subj.rules in
-    let rec go i =
-      if i >= n then None
-      else
-        let (r : Classifier.rule), prov = subj.rules.(i) in
-        if Pattern.matches r.pattern pkt then Some (i, r, prov) else go (i + 1)
-    in
-    go 0
-  in
+  let probe = lazy (first_match (subject_classifier subj)) in
   let groups =
     List.filter_map
       (fun (g : Compile.group) ->
@@ -604,21 +615,22 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
             (fun ((g : Compile.group), prefix) ->
               let feas = Route_server.feasible server ~receiver:sender.asn prefix in
               let candidates = Route_server.ranked server prefix in
-              let originated = originator_of config prefix <> None in
+              let origin = originator_of subj prefix in
               (* No feasible route but other candidates remain: export
                  policy or loop prevention hides the prefix from this
                  sender, so the SDX never announces it a VMAC and it
                  cannot legitimately emit the tag — the rule is
                  unreachable for this sender, not unsafe. *)
-              if feas = [] && (candidates <> [] || originated) then ()
+              if feas = [] && (candidates <> [] || origin <> None) then ()
               else
               let pkt =
                 Packet.make ~port:sport ~dst_mac:g.vmac
                   ~dst_ip:(Prefix.first prefix) ()
               in
-              match first_match_index pkt with
+              match Lazy.force probe pkt with
               | None -> ()
-              | Some (i, r, prov) -> (
+              | Some i -> (
+                  let r, prov = subj.rules.(i) in
                   match prov with
                   | Compile.Outbound _ | Compile.Unattributed ->
                       (* A policy diversion; pass (a) and the isolation
@@ -634,6 +646,9 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
                       match outs with
                       | [] -> ()
                       | _ ->
+                          (* A feasible route whose next hop is no
+                             port resolves to the originator, whose
+                             ports are allowed anyway. *)
                           let expected =
                             List.concat_map
                               (fun (route : Route.t) ->
@@ -643,13 +658,9 @@ let bgp_consistency ?(only = fun _ -> true) ?(only_group = fun _ -> true) subj =
                                 with
                                 | Some (owner, _, _) ->
                                     inbound_delivery_ports config owner
-                                | None -> (
-                                    match originator_of config prefix with
-                                    | Some owner ->
-                                        inbound_delivery_ports config owner
-                                    | None -> []))
+                                | None -> [])
                               feas
-                            @ (match originator_of config prefix with
+                            @ (match origin with
                               | Some owner ->
                                   inbound_delivery_ports config owner
                               | None -> [])
@@ -822,123 +833,192 @@ let redirect_loops config =
    packet set entering on a physical port through the entries each
    switch actually holds (ingress band and version-tagged transit copies
    alike), crossing trunks, and flag any return to an already-visited
-   (switch, in-port) with a non-empty packet set — a forwarding cycle
-   the spanning-tree construction should make impossible. *)
+   (switch, in-port) with a packet set inside the one seen there — a
+   forwarding cycle the spanning-tree construction should make
+   impossible.
+
+   A packet set is a pattern minus the patterns of packets taken
+   elsewhere: header space subtraction (Kazemian et al., "Header Space
+   Analysis", NSDI 2012).  At a switch an entry sees only what no
+   higher-priority entry took, so a hit inside one taken pattern is
+   skipped and the others stay with the hit as exclusions.  Across a
+   hop an exclusion is carried when it agrees with the hit on every
+   field the entry writes, as it does whenever the rewrites are
+   one-to-one on the hit: the packets outside it then land outside its
+   image.  Dropping the others only widens the set, so the walk still
+   covers every packet that really travels, and every real loop is
+   found. *)
+type packet_set = { pat : Pattern.t; minus : Pattern.t list }
+
+let inside p taken = List.exists (Pattern.subset p) taken
+
+(* Every packet of [a] is in [b]. *)
+let within a b =
+  Pattern.subset a.pat b.pat
+  && List.for_all
+       (fun e ->
+         match Pattern.inter e a.pat with
+         | None -> true
+         | Some x -> inside x a.minus)
+       b.minus
+
+(* [e], inside [hit], agrees with [hit] on every field [m] writes. *)
+let carried (m : Mods.t) (hit : Pattern.t) (e : Pattern.t) =
+  let same w a b = Option.is_none w || a = b in
+  same m.port hit.port e.port
+  && same m.src_mac hit.src_mac e.src_mac
+  && same m.dst_mac hit.dst_mac e.dst_mac
+  && same m.eth_type hit.eth_type e.eth_type
+  && same m.src_ip hit.src_ip e.src_ip
+  && same m.dst_ip hit.dst_ip e.dst_ip
+  && same m.proto hit.proto e.proto
+  && same m.src_port hit.src_port e.src_port
+  && same m.dst_port hit.dst_port e.dst_port
+
+module State_tbl = Hashtbl.Make (struct
+  type t = int * packet_set
+
+  let equal (s, a) (s', b) =
+    s = s'
+    && Pattern.equal a.pat b.pat
+    && List.equal Pattern.equal a.minus b.minus
+
+  let hash (s, a) = Hashtbl.hash (s, Pattern.hash a.pat)
+end)
+
+let find_list tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:[]
+
 let fabric_loops ?(max_states = 20_000) fab =
   let topo = Fabric.topo fab in
   let tables = Hashtbl.create 8 in
   List.iter
     (fun s ->
       Hashtbl.replace tables s
-        (Sdx_openflow.Table.entries
-           (Sdx_openflow.Switch.table (Fabric.switch fab s) 0)))
+        (Table.entries (Switch.table (Fabric.switch fab s) 0)))
     (Fabric.switches fab);
+  (* The entries of switch [s] a packet set can hit: for a set pinning a
+     destination MAC, those pinning that MAC or none. *)
+  let slices = Hashtbl.create 64 in
+  let candidates s (pat : Pattern.t) =
+    let all = find_list tables s in
+    match pat.dst_mac with
+    | None -> all
+    | Some m -> (
+        match Hashtbl.find_opt slices (s, m) with
+        | Some slice -> slice
+        | None ->
+            let slice =
+              List.filter
+                (fun (r : Flow.t) ->
+                  Option.fold ~none:true ~some:(Mac.equal m) r.pattern.dst_mac)
+                all
+            in
+            Hashtbl.replace slices (s, m) slice;
+            slice)
+  in
   let findings = ref [] in
+  let add code detail witness =
+    findings :=
+      {
+        pass = "loops";
+        code;
+        severity = Error;
+        detail;
+        rules = [];
+        witness = Some (witness_of_pattern witness);
+      }
+      :: !findings
+  in
   let truncated = ref false in
   let budget = ref max_states in
+  let explored = State_tbl.create 1024 in
   let hop_bound = 4 * Topology.switch_count topo in
-  let rec walk path s (pat : Pattern.t) =
-    if !budget <= 0 then truncated := true
+  let rec walk path s set =
+    if State_tbl.mem explored (s, set) then ()
+    else if !budget <= 0 then truncated := true
     else begin
       decr budget;
-      match Hashtbl.find_opt tables s with
-      | None -> ()
-      | Some table ->
-          List.iter
-            (fun (r : Sdx_openflow.Flow.t) ->
-              match Pattern.inter pat r.pattern with
-              | None -> ()
-              | Some hit ->
-                  List.iter
-                    (fun (m : Mods.t) ->
-                      match m.port with
-                      | None -> ()
-                      | Some o when o = Sdx_core.Compile.blackhole_port -> ()
-                      | Some o -> (
-                          match Topology.trunk_destination topo o with
-                          | None -> ()  (* leaves on a physical port *)
-                          | Some (owner, neighbor) when owner = s -> (
-                              let inp =
-                                Topology.trunk_port topo ~from:neighbor
-                                  ~toward_neighbor:s
-                              in
-                              let pat' =
-                                {
-                                  (apply_mods_pattern m hit) with
-                                  Pattern.port = Some inp;
-                                }
-                              in
-                              match
-                                List.find_opt
-                                  (fun ((sw, ip), q) ->
-                                    sw = neighbor && ip = inp
-                                    && Pattern.subset pat' q)
-                                  path
-                              with
-                              | Some _ ->
-                                  findings :=
-                                    {
-                                      pass = "loops";
-                                      code = "fabric-cycle";
-                                      severity = Error;
-                                      detail =
-                                        Format.asprintf
-                                          "forwarding cycle: packets \
-                                           re-enter switch %d on trunk \
-                                           port %d after %d hops"
-                                          neighbor inp (List.length path);
-                                      rules = [];
-                                      witness =
-                                        Some (witness_of_pattern pat');
-                                    }
-                                    :: !findings
-                              | None ->
-                                  if List.length path >= hop_bound then
-                                    findings :=
-                                      {
-                                        pass = "loops";
-                                        code = "hop-bound-exceeded";
-                                        severity = Error;
-                                        detail =
-                                          Format.asprintf
-                                            "packet set wandered %d trunk \
-                                             hops without leaving the \
-                                             fabric"
-                                            hop_bound;
-                                        rules = [];
-                                        witness =
-                                          Some (witness_of_pattern pat');
-                                      }
-                                      :: !findings
-                                  else
-                                    walk
-                                      (((neighbor, inp), pat') :: path)
-                                      neighbor pat')
-                          | Some _ ->
-                              findings :=
-                                {
-                                  pass = "loops";
-                                  code = "foreign-trunk-output";
-                                  severity = Error;
-                                  detail =
-                                    Format.asprintf
-                                      "switch %d outputs on trunk port %d, \
-                                       which belongs to another switch"
-                                      s o;
-                                  rules = [];
-                                  witness = Some (witness_of_pattern hit);
-                                }
-                                :: !findings))
-                    r.actions)
-            table
+      State_tbl.replace explored (s, set) ();
+      (* What the set excludes and higher-priority entries took, by the
+         destination MAC it pins: a hit pinning a MAC meets only those
+         pinning the same MAC or none. *)
+      let taken = Hashtbl.create 16 in
+      let take (p : Pattern.t) =
+        Hashtbl.replace taken p.dst_mac (p :: find_list taken p.dst_mac)
+      in
+      let relevant (hit : Pattern.t) =
+        match hit.dst_mac with
+        | Some _ -> find_list taken hit.dst_mac @ find_list taken None
+        | None -> Hashtbl.fold (fun _ l acc -> l @ acc) taken []
+      in
+      List.iter take set.minus;
+      List.iter
+        (fun (r : Flow.t) ->
+          match Pattern.inter set.pat r.pattern with
+          | None -> ()
+          | Some hit ->
+              let others = relevant hit in
+              if not (inside hit others) then begin
+                let minus = List.filter_map (Pattern.inter hit) others in
+                take hit;
+                List.iter (step path s hit minus) r.actions
+              end)
+        (candidates s set.pat)
     end
+  and step path s hit minus (m : Mods.t) =
+    match m.port with
+    | None -> ()
+    | Some o when o = Compile.blackhole_port -> ()
+    | Some o -> (
+        match Topology.trunk_destination topo o with
+        | None -> ()  (* leaves on a physical port *)
+        | Some (owner, neighbor) when owner = s -> (
+            let inp =
+              Topology.trunk_port topo ~from:neighbor ~toward_neighbor:s
+            in
+            let moved p =
+              { (apply_mods_pattern m p) with Pattern.port = Some inp }
+            in
+            let set' =
+              {
+                pat = moved hit;
+                minus =
+                  List.sort_uniq Pattern.compare
+                    (List.map moved (List.filter (carried m hit) minus));
+              }
+            in
+            if
+              List.exists
+                (fun ((sw, ip), q) ->
+                  sw = neighbor && ip = inp && within set' q)
+                path
+            then
+              add "fabric-cycle"
+                (Format.asprintf
+                   "forwarding cycle: packets re-enter switch %d on trunk \
+                    port %d after %d hops"
+                   neighbor inp (List.length path))
+                set'.pat
+            else if List.length path >= hop_bound then
+              add "hop-bound-exceeded"
+                (Format.asprintf
+                   "packet set wandered %d trunk hops without leaving the \
+                    fabric"
+                   hop_bound)
+                set'.pat
+            else walk (((neighbor, inp), set') :: path) neighbor set')
+        | Some _ ->
+            add "foreign-trunk-output"
+              (Format.asprintf
+                 "switch %d outputs on trunk port %d, which belongs to \
+                  another switch"
+                 s o)
+              hit)
   in
   List.iter
     (fun (port, s) ->
-      walk
-        [ ((s, port), Pattern.make ~port ()) ]
-        s
-        (Pattern.make ~port ()))
+      let set = { pat = Pattern.make ~port (); minus = [] } in
+      walk [ ((s, port), set) ] s set)
     (Topology.physical_ports topo);
   let fs = List.rev !findings in
   if !truncated then

@@ -119,11 +119,23 @@ val runtime_incremental : Runtime.t -> report
 
 val compiled : ?passes:string list -> Compile.t -> Config.t -> report
 
+val first_match : Sdx_policy.Classifier.t -> Packet.t -> int option
+(** [first_match c] indexes [c] once as an {!Sdx_openflow.Table}; the
+    returned probe gives the position of [c]'s first rule matching a
+    packet, the way the BGP pass's default-forwarding traces find the
+    rule a tagged packet hits.  Apply it partially and keep the probe. *)
+
 val fabric_loops : ?max_states:int -> Fabric.t -> finding list
 (** Just the symbolic walk over the entries a fabric's switches hold,
     version-tagged transit copies included (also reachable via
-    [run ~fabric]).  A packet set re-entering a (switch, trunk port) it
-    already crossed is a ["fabric-cycle"] Error with a witness. *)
+    [run ~fabric]).  Packet sets honour priorities: an entry sees only
+    what no higher-priority entry took, here or at an earlier switch
+    when the rewrites in between keep the exclusion exact.  The sets
+    cover every packet that really travels, so every real loop is
+    reported: a packet set re-entering a (switch, trunk port) inside the
+    set that crossed it before is a ["fabric-cycle"] Error with a
+    witness.  Past [max_states] (default 20,000) walked states the walk
+    stops with an Info ["loop-check-truncated"]. *)
 
 val network_lints : Network.t -> finding list
 (** Dynamic lints over a live {!Sdx_fabric.Network}: packets lost at the

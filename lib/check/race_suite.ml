@@ -166,7 +166,7 @@ let model_rcu_snapshot () =
   let reader =
     Sync.Domain.spawn ~name:"snap-reader" (fun () ->
         match Table.published_snapshot t with
-        | Some s -> ignore (Table.snapshot_lookup s pkt)
+        | Some s -> ignore (Table.searcher s pkt)
         | None -> ())
   in
   Table.install t

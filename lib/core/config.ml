@@ -12,49 +12,64 @@ type t = {
   port_count : int;
 }
 
+type site =
+  | Participant of Asn.t
+  | Clause of Asn.t * [ `Inbound | `Outbound ] * int
+
+type error = { site : site; message : string }
+
+exception Reject of error
+
+let reject site fmt =
+  Printf.ksprintf
+    (fun m -> raise (Reject { site; message = "Config.make: " ^ m }))
+    fmt
+
 (* Policies are validated up front so a bad reference fails with a clear
    message at configuration time, not deep inside compilation. *)
 let validate_policies by_asn (p : Participant.t) =
-  let where direction i = Printf.sprintf "%s %s clause %d" (Asn.to_string p.asn) direction i in
-  let check_exists ctx asn =
+  let where direction i =
+    ( Clause (p.asn, direction, i),
+      Printf.sprintf "%s %s clause %d" (Asn.to_string p.asn)
+        (match direction with `Inbound -> "inbound" | `Outbound -> "outbound")
+        i )
+  in
+  let check_exists (site, ctx) asn =
     match Hashtbl.find_opt by_asn asn with
     | Some (target : Participant.t) -> target
     | None ->
-        invalid_arg
-          (Printf.sprintf "Config.make: %s targets unknown participant %s" ctx
-             (Asn.to_string asn))
+        reject site "%s targets unknown participant %s" ctx (Asn.to_string asn)
   in
   let check_clause direction i (c : Ppolicy.clause) =
-    let ctx = where direction i in
+    let ((site, ctx) as at) = where direction i in
     match c.target with
     | Ppolicy.Peer asn ->
-        if direction = "inbound" then
-          invalid_arg
-            (Printf.sprintf "Config.make: %s forwards to a peer (inbound policies may only use own ports, steering, default, or drop)" ctx);
-        ignore (check_exists ctx asn)
+        if direction = `Inbound then
+          reject site
+            "%s forwards to a peer (inbound policies may only use own ports, \
+             steering, default, or drop)"
+            ctx;
+        ignore (check_exists at asn)
     | Ppolicy.Redirect asn ->
-        let target = check_exists ctx asn in
+        let target = check_exists at asn in
         if Participant.is_remote target then
-          invalid_arg
-            (Printf.sprintf "Config.make: %s steers to %s, which has no physical port"
-               ctx (Asn.to_string asn))
+          reject site "%s steers to %s, which has no physical port" ctx
+            (Asn.to_string asn)
     | Ppolicy.Phys k ->
         if k < 0 || k >= List.length p.ports then
-          invalid_arg
-            (Printf.sprintf "Config.make: %s forwards to nonexistent own port %d" ctx k)
+          reject site "%s forwards to nonexistent own port %d" ctx k
     | Ppolicy.Default | Ppolicy.Drop -> ()
   in
-  List.iteri (check_clause "outbound") p.outbound;
-  List.iteri (check_clause "inbound") p.inbound
+  List.iteri (check_clause `Outbound) p.outbound;
+  List.iteri (check_clause `Inbound) p.inbound
 
-let make ?export participants =
+let build ?export participants =
   let by_asn = Hashtbl.create 64 in
   List.iter
     (fun (p : Participant.t) ->
       if Hashtbl.mem by_asn p.asn then
-        invalid_arg
-          (Printf.sprintf "Config.make: duplicate participant %s"
-             (Asn.to_string p.asn));
+        reject (Participant p.asn) "duplicate participant %s"
+          (Asn.to_string p.asn);
       Hashtbl.replace by_asn p.asn p)
     participants;
   List.iter (validate_policies by_asn) participants;
@@ -68,18 +83,16 @@ let make ?export participants =
         (fun (port : Participant.port) ->
           (match Mac_space.reserved port.mac with
           | Some block ->
-              invalid_arg
-                (Printf.sprintf "Config.make: %s port MAC %s lies in %s"
-                   (Asn.to_string p.asn) (Mac.to_string port.mac) block)
+              reject (Participant p.asn) "%s port MAC %s lies in %s"
+                (Asn.to_string p.asn) (Mac.to_string port.mac) block
           | None -> ());
           let n = !next in
           incr next;
           Hashtbl.replace port_numbers (p.asn, port.index) n;
           Hashtbl.replace port_owners n (p, port);
           if Hashtbl.mem by_next_hop port.ip then
-            invalid_arg
-              (Printf.sprintf "Config.make: duplicate port address %s"
-                 (Ipv4.to_string port.ip));
+            reject (Participant p.asn) "duplicate port address %s"
+              (Ipv4.to_string port.ip);
           Hashtbl.replace by_next_hop port.ip (p, port, n))
         p.ports)
     participants;
@@ -96,6 +109,14 @@ let make ?export participants =
     port_count = !next - 1;
   }
 
+let of_participants ?export participants =
+  match build ?export participants with
+  | t -> Ok t
+  | exception Reject e -> Error e
+
+let make ?export participants =
+  try build ?export participants with Reject e -> invalid_arg e.message
+
 let participants t = t.participants
 let server t = t.server
 
@@ -109,7 +130,8 @@ let with_policies t f =
   in
   let by_asn = Hashtbl.create 64 in
   List.iter (fun (p : Participant.t) -> Hashtbl.replace by_asn p.asn p) participants;
-  List.iter (validate_policies by_asn) participants;
+  (try List.iter (validate_policies by_asn) participants
+   with Reject e -> invalid_arg e.message);
   let port_owners = Hashtbl.create 64 in
   let by_next_hop = Hashtbl.create 64 in
   List.iter

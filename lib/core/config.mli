@@ -7,16 +7,31 @@ open Sdx_bgp
 
 type t
 
+(** What a rejected configuration names: a participant, or one clause
+    of its inbound or outbound policy (0-based, in list order). *)
+type site =
+  | Participant of Asn.t
+  | Clause of Asn.t * [ `Inbound | `Outbound ] * int
+
+type error = { site : site; message : string }
+
+val of_participants :
+  ?export:(advertiser:Asn.t -> receiver:Asn.t -> bool) ->
+  Participant.t list ->
+  (t, error) result
+(** Builds the configuration and an empty route server with the given
+    export-policy matrix.  Rejects duplicate ASNs (at the second
+    participant), invalid policy clauses, a port address an earlier port
+    holds (at the later port's participant), and a port MAC in a block
+    the SDX mints addresses from ({!Mac_space.reserved}), naming the
+    participant and the MAC. *)
+
 val make :
   ?export:(advertiser:Asn.t -> receiver:Asn.t -> bool) ->
   Participant.t list ->
   t
-(** Builds the configuration and an empty route server with the given
-    export-policy matrix.
-    @raise Invalid_argument on duplicate ASNs, invalid policies,
-    duplicate port addresses, or a port MAC in a block the SDX mints
-    addresses from ({!Mac_space.reserved}), naming the participant and
-    the MAC. *)
+(** {!of_participants}.
+    @raise Invalid_argument with the error's message on a rejection. *)
 
 val participants : t -> Participant.t list
 

@@ -180,22 +180,3 @@ let default_domains () =
   match Option.bind (Sys.getenv_opt "SDX_DOMAINS") int_of_string_opt with
   | Some n when n >= 1 -> n
   | Some _ | None -> Sync.Domain.recommended_count ()
-
-(* One process-wide pool, sized for the machine, created on first use.
-   Never shut down: its workers are blocked (not spinning) when idle and
-   die with the process. *)
-let global_mutex = Sync.Mutex.create ~name:"Parallel.global" ()
-let global_pool = ref None
-
-let global () =
-  Sync.Mutex.lock global_mutex;
-  let pool =
-    match !global_pool with
-    | Some p -> p
-    | None ->
-        let p = create ~domains:(default_domains ()) in
-        global_pool := Some p;
-        p
-  in
-  Sync.Mutex.unlock global_mutex;
-  pool

@@ -33,7 +33,3 @@ val with_pool : domains:int -> (t -> 'a) -> 'a
 val default_domains : unit -> int
 (** [SDX_DOMAINS] if set to a positive integer, else
     [Domain.recommended_domain_count ()]. *)
-
-val global : unit -> t
-(** The shared process-wide pool, created on first use with
-    {!default_domains} domains. *)

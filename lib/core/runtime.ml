@@ -533,71 +533,3 @@ let consume_dirty t =
      full pass from [None]) covers the state as of this call. *)
   t.last_dirty <- Some no_dirty;
   d
-
-(* ------------------------------------------------------------------ *)
-(* Parallel dataplane driver: per-domain packet workers over an RCU
-   snapshot of the flow table.                                          *)
-
-module Table = Sdx_openflow.Table
-
-type dataplane = {
-  dp_table : Table.t;
-  mutable dp_snap : Table.snapshot;
-  dp_workers : int;
-}
-
-module Dp_obs = struct
-  open Sdx_obs.Registry
-
-  let workers = gauge "sdx_dataplane_workers"
-  let packets = counter "sdx_dataplane_packets_total"
-end
-
-let dataplane ?domains t =
-  let workers =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Parallel.default_domains ()
-  in
-  let table = Table.create () in
-  Table.install_all table (flows t);
-  let dp = { dp_table = table; dp_snap = Table.snapshot table; dp_workers = workers } in
-  Sdx_obs.Registry.Gauge.set_int Dp_obs.workers workers;
-  dp
-
-let dataplane_refresh dp t =
-  Table.clear dp.dp_table;
-  Table.install_all dp.dp_table (flows t);
-  dp.dp_snap <- Table.snapshot dp.dp_table
-
-let dataplane_workers dp = dp.dp_workers
-let dataplane_snapshot dp = dp.dp_snap
-
-let dataplane_process dp (pkts : Packet.t array) =
-  let n = Array.length pkts in
-  let out = Array.make n None in
-  if n > 0 then begin
-    let snap = dp.dp_snap in
-    let w = min dp.dp_workers n in
-    if w <= 1 then begin
-      let find = Table.searcher snap in
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i (find (Array.unsafe_get pkts i))
-      done
-    end
-    else
-      (* Contiguous shards, one per worker; each worker holds its own
-         searcher cursor and writes a disjoint slice of [out], so the
-         only shared state is the frozen snapshot. *)
-      ignore
-        (Parallel.map (Parallel.global ())
-           (fun k ->
-             let lo = k * n / w and hi = (k + 1) * n / w in
-             let find = Table.searcher snap in
-             for i = lo to hi - 1 do
-               Array.unsafe_set out i (find (Array.unsafe_get pkts i))
-             done)
-           (List.init w Fun.id));
-    Sdx_obs.Registry.Counter.add Dp_obs.packets n
-  end;
-  out

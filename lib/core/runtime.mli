@@ -72,8 +72,8 @@ val flows : t -> Sdx_openflow.Flow.t list
     rule count) and each
     fast-path block keeps the priorities it was assigned when installed
     (new blocks stack above older ones) — so successive calls differ only
-    in the entries an update actually touched, and
-    {!Sdx_openflow.Connection.sync} sends minimal flow-mods.  Until the
+    in the entries an update actually touched, and a fabric commit
+    sends minimal flow-mods.  Until the
     base classifier is recompiled, its entries are the same values from
     call to call, so a diff can compare them physically first.  When the
     fast-path priority space fills up, {!handle_update} re-optimizes
@@ -220,33 +220,3 @@ val consume_dirty : t -> dirty option
 (** {!last_dirty}, then reset the accumulator to the empty dirty-set on
     the assumption that the caller now verifies the current state
     (incrementally from [Some], or with a full pass from [None]). *)
-
-(** {2 Parallel dataplane driver}
-
-    Per-domain packet workers over a read-copy-update snapshot of the
-    flow table ({!Sdx_openflow.Table.snapshot}): lookups never lock, and
-    a policy change republishes a fresh snapshot instead of mutating the
-    one in flight. *)
-
-type dataplane
-
-val dataplane : ?domains:int -> t -> dataplane
-(** Builds a flow table from {!flows}, publishes its first snapshot, and
-    sizes the worker shard count ([domains], default
-    {!Parallel.default_domains}).  Workers run on {!Parallel.global}. *)
-
-val dataplane_refresh : dataplane -> t -> unit
-(** Reloads the table from the runtime's current {!flows} and publishes
-    a fresh snapshot; lookups already running keep the old snapshot
-    until their batch completes. *)
-
-val dataplane_process :
-  dataplane -> Packet.t array -> Sdx_openflow.Flow.t option array
-(** Looks every packet up against the current snapshot, sharding the
-    vector across the worker domains (contiguous shards, one private
-    searcher cursor per worker).  Result order matches input order. *)
-
-val dataplane_workers : dataplane -> int
-val dataplane_snapshot : dataplane -> Sdx_openflow.Table.snapshot
-(** The currently published snapshot (tests probe it with
-    {!Sdx_openflow.Table.snapshot_linear} as an oracle). *)

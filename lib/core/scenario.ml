@@ -11,9 +11,12 @@ exception Err of error
 let fail line message = raise (Err { line; message })
 
 type draft = {
+  line : int;  (* the participant's declaration *)
   mutable ports : (Mac.t * Ipv4.t) list;  (* reversed *)
   mutable inbound : Ppolicy.t;
   mutable outbound : Ppolicy.t;
+  mutable inbound_lines : int list;  (* the line of each inbound clause *)
+  mutable outbound_lines : int list;
   mutable originated : Prefix.t list;
 }
 
@@ -69,7 +72,17 @@ let parse text =
           let asn = parse_asn lineno asn_s in
           if Hashtbl.mem drafts asn then
             fail lineno (Printf.sprintf "duplicate participant %s" asn_s);
-          let d = { ports = []; inbound = []; outbound = []; originated = [] } in
+          let d =
+            {
+              line = lineno;
+              ports = [];
+              inbound = [];
+              outbound = [];
+              inbound_lines = [];
+              outbound_lines = [];
+              originated = [];
+            }
+          in
           let rec ports = function
             | [] -> ()
             | "port" :: mac_s :: ip_s :: rest -> (
@@ -155,8 +168,15 @@ let parse text =
           parse_policy lineno asn ~known_asns
             ~port_count:(List.length d.ports) text
         in
-        if kind = "inbound" then d.inbound <- d.inbound @ policy
-        else d.outbound <- d.outbound @ policy)
+        let lines = List.map (fun _ -> lineno) policy in
+        if kind = "inbound" then begin
+          d.inbound <- d.inbound @ policy;
+          d.inbound_lines <- d.inbound_lines @ lines
+        end
+        else begin
+          d.outbound <- d.outbound @ policy;
+          d.outbound_lines <- d.outbound_lines @ lines
+        end)
       (List.rev !policy_lines);
     let participants =
       List.rev_map
@@ -167,8 +187,19 @@ let parse text =
         !order
     in
     let config =
-      try Config.make participants
-      with Invalid_argument msg -> fail 0 msg
+      match Config.of_participants participants with
+      | Ok config -> config
+      | Error { site = Config.Participant asn; message } ->
+          fail (Hashtbl.find drafts asn).line message
+      | Error { site = Config.Clause (asn, direction, i); message } ->
+          let d = Hashtbl.find drafts asn in
+          fail
+            (List.nth
+               (match direction with
+               | `Inbound -> d.inbound_lines
+               | `Outbound -> d.outbound_lines)
+               i)
+            message
     in
     List.iter
       (fun a ->

@@ -1,8 +1,8 @@
 (** A zero-dependency, domain-safe metrics registry.
 
-    The control plane already fans rule-block compilation across OCaml 5
-    domains ({!Sdx_core.Parallel}), so every metric primitive here is
-    safe to mutate concurrently: counters and histogram buckets are
+    The program runs on several OCaml 5 domains (the data-plane
+    workers of {!Sdx_core.Parallel}), so every metric primitive here is
+    safe to mutate from any of them: counters and histogram buckets are
     [Atomic] cells, float accumulators use a compare-and-set loop, and
     registration (get-or-create) is serialized on a per-registry mutex.
 

@@ -1,7 +1,5 @@
-
 type t = {
-  switch : Switch.t;
-  table_id : int;
+  table : Table.t;
   (* Switch-to-controller queue as a two-list FIFO: [front] holds the
      oldest messages in arrival order, [back] the newest in reverse.
      [queue] and [recv] are O(1) amortized — each message is moved from
@@ -16,20 +14,17 @@ type t = {
      delete unfiles it whatever actions the request carries. *)
   cookie_of : int Table.KeyTbl.t;  (* slot -> its nonzero cookie *)
   cookies : (int, unit Table.KeyTbl.t) Hashtbl.t;  (* cookie -> its slots *)
-  mutable next_buffer : int;
 }
 
-let create ?(table = 0) switch =
+let create switch =
   {
-    switch;
-    table_id = table;
+    table = Switch.table switch 0;
     front = [];
     back = [];
     queued = 0;
     applied = 0;
     cookie_of = Table.KeyTbl.create 64;
     cookies = Hashtbl.create 16;
-    next_buffer = 1;
   }
 
 let queue t msg =
@@ -51,8 +46,7 @@ let recv t =
 
 let pending t = t.queued
 let flow_mods_applied t = t.applied
-let table t = Switch.table t.switch t.table_id
-let installed t = Table.entries (table t)
+let installed t = Table.entries t.table
 
 let unfile t slot =
   match Table.KeyTbl.find_opt t.cookie_of slot with
@@ -108,11 +102,10 @@ let flow_mod_ops t command cookie (flow : Flow.t) =
 let send t (msg : Message.t) =
   match msg with
   | Message.Flow_mod { command; cookie; flow } ->
-      Table.apply (table t) (flow_mod_ops t command cookie flow)
+      Table.apply t.table (flow_mod_ops t command cookie flow)
   | Message.Barrier_request xid -> queue t (Message.Barrier_reply xid)
   | Message.Echo_request xid -> queue t (Message.Echo_reply xid)
-  | Message.Packet_out packet -> ignore (Switch.process t.switch packet)
-  | Message.Barrier_reply _ | Message.Echo_reply _ | Message.Packet_in _ ->
+  | Message.Barrier_reply _ | Message.Echo_reply _ ->
       (* switch-to-controller messages are not valid on this side *)
       invalid_arg "Connection.send: not a controller-to-switch message"
 
@@ -123,7 +116,7 @@ let send_all t msgs =
     | [] -> ()
     | rev_ops ->
         pending := [];
-        Table.apply (table t) (List.rev rev_ops)
+        Table.apply t.table (List.rev rev_ops)
   in
   List.iter
     (fun (msg : Message.t) ->
@@ -140,83 +133,10 @@ let barrier t xid =
   send t (Message.Barrier_request xid);
   (* The in-memory switch answers synchronously: the reply was appended
      at the tail of the queue just now.  Consume it without disturbing
-     any earlier messages (packet-ins stay queued for the controller). *)
+     any earlier messages (echo replies stay queued for the controller). *)
   match t.back with
   | Message.Barrier_reply x :: rest when x = xid ->
       t.back <- rest;
       t.queued <- t.queued - 1;
       true
   | _ -> false
-
-let process t pkt =
-  (* The packet-in decision must not touch hit counters: the real
-     (counter-bumping) lookups happen inside [Switch.process], so probing
-     with [Table.lookup] here would double-count the winning entry.  The
-     RCU snapshot is a pure view of the same table with identical
-     first-match semantics. *)
-  match Table.snapshot_lookup (Table.snapshot (table t)) pkt with
-  | None ->
-      let buffer_id = t.next_buffer in
-      t.next_buffer <- t.next_buffer + 1;
-      queue t (Message.Packet_in { buffer_id; packet = pkt });
-      []
-  | Some _ -> Switch.process t.switch pkt
-
-(* OpenFlow ADD overwrites on (priority, pattern), so a target listing
-   the same slot twice resolves to its last occurrence — the table can
-   never hold both, and diffing against the raw multiset would re-add
-   the duplicate on every sync, breaking idempotence. *)
-let normalize target =
-  let seen = Hashtbl.create 64 in
-  List.rev
-    (List.filter
-       (fun (f : Flow.t) ->
-         let key = (f.Flow.priority, f.Flow.pattern) in
-         if Hashtbl.mem seen key then false
-         else begin
-           Hashtbl.replace seen key ();
-           true
-         end)
-       (List.rev target))
-
-let sync t target =
-  let target = normalize target in
-  (* Multiset diff on whole entries: additions first (make-before-break;
-     priorities disambiguate during the transition), then strict deletes
-     of the leftovers. *)
-  let count_map flows =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun f -> Hashtbl.replace tbl f (1 + Option.value (Hashtbl.find_opt tbl f) ~default:0))
-      flows;
-    tbl
-  in
-  let existing = count_map (installed t) in
-  let additions =
-    List.filter
-      (fun f ->
-        match Hashtbl.find_opt existing f with
-        | Some n when n > 0 ->
-            Hashtbl.replace existing f (n - 1);
-            false
-        | _ -> true)
-      target
-  in
-  (* Whatever count remains in [existing] is surplus — except entries an
-     addition overwrites in place (OpenFlow ADD replaces an entry with
-     equal priority and match), which need no delete. *)
-  let overwritten = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Flow.t) -> Hashtbl.replace overwritten (f.priority, f.pattern) ())
-    additions;
-  let removals =
-    Hashtbl.fold
-      (fun (f : Flow.t) n acc ->
-        if n > 0 && not (Hashtbl.mem overwritten (f.priority, f.pattern)) then
-          List.init n (fun _ -> f) @ acc
-        else acc)
-      existing []
-  in
-  List.iter (fun f -> send t (Message.add f)) additions;
-  List.iter (fun f -> send t (Message.delete f)) removals;
-  List.length additions + List.length removals

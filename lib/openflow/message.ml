@@ -1,13 +1,9 @@
-open Sdx_net
-
 type flow_mod_command = Add | Delete_strict | Delete_by_cookie
 
 type t =
   | Flow_mod of { command : flow_mod_command; cookie : int; flow : Flow.t }
   | Barrier_request of int
   | Barrier_reply of int
-  | Packet_out of Packet.t
-  | Packet_in of { buffer_id : int; packet : Packet.t }
   | Echo_request of int
   | Echo_reply of int
 
@@ -33,8 +29,5 @@ let pp fmt = function
       Format.fprintf fmt "flow_mod %s cookie=%d %a" cmd cookie Flow.pp flow
   | Barrier_request xid -> Format.fprintf fmt "barrier_request xid=%d" xid
   | Barrier_reply xid -> Format.fprintf fmt "barrier_reply xid=%d" xid
-  | Packet_out p -> Format.fprintf fmt "packet_out %a" Packet.pp p
-  | Packet_in { buffer_id; packet } ->
-      Format.fprintf fmt "packet_in buf=%d %a" buffer_id Packet.pp packet
   | Echo_request xid -> Format.fprintf fmt "echo_request xid=%d" xid
   | Echo_reply xid -> Format.fprintf fmt "echo_reply xid=%d" xid

@@ -2,10 +2,7 @@
 
     The subset a software-defined exchange actually exercises: flow
     modifications (with cookies so related rules can be deleted
-    together), barriers for ordering, echo keepalives, and packet-in /
-    packet-out for table misses. *)
-
-open Sdx_net
+    together), barriers for ordering, and echo keepalives. *)
 
 type flow_mod_command =
   | Add
@@ -16,9 +13,6 @@ type t =
   | Flow_mod of { command : flow_mod_command; cookie : int; flow : Flow.t }
   | Barrier_request of int  (** xid *)
   | Barrier_reply of int
-  | Packet_out of Packet.t
-  | Packet_in of { buffer_id : int; packet : Packet.t }
-      (** sent switch-to-controller on table miss *)
   | Echo_request of int
   | Echo_reply of int
 

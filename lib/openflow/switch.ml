@@ -1,38 +1,7 @@
-open Sdx_net
-open Sdx_policy
+type t = { table : Table.t }
 
-type t = { tables : Table.t array }
-
-let create ?(tables = 1) ?capacity () =
-  if tables < 1 then invalid_arg "Switch.create: need at least one table";
-  { tables = Array.init tables (fun _ -> Table.create ?capacity ()) }
+let create ?capacity () = { table = Table.create ?capacity () }
 
 let table t i =
-  if i < 0 || i >= Array.length t.tables then
-    invalid_arg (Printf.sprintf "Switch.table: no table %d" i)
-  else t.tables.(i)
-
-let table_count t = Array.length t.tables
-
-let process t pkt =
-  (* [stage i pkt] runs [pkt] through tables i.. and returns the packets
-     that leave the switch. *)
-  let rec stage i pkt =
-    if i >= Array.length t.tables then [ pkt ]
-    else
-      match Table.lookup t.tables.(i) pkt with
-      | None -> []
-      | Some flow ->
-          List.concat_map
-            (fun (m : Mods.t) ->
-              let pkt' = Mods.apply m pkt in
-              if Option.is_some m.port then [ pkt' ] else stage (i + 1) pkt')
-            flow.Flow.actions
-  in
-  Packet.Set.elements (Packet.Set.of_list (stage 0 pkt))
-
-let rule_count t =
-  Array.fold_left (fun acc tbl -> acc + Table.size tbl) 0 t.tables
-
-let install_classifier t ?(table = 0) ?base_priority c =
-  Table.install_all t.tables.(table) (Flow.of_classifier ?base_priority c)
+  if i <> 0 then invalid_arg (Printf.sprintf "Switch.table: no table %d" i)
+  else t.table

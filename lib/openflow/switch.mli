@@ -1,32 +1,12 @@
-(** A software OpenFlow switch: one or more flow tables in a pipeline plus
-    packet-processing semantics.
-
-    The SDX data plane uses a single table (the policy compiler flattens
-    the virtual topology into it); the multi-table pipeline also models
-    the multi-stage FIB of Figure 2 for tests that keep the stages
-    separate. *)
-
-open Sdx_net
+(** A software OpenFlow switch holding one flow table: the policy
+    compiler flattens the SDX's virtual topology into a single table,
+    and {!Sdx_fabric.Fabric} forwards frames through it. *)
 
 type t
 
-val create : ?tables:int -> ?capacity:int -> unit -> t
-(** [tables] (default 1) flow tables, each with optional [capacity]. *)
+val create : ?capacity:int -> unit -> t
+(** An empty switch whose table holds at most [capacity] entries. *)
 
 val table : t -> int -> Table.t
-(** @raise Invalid_argument on an out-of-range table id. *)
-
-val table_count : t -> int
-
-val process : t -> Packet.t -> Packet.t list
-(** Runs the packet through table 0.  Each action atom applies its header
-    rewrites; if the atom relocates the packet ([port] set), the packet
-    leaves the pipeline on that port; otherwise it continues to the next
-    table (goto-table semantics), or is delivered at its current location
-    after the last table.  A packet matching no entry is dropped. *)
-
-val rule_count : t -> int
-(** Total entries across all tables. *)
-
-val install_classifier : t -> ?table:int -> ?base_priority:int -> Sdx_policy.Classifier.t -> unit
-(** Installs a compiled classifier into the given table (default 0). *)
+(** [table sw 0] is the switch's table.
+    @raise Invalid_argument on any other table id. *)

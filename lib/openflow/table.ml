@@ -636,10 +636,6 @@ let searcher snap =
     let e = c.best in
     if e == no_entry then None else e.found
 
-(* One-shot convenience over [searcher]; allocates a cursor per call, so
-   hot loops should hold a searcher instead. *)
-let snapshot_lookup snap pkt = searcher snap pkt
-
 (* Linear oracle over the frozen entry array: agrees with what [searcher]
    answers for THIS snapshot even while the live table keeps mutating,
    which makes concurrent equivalence checks exact. *)

@@ -97,10 +97,6 @@ val searcher : snapshot -> Packet.t -> Flow.t option
     [let find = searcher snap] rather than calling [searcher snap pkt]
     per packet; applying [find] allocates nothing. *)
 
-val snapshot_lookup : snapshot -> Packet.t -> Flow.t option
-(** One-shot convenience over {!searcher} (allocates a cursor per
-    call). *)
-
 val snapshot_linear : snapshot -> Packet.t -> Flow.t option
 (** Linear-scan oracle over the snapshot's frozen entry array: agrees
     with {!searcher} on this snapshot even while the live table keeps

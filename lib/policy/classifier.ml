@@ -11,7 +11,7 @@ let id_all = [ rule Pattern.all [ Mods.identity ] ]
 (* Cross products routinely emit the same pattern several times; only the
    first occurrence can ever match, so later ones are dropped via a
    hashtable — an O(1) shadow check that keeps composition linear in the
-   output size.  Full (superset) shadow elimination lives in [optimize]. *)
+   output size.  Superset shadowing is only reported, by [shadows]. *)
 let dedupe_patterns rules =
   let seen = Pattern.Tbl.create 64 in
   List.filter
@@ -225,7 +225,7 @@ let eval c pkt =
       Packet.Set.elements
         (Packet.Set.of_list (List.map (fun m -> Mods.apply m pkt) r.action))
 
-(* Shadow elimination: a rule is dead when an earlier rule's pattern is a
+(* Shadow detection: a rule is dead when an earlier rule's pattern is a
    superset of its own.  Any superset of pattern [p] must constrain a
    subset of [p]'s fields, with equal values on exact fields and
    containing prefixes on IP fields — so earlier patterns are bucketed by
@@ -259,57 +259,11 @@ let exact_clearers (p : Pattern.t) =
   @@ add (fun (q : Pattern.t) -> { q with dst_port = None }) p.dst_port
   @@ []
 
-let shadow_prune c =
-  let tbl = Shadow_tbl.create 256 in
-  let shadowed p =
-    let base = erase_prefixes p in
-    let clears = Array.of_list (exact_clearers p) in
-    let k = Array.length clears in
-    let pb = prefix_bits p in
-    let found = ref false in
-    let emask = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let e = ref base in
-      for i = 0 to k - 1 do
-        if !emask land (1 lsl i) <> 0 then e := clears.(i) !e
-      done;
-      (* Probe every sub-selection of the constrained prefix fields. *)
-      let pmask = ref pb in
-      let more_pmasks = ref true in
-      while !more_pmasks && not !found do
-        (match Shadow_tbl.find_opt tbl (!pmask, !e) with
-        | Some earlier ->
-            if List.exists (fun q -> Pattern.subset p q) !earlier then
-              found := true
-        | None -> ());
-        if !pmask = 0 then more_pmasks := false
-        else pmask := (!pmask - 1) land pb
-      done;
-      if !found || !emask = (1 lsl k) - 1 then continue := false
-      else incr emask
-    done;
-    !found
-  in
-  let insert p =
-    let key = (prefix_bits p, erase_prefixes p) in
-    match Shadow_tbl.find_opt tbl key with
-    | Some earlier -> earlier := p :: !earlier
-    | None -> Shadow_tbl.add tbl key (ref [ p ])
-  in
-  List.filter
-    (fun r ->
-      if shadowed r.pattern then false
-      else begin
-        insert r.pattern;
-        true
-      end)
-    c
-
 (* Report (without removing) which rules an earlier superset rule
    shadows: [(i, j)] means rule [i] can never match because rule [j < i]
-   matches every packet rule [i] does.  Same bucketed generalization
-   probe as [shadow_prune], with rule indices carried in the buckets. *)
+   matches every packet rule [i] does.  Every generalization of the
+   rule's pattern is probed in the buckets of earlier patterns, which
+   carry their rule indices. *)
 let shadows c =
   let tbl = Shadow_tbl.create 256 in
   let shadowed_by p =
@@ -363,32 +317,6 @@ let shadows c =
       (0, []) c
   in
   List.rev pairs
-
-(* Remove rules shadowed by an earlier superset rule, and remove
-   non-final rules whose action equals the final catch-all's action
-   provided no rule in between intersects them with a different action
-   (first-match would fall through to the same result). *)
-let optimize c =
-  let shadow_pruned = shadow_prune c in
-  match List.rev shadow_pruned with
-  | [] -> []
-  | last :: rev_body ->
-      let body = List.rev rev_body in
-      let rec prune = function
-        | [] -> []
-        | r :: rest ->
-            let rest' = prune rest in
-            let redundant =
-              r.action = last.action
-              && List.for_all
-                   (fun r' ->
-                     r'.action = r.action
-                     || Pattern.inter r.pattern r'.pattern = None)
-                   rest'
-            in
-            if redundant then rest' else r :: rest'
-      in
-      prune body @ [ last ]
 
 let rule_count = List.length
 

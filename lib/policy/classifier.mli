@@ -46,17 +46,11 @@ val restrict : Pattern.t -> t -> t
 (** [restrict p c] confines [c] to packets matching [p]; packets outside
     [p] are dropped.  The result is total. *)
 
-val optimize : t -> t
-(** Sound rule-count reduction: removes rules shadowed by an earlier
-    superset rule, rules made redundant by an identical-action catch-all,
-    and duplicate patterns.  Semantics are preserved. *)
-
 val shadows : t -> (int * int) list
 (** Report (without removing) rules an earlier superset rule shadows:
     [(i, j)] means rule [i] can never match because rule [j < i] matches
     every packet rule [i] does.  Index order, lowest shadowing index
-    preferred per rule — the diagnostic counterpart of the pruning
-    {!optimize} performs. *)
+    preferred per rule. *)
 
 val rule_count : t -> int
 

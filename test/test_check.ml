@@ -17,6 +17,13 @@ let has_code code (findings : Check.finding list) =
 let error_with_code code report =
   has_code code (Check.errors report)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let pp_errors r =
   Format.asprintf "%a" Check.pp_report
     { r with Check.findings = Check.errors r }
@@ -99,6 +106,135 @@ let test_fabric_clean () =
   check_bool "tree-trunked fabric has no cycles" false
     (has_code "fabric-cycle" findings
     || has_code "hop-bound-exceeded" findings)
+
+(* One concrete packet entering switch [s], walked by first match
+   ([Table.lookup]) at every switch it reaches: the (switch, packet) it
+   arrives as after each trunk crossing, for at most [hops] crossings. *)
+let crossings fab s (pkt : Packet.t) ~hops =
+  let topo = Fabric.topo fab in
+  let rec go s pkt n acc =
+    let next =
+      if n = 0 then None
+      else
+        match
+          Sdx_openflow.Table.lookup
+            (Sdx_openflow.Switch.table (Fabric.switch fab s) 0)
+            pkt
+        with
+        | None -> None
+        | Some f ->
+            List.find_map
+              (fun (m : Mods.t) ->
+                match Option.bind m.port (Topology.trunk_destination topo) with
+                | Some (_, nb) ->
+                    let inp =
+                      Topology.trunk_port topo ~from:nb ~toward_neighbor:s
+                    in
+                    Some (nb, Mods.apply_at m ~port:inp pkt)
+                | None -> None)
+              f.Sdx_openflow.Flow.actions
+    in
+    match next with
+    | None -> List.rev acc
+    | Some ((nb, pkt') as hop) -> go nb pkt' (n - 1) (hop :: acc)
+  in
+  go s pkt hops []
+
+(* Two switches, physical port 43 on switch 1 and 44 on switch 2, and
+   nothing installed. *)
+let two_edge_fabric () =
+  Fabric.create
+    (Topology.create ~switches:[ 1; 2 ] ~links:[ (1, 2) ]
+       ~port_home:[ (43, 1); (44, 2) ])
+
+let install fab s ~priority pattern actions =
+  Sdx_openflow.Connection.send (Fabric.connection fab s)
+    (Sdx_openflow.Message.add
+       (Sdx_openflow.Flow.make ~priority ~pattern ~actions))
+
+(* The trunk port of switch [s] toward the other one. *)
+let toward fab s =
+  Topology.trunk_port (Fabric.topo fab) ~from:s ~toward_neighbor:(3 - s)
+
+(* The chain that read as a cycle on the 300-participant benchmark
+   exchange.  Switch 2's top entry for tag 16, TCP and source port
+   38080 delivers, so only frames with other source ports are
+   re-stamped with tag 15 toward switch 1, where the entry that would
+   send them back matches source port 38080 only. *)
+let test_priority_cut_fabric () =
+  let tag n = Mac.of_int (0x060000000000 + n) in
+  let fab = two_edge_fabric () in
+  install fab 2 ~priority:20
+    (Pattern.make ~dst_mac:(tag 16) ~proto:6 ~src_port:38080 ())
+    [ Mods.make ~port:44 () ];
+  install fab 2 ~priority:10
+    (Pattern.make ~dst_mac:(tag 16) ~proto:6 ())
+    [ Mods.make ~port:(toward fab 2) ~dst_mac:(tag 15) () ];
+  install fab 1 ~priority:20
+    (Pattern.make ~dst_mac:(tag 15) ~src_port:38080 ())
+    [ Mods.make ~port:(toward fab 1) ~dst_mac:(tag 16) () ];
+  install fab 1 ~priority:10
+    (Pattern.make ~dst_mac:(tag 15) ())
+    [ Mods.make ~port:43 () ];
+  let findings = Check.fabric_loops fab in
+  check_bool "no cycle through the delivered source port" false
+    (has_code "fabric-cycle" findings
+    || has_code "hop-bound-exceeded" findings
+    || has_code "loop-check-truncated" findings)
+
+(* Random entries on the two-switch fabric, stamping small MACs and
+   source ports: a concrete packet whose first-match walk comes back to
+   a (switch, packet) it was already at loops forever, and the symbolic
+   walk must report a loop.  A walk has at most 24 states (2 switches,
+   4 MACs, 3 source ports), so 30 crossings always revisit one if the
+   packet never leaves. *)
+let prop_every_loop_reported =
+  let open QCheck2.Gen in
+  let opt g = frequency [ (1, return None); (1, map Option.some g) ] in
+  let mac = map Mac.of_int (int_range 1 3) and sport = oneofl [ 80; 443 ] in
+  let gen_entry =
+    let* s = int_range 1 2 in
+    let* dst_mac = opt mac in
+    let* src_port = opt sport in
+    let* out = oneofl [ `Trunk; `Deliver; `Drop ] in
+    let* new_mac = opt mac in
+    let* new_sport = opt sport in
+    return (s, Pattern.make ?dst_mac ?src_port (), out, new_mac, new_sport)
+  in
+  QCheck2.Test.make ~name:"concrete loops are reported" ~count:2000
+    (list_size (int_range 1 8) gen_entry)
+    (fun entries ->
+      let fab = two_edge_fabric () in
+      List.iteri
+        (fun i (s, pattern, out, dst_mac, src_port) ->
+          install fab s ~priority:(100 - i) pattern
+            (match out with
+            | `Trunk ->
+                [ Mods.make ~port:(toward fab s) ?dst_mac ?src_port () ]
+            | `Deliver -> [ Mods.make ~port:(if s = 1 then 43 else 44) () ]
+            | `Drop -> []))
+        entries;
+      let loops (s, port) dst_mac src_port =
+        let pkt =
+          Packet.make ~port ~dst_mac:(Mac.of_int dst_mac) ~src_port ()
+        in
+        let hops = crossings fab s pkt ~hops:30 in
+        List.exists
+          (fun h -> List.length (List.filter (( = ) h) hops) > 1)
+          hops
+      in
+      let concrete =
+        List.exists
+          (fun ingress ->
+            List.exists
+              (fun m -> List.exists (loops ingress m) [ 80; 443; 9 ])
+              [ 0; 1; 2; 3 ])
+          [ (1, 43); (2, 44) ]
+      in
+      let findings = Check.fabric_loops fab in
+      (not concrete)
+      || has_code "fabric-cycle" findings
+      || has_code "hop-bound-exceeded" findings)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded mutations: each violation class is caught by its pass.       *)
@@ -203,13 +339,27 @@ let test_mutation_spliced_cycle () =
   splice 2 ~in_port:p2t ~out:p2t;
   let findings = Check.fabric_loops fab in
   check_bool "spliced cycle caught" true (has_code "fabric-cycle" findings);
-  let witness =
+  match
     List.find_map
       (fun (f : Check.finding) ->
-        if f.Check.code = "fabric-cycle" then f.Check.witness else None)
+        if f.Check.code = "fabric-cycle" then
+          Option.map (fun w -> (f, w)) f.Check.witness
+        else None)
       findings
-  in
-  check_bool "cycle witness provided" true (witness <> None)
+  with
+  | None -> Alcotest.fail "no cycle witness"
+  | Some (f, w) ->
+      (* The witness stands at the re-entered trunk port; walked by first
+         match, it comes back there. *)
+      let s, _ = Option.get (Topology.trunk_destination topo w.Packet.port) in
+      check_bool "the finding names the witness's (switch, port)" true
+        (contains f.Check.detail
+           (Printf.sprintf "re-enter switch %d on trunk port %d" s
+              w.Packet.port));
+      check_bool "the witness re-enters its (switch, port)" true
+        (List.exists
+           (fun (s', (p : Packet.t)) -> s' = s && p.port = w.Packet.port)
+           (crossings fab s w ~hops:4))
 
 (* Mutation 5: a middlebox service chain that bites its own tail — the
    Prelude failure mode. *)
@@ -435,6 +585,70 @@ let prop_incremental_cross_validates =
             QCheck.Test.fail_reportf "seed %d: %s" seed (pp_errors inc)
           else true)
 
+(* ------------------------------------------------------------------ *)
+(* The BGP pass's first-match probe.                                   *)
+
+let small_prefixes =
+  List.map Prefix.of_string
+    [ "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24"; "20.0.0.0/8"; "20.3.0.0/16" ]
+
+let small_ips =
+  List.map Ipv4.of_string
+    [ "10.1.2.3"; "10.200.0.1"; "20.3.4.5"; "20.0.0.7"; "9.9.9.9" ]
+
+let gen_pattern =
+  let open QCheck2.Gen in
+  let opt g = frequency [ (2, return None); (1, map Option.some g) ] in
+  let* port = opt (int_range 1 3) in
+  let* dst_mac = opt (map Mac.of_int (int_range 1 2)) in
+  let* src_ip = opt (oneofl small_prefixes) in
+  let* dst_ip = opt (oneofl small_prefixes) in
+  let* proto = opt (oneofl [ 6; 17 ]) in
+  let* dst_port = opt (oneofl [ 80; 443 ]) in
+  return (Pattern.make ?port ?dst_mac ?src_ip ?dst_ip ?proto ?dst_port ())
+
+let gen_mods =
+  let open QCheck2.Gen in
+  let opt g = frequency [ (2, return None); (1, map Option.some g) ] in
+  let* port = opt (int_range 0 3) in
+  let* dst_ip = opt (oneofl small_ips) in
+  let* dst_port = opt (oneofl [ 80; 443 ]) in
+  return (Mods.make ?port ?dst_ip ?dst_port ())
+
+let gen_classifier =
+  let open QCheck2.Gen in
+  let gen_action = list_size (int_range 0 2) gen_mods in
+  let gen_rule =
+    let* pattern = gen_pattern in
+    let* action = gen_action in
+    return { Classifier.pattern; action }
+  in
+  list_size (int_range 0 15) gen_rule
+
+let gen_packet =
+  let open QCheck2.Gen in
+  let* port = int_range 0 4 in
+  let* dst_mac = map Mac.of_int (int_range 1 3) in
+  let* src_ip = oneofl small_ips in
+  let* dst_ip = oneofl small_ips in
+  let* proto = oneofl [ 6; 17 ] in
+  let* dst_port = oneofl [ 80; 443; 9999 ] in
+  return (Packet.make ~port ~dst_mac ~src_ip ~dst_ip ~proto ~dst_port ())
+
+(* The index the checker's table probe returns is the position of the
+   rule a linear first-match scan finds. *)
+let prop_first_match_probe =
+  QCheck2.Test.make ~name:"table probe = first matching rule" ~count:500
+    QCheck2.Gen.(pair gen_classifier (list_size (int_range 1 20) gen_packet))
+    (fun (c, pkts) ->
+      let probe = Check.first_match c in
+      List.for_all
+        (fun pkt ->
+          probe pkt
+          = Option.bind (Classifier.first_match c pkt) (fun r ->
+                List.find_index (fun r' -> r' == r) c))
+        pkts)
+
 let () =
   Alcotest.run "sdx_check"
     [
@@ -445,6 +659,8 @@ let () =
             test_fig1_clean_after_updates;
           Alcotest.test_case "workload" `Quick test_workload_clean;
           Alcotest.test_case "two-switch fabric" `Quick test_fabric_clean;
+          Alcotest.test_case "priority-cut fabric" `Quick
+            test_priority_cut_fabric;
           QCheck_alcotest.to_alcotest prop_generated_workloads_clean;
           QCheck_alcotest.to_alcotest prop_bursts_stay_clean;
         ] );
@@ -457,6 +673,7 @@ let () =
           Alcotest.test_case "stale export" `Quick test_mutation_stale_export;
           Alcotest.test_case "spliced fabric cycle" `Quick
             test_mutation_spliced_cycle;
+          QCheck_alcotest.to_alcotest prop_every_loop_reported;
           Alcotest.test_case "redirect cycle" `Quick
             test_mutation_redirect_cycle;
           Alcotest.test_case "unsatisfiable redirect cycle" `Quick
@@ -465,6 +682,7 @@ let () =
             test_mutation_unhandled_vmac;
           Alcotest.test_case "shadowed rule lint" `Quick test_shadow_lint;
         ] );
+      ("first match", [ QCheck_alcotest.to_alcotest prop_first_match_probe ]);
       ( "incremental",
         [
           Alcotest.test_case "dirty-set after a burst" `Quick

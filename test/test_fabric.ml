@@ -135,7 +135,9 @@ let test_network_router_access () =
 let test_network_incremental_sync () =
   let runtime = Fig1.make_runtime () in
   let net = Network.create runtime in
-  let full_table = Sdx_openflow.Switch.rule_count (Network.switch net) in
+  let full_table =
+    Sdx_openflow.Table.size (Sdx_openflow.Switch.table (Network.switch net) 0)
+  in
   (* A no-op sync sends nothing. *)
   Network.sync net;
   check_int "no-op sync" 0 (Network.last_sync_flow_mods net);
@@ -155,7 +157,8 @@ let test_network_switch_capacity () =
   (* A comfortable budget installs fine... *)
   let net = Network.create ~switch_capacity:500 runtime in
   check_bool "fits" true
-    (Sdx_openflow.Switch.rule_count (Network.switch net) > 0);
+    (Sdx_openflow.Table.size (Sdx_openflow.Switch.table (Network.switch net) 0)
+    > 0);
   (* ...a starved one hits the hardware limit, as §4.2 warns. *)
   check_bool "table full surfaces" true
     (try
@@ -1083,7 +1086,8 @@ let test_fabric_sharding_shrinks_edges () =
     (max_edge net4 < max_edge net1);
   (* The core forwards on tags only: every rule sits in a transit band. *)
   let core = Fabric.switch (Network.fabric net4) 0 in
-  check_bool "core is populated" true (Sdx_openflow.Switch.rule_count core > 0);
+  check_bool "core is populated" true
+    (Sdx_openflow.Table.size (Sdx_openflow.Switch.table core 0) > 0);
   List.iter
     (fun (f : Sdx_openflow.Flow.t) ->
       check_bool "core rule is transit" true (f.priority >= Fabric.transit_base))

@@ -197,7 +197,10 @@ let test_no_forwarding_loops () =
 
 let test_rule_counts_consistent () =
   let _, runtime, net = build_world ~seed:12 ~participants:15 ~prefixes:150 in
-  let installed = Sdx_openflow.Switch.rule_count (Sdx_fabric.Network.switch net) in
+  let installed =
+    Sdx_openflow.Table.size
+      (Sdx_openflow.Switch.table (Sdx_fabric.Network.switch net) 0)
+  in
   check_int "switch holds the whole classifier" (Sdx_core.Runtime.rule_count runtime)
     installed
 

@@ -1,5 +1,5 @@
 (* Tests for the OpenFlow switch model: flow entries, priority tables,
-   and the packet-processing pipeline. *)
+   and the control channel. *)
 
 open Sdx_net
 open Sdx_policy
@@ -477,74 +477,21 @@ let prop_snapshot_frozen_under_churn =
       let fresh = Table.snapshot t in
       let got = Sync.Domain.join reader in
       got = oracle
-      && Array.for_all
-           (fun pkt -> Table.snapshot_lookup fresh pkt = Table.lookup_linear t pkt)
-           arr
+      && (let find = Table.searcher fresh in
+          Array.for_all (fun pkt -> find pkt = Table.lookup_linear t pkt) arr)
       && Table.snapshot_size fresh = Table.size t)
 
 (* ------------------------------------------------------------------ *)
 (* Switch                                                              *)
-
-let test_switch_process_basic () =
-  let sw = Switch.create () in
-  Switch.install_classifier sw
-    (Classifier.compile
-       (Policy.if_ (Pred.dst_port 80) (Policy.fwd 2) (Policy.fwd 3)));
-  let outs pkt = List.map (fun (p : Packet.t) -> p.port) (Switch.process sw pkt) in
-  check_bool "port 80 -> 2" true (outs (Packet.make ~dst_port:80 ()) = [ 2 ]);
-  check_bool "other -> 3" true (outs (Packet.make ~dst_port:22 ()) = [ 3 ])
-
-let test_switch_no_match_drops () =
-  let sw = Switch.create () in
-  check_bool "empty table drops" true (Switch.process sw (Packet.make ()) = [])
-
-let test_switch_multicast () =
-  let sw = Switch.create () in
-  Switch.install_classifier sw
-    [ { Classifier.pattern = Pattern.all; action = [ out 1; out 2 ] } ];
-  check_int "two outputs" 2 (List.length (Switch.process sw (Packet.make ())))
-
-let test_switch_multi_table () =
-  (* Stage 1 tags (no output), stage 2 forwards on the tag — the
-     multi-stage FIB of Figure 2. *)
-  let sw = Switch.create ~tables:2 () in
-  let tag = Mac.of_int 0x020000000001 in
-  Switch.install_classifier sw ~table:0
-    [
-      {
-        Classifier.pattern = Pattern.make ~dst_ip:(Prefix.of_string "20.0.0.0/16") ();
-        action = [ Mods.make ~dst_mac:tag () ];
-      };
-      { Classifier.pattern = Pattern.all; action = [] };
-    ];
-  Switch.install_classifier sw ~table:1
-    [
-      { Classifier.pattern = Pattern.make ~dst_mac:tag (); action = [ out 7 ] };
-      { Classifier.pattern = Pattern.all; action = [] };
-    ];
-  let pkt = Packet.make ~dst_ip:(Ipv4.of_string "20.0.1.1") () in
-  (match Switch.process sw pkt with
-  | [ p ] ->
-      check_int "forwarded by tag" 7 p.port;
-      check_bool "tag applied" true (Mac.equal p.dst_mac tag)
-  | _ -> Alcotest.fail "expected one output");
-  check_bool "unmatched dropped in stage 2" true
-    (Switch.process sw (Packet.make ~dst_ip:(Ipv4.of_string "99.0.0.1") ()) = [])
-
-let test_switch_rule_count () =
-  let sw = Switch.create ~tables:2 () in
-  Switch.install_classifier sw ~table:0 Classifier.drop_all;
-  Switch.install_classifier sw ~table:1 Classifier.id_all;
-  check_int "rules across tables" 2 (Switch.rule_count sw);
-  check_int "table count" 2 (Switch.table_count sw)
 
 let test_switch_bad_table () =
   let sw = Switch.create () in
   Alcotest.check_raises "bad table id" (Invalid_argument "Switch.table: no table 3")
     (fun () -> ignore (Switch.table sw 3))
 
-(* Property: a classifier installed on a switch behaves exactly like the
-   classifier itself. *)
+(* Property: a classifier installed as a switch's table behaves exactly
+   like the classifier itself — the first matching entry's actions,
+   each applied to the packet. *)
 
 let addr x = Ipv4.of_int (0x0A000000 lor (x land 7))
 
@@ -573,14 +520,19 @@ let gen_small_policy =
   return
     (Policy.if_ p1 (Policy.fwd a) (Policy.if_ p2 (Policy.fwd b) Policy.drop))
 
-let prop_switch_matches_classifier =
-  QCheck2.Test.make ~name:"switch process = classifier eval" ~count:1000
+let prop_table_matches_classifier =
+  QCheck2.Test.make ~name:"table first match = classifier eval" ~count:1000
     QCheck2.Gen.(pair gen_small_policy gen_packet)
     (fun (pol, pkt) ->
       let c = Classifier.compile pol in
-      let sw = Switch.create () in
-      Switch.install_classifier sw c;
-      Switch.process sw pkt = Classifier.eval c pkt)
+      let t = Switch.table (Switch.create ()) 0 in
+      Table.install_all t (Flow.of_classifier c);
+      let outs =
+        match Table.lookup t pkt with
+        | None -> []
+        | Some f -> List.map (fun m -> Mods.apply m pkt) f.Flow.actions
+      in
+      Packet.Set.elements (Packet.Set.of_list outs) = Classifier.eval c pkt)
 
 (* ------------------------------------------------------------------ *)
 (* Messages and the control channel                                    *)
@@ -608,117 +560,42 @@ let test_connection_barrier_echo () =
   check_bool "echo reply" true (Connection.recv conn = Some (Message.Echo_reply 43));
   check_bool "queue drained" true (Connection.recv conn = None)
 
-let test_connection_packet_in () =
-  let conn = Connection.create (Switch.create ()) in
-  let pkt = Packet.make ~dst_port:80 () in
-  check_bool "miss drops" true (Connection.process conn pkt = []);
-  (match Connection.recv conn with
-  | Some (Message.Packet_in { packet; _ }) ->
-      check_bool "miss reported" true (Packet.equal packet pkt)
-  | _ -> Alcotest.fail "expected packet_in");
-  (* Once a matching rule exists, no packet-in. *)
-  Connection.send conn (Message.add (flow [ out 3 ]));
-  check_int "forwarded" 1 (List.length (Connection.process conn pkt));
-  check_int "no pending" 0 (Connection.pending conn)
-
-let test_connection_sync_diff () =
-  let conn = Connection.create (Switch.create ()) in
-  let f priority port = flow ~priority [ out port ] in
-  let mods = Connection.sync conn [ f 10 1; f 20 2; f 30 3 ] in
-  check_int "initial install" 3 mods;
-  (* Identical target: nothing to do. *)
-  check_int "idempotent" 0 (Connection.sync conn [ f 10 1; f 20 2; f 30 3 ]);
-  (* One changed action: a single ADD overwrites in place. *)
-  check_int "single change" 1 (Connection.sync conn [ f 10 1; f 20 9; f 30 3 ]);
-  (* Shrink. *)
-  check_int "removal" 2 (Connection.sync conn [ f 30 3 ]);
-  check_int "final table" 1 (List.length (Connection.installed conn))
-
-let test_connection_sync_duplicate_slots () =
-  (* A target listing one (priority, pattern) slot twice must behave like
-     sequential OpenFlow ADDs — last occurrence wins — and stay
-     idempotent: the table can only ever hold one copy, so a naive
-     multiset diff would re-add the duplicate on every sync. *)
-  let conn = Connection.create (Switch.create ()) in
-  let f priority port = flow ~priority [ out port ] in
-  let target = [ f 10 1; f 20 2; f 10 7 ] in
-  ignore (Connection.sync conn target);
-  check_int "one copy per slot" 2 (List.length (Connection.installed conn));
-  check_int "resyncing duplicates is a no-op" 0 (Connection.sync conn target);
-  (* Last occurrence won the slot. *)
-  check_bool "last duplicate wins" true
-    (List.sort compare (Connection.installed conn)
-    = List.sort compare [ f 20 2; f 10 7 ]);
-  (* Equivalent deduplicated target: still nothing to do. *)
-  check_int "deduplicated target settles" 0
-    (Connection.sync conn [ f 10 7; f 20 2 ])
-
-let test_connection_sync_preserves_semantics () =
-  let conn = Connection.create (Switch.create ()) in
-  let c =
-    Classifier.compile
-      (Policy.if_ (Pred.dst_port 80) (Policy.fwd 2) (Policy.fwd 3))
-  in
-  ignore (Connection.sync conn (Flow.of_classifier c));
-  let outs pkt =
-    List.map (fun (p : Packet.t) -> p.port) (Connection.process conn pkt)
-  in
-  check_bool "web" true (outs (Packet.make ~dst_port:80 ()) = [ 2 ]);
-  check_bool "other" true (outs (Packet.make ~dst_port:22 ()) = [ 3 ])
-
-(* Regression: [Connection.process] once looked the packet up to decide
-   miss-vs-match and then ran [Switch.process], which looked it up again —
-   double-counting every hit.  The miss probe must be pure. *)
-let test_connection_process_counts_once () =
-  let sw = Switch.create () in
-  let conn = Connection.create sw in
-  let f = flow ~priority:50 [ out 3 ] in
-  Connection.send conn (Message.add f);
-  ignore (Connection.process conn (Packet.make ~dst_port:80 ()));
-  check_int "one lookup, one hit" 1
-    (Table.hits (Switch.table sw 0) ~priority:50 ~pattern:Pattern.all);
-  ignore (Connection.process conn (Packet.make ~dst_port:22 ()));
-  check_int "two hits after two packets" 2
-    (Table.hits (Switch.table sw 0) ~priority:50 ~pattern:Pattern.all)
-
 (* Regression: the switch-to-controller queue was a single list reversed
    on every send AND every receive — O(n^2) per drain and, worse,
    re-reversal could reorder.  The two-list FIFO must deliver in arrival
    order under interleaved queue/recv. *)
 let test_connection_queue_fifo_interleaved () =
   let conn = Connection.create (Switch.create ()) in
-  let probe i = ignore (Connection.process conn (Packet.make ~dst_port:i ())) in
-  let recv_port () =
+  let echo i = Connection.send conn (Message.Echo_request i) in
+  let recv_xid () =
     match Connection.recv conn with
-    | Some (Message.Packet_in { packet; _ }) -> packet.Packet.dst_port
-    | _ -> Alcotest.fail "expected a packet-in"
+    | Some (Message.Echo_reply xid) -> xid
+    | _ -> Alcotest.fail "expected an echo reply"
   in
-  probe 1;
-  probe 2;
-  probe 3;
+  echo 1;
+  echo 2;
+  echo 3;
   check_int "pending" 3 (Connection.pending conn);
-  check_int "first out" 1 (recv_port ());
-  probe 4;
-  probe 5;
+  check_int "first out" 1 (recv_xid ());
+  echo 4;
+  echo 5;
   check_int "pending mid-drain" 4 (Connection.pending conn);
-  check_int "second" 2 (recv_port ());
-  check_int "third" 3 (recv_port ());
-  check_int "fourth" 4 (recv_port ());
-  check_int "fifth" 5 (recv_port ());
+  check_int "second" 2 (recv_xid ());
+  check_int "third" 3 (recv_xid ());
+  check_int "fourth" 4 (recv_xid ());
+  check_int "fifth" 5 (recv_xid ());
   check_bool "drained" true (Connection.recv conn = None);
   check_int "pending drained" 0 (Connection.pending conn)
 
 let test_connection_barrier_helper () =
   let conn = Connection.create (Switch.create ()) in
-  (* Packet-ins queued before the barrier must survive it, in order. *)
-  ignore (Connection.process conn (Packet.make ~dst_port:7 ()));
+  (* Replies queued before the barrier must survive it, in order. *)
+  Connection.send conn (Message.Echo_request 7);
   Connection.send conn (Message.add (flow [ out 2 ]));
   check_bool "barrier answered" true (Connection.barrier conn 99);
-  check_int "packet-in kept" 1 (Connection.pending conn);
-  (match Connection.recv conn with
-  | Some (Message.Packet_in { packet; _ }) ->
-      check_int "order preserved" 7 packet.Packet.dst_port
-  | _ -> Alcotest.fail "expected the pre-barrier packet-in");
+  check_int "echo reply kept" 1 (Connection.pending conn);
+  check_bool "order preserved" true
+    (Connection.recv conn = Some (Message.Echo_reply 7));
   check_bool "no stray reply" true (Connection.recv conn = None)
 
 (* An ADD that overwrites a slot files it under the new cookie only:
@@ -826,26 +703,13 @@ let () =
             ] );
       ( "switch",
         [
-          Alcotest.test_case "process" `Quick test_switch_process_basic;
-          Alcotest.test_case "no match drops" `Quick test_switch_no_match_drops;
-          Alcotest.test_case "multicast" `Quick test_switch_multicast;
-          Alcotest.test_case "multi-table FIB" `Quick test_switch_multi_table;
-          Alcotest.test_case "rule count" `Quick test_switch_rule_count;
           Alcotest.test_case "bad table" `Quick test_switch_bad_table;
         ]
-        @ qsuite [ prop_switch_matches_classifier ] );
+        @ qsuite [ prop_table_matches_classifier ] );
       ( "connection",
         [
           Alcotest.test_case "flow mods" `Quick test_connection_flow_mods;
           Alcotest.test_case "barrier/echo" `Quick test_connection_barrier_echo;
-          Alcotest.test_case "packet in" `Quick test_connection_packet_in;
-          Alcotest.test_case "sync diff" `Quick test_connection_sync_diff;
-          Alcotest.test_case "sync duplicate slots" `Quick
-            test_connection_sync_duplicate_slots;
-          Alcotest.test_case "sync semantics" `Quick
-            test_connection_sync_preserves_semantics;
-          Alcotest.test_case "process counts once" `Quick
-            test_connection_process_counts_once;
           Alcotest.test_case "queue FIFO interleaved" `Quick
             test_connection_queue_fifo_interleaved;
           Alcotest.test_case "barrier helper" `Quick

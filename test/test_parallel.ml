@@ -1,7 +1,6 @@
 (* The domain pool, compile determinism and burst-batching suite:
    (a) two cold [Compile.compile]s of one workload produce identical
-   rule lists, (b) [Classifier.optimize] preserves [Classifier.eval] on
-   random packets, (c) burst-batched fast-path deltas agree with a full
+   rule lists, (b) burst-batched fast-path deltas agree with a full
    [reoptimize], plus the same-prefix-burst regression. *)
 
 open Sdx_net
@@ -86,72 +85,7 @@ let test_compile_deterministic () =
     [ 1; 7; 42 ]
 
 (* ------------------------------------------------------------------ *)
-(* (b) optimize preserves eval.                                        *)
-
-let small_prefixes =
-  List.map Prefix.of_string
-    [ "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24"; "20.0.0.0/8"; "20.3.0.0/16" ]
-
-let small_ips =
-  List.map Ipv4.of_string
-    [ "10.1.2.3"; "10.200.0.1"; "20.3.4.5"; "20.0.0.7"; "9.9.9.9" ]
-
-let gen_pattern =
-  let open QCheck2.Gen in
-  let opt g = frequency [ (2, return None); (1, map Option.some g) ] in
-  let* port = opt (int_range 1 3) in
-  let* dst_mac = opt (map Mac.of_int (int_range 1 2)) in
-  let* src_ip = opt (oneofl small_prefixes) in
-  let* dst_ip = opt (oneofl small_prefixes) in
-  let* proto = opt (oneofl [ 6; 17 ]) in
-  let* dst_port = opt (oneofl [ 80; 443 ]) in
-  return (Pattern.make ?port ?dst_mac ?src_ip ?dst_ip ?proto ?dst_port ())
-
-let gen_mods =
-  let open QCheck2.Gen in
-  let opt g = frequency [ (2, return None); (1, map Option.some g) ] in
-  let* port = opt (int_range 0 3) in
-  let* dst_ip = opt (oneofl small_ips) in
-  let* dst_port = opt (oneofl [ 80; 443 ]) in
-  return (Mods.make ?port ?dst_ip ?dst_port ())
-
-let gen_classifier =
-  let open QCheck2.Gen in
-  let gen_action = list_size (int_range 0 2) gen_mods in
-  let gen_rule =
-    let* pattern = gen_pattern in
-    let* action = gen_action in
-    return { Classifier.pattern; action }
-  in
-  (* Compiled classifiers are total; [optimize]'s catch-all pruning
-     relies on that, so the generator appends one. *)
-  let* body = list_size (int_range 0 15) gen_rule in
-  let* tail = gen_action in
-  return (body @ [ { Classifier.pattern = Pattern.all; action = tail } ])
-
-let gen_packet =
-  let open QCheck2.Gen in
-  let* port = int_range 0 4 in
-  let* dst_mac = map Mac.of_int (int_range 1 3) in
-  let* src_ip = oneofl small_ips in
-  let* dst_ip = oneofl small_ips in
-  let* proto = oneofl [ 6; 17 ] in
-  let* dst_port = oneofl [ 80; 443; 9999 ] in
-  return (Packet.make ~port ~dst_mac ~src_ip ~dst_ip ~proto ~dst_port ())
-
-let prop_optimize_preserves_eval =
-  QCheck2.Test.make ~name:"optimize preserves eval on random packets"
-    ~count:500
-    QCheck2.Gen.(pair gen_classifier (list_size (int_range 1 20) gen_packet))
-    (fun (c, pkts) -> Classifier.equivalent_on c (Classifier.optimize c) pkts)
-
-let prop_optimize_no_growth =
-  QCheck2.Test.make ~name:"optimize never adds rules" ~count:500 gen_classifier
-    (fun c ->
-      Classifier.rule_count (Classifier.optimize c) <= Classifier.rule_count c)
-
-(* ------------------------------------------------------------------ *)
-(* (c) Burst batching vs full reoptimize.                              *)
+(* (b) Burst batching vs full reoptimize.                              *)
 
 (* Where the runtime delivers a flow, resolved the way a border router
    would: best route for the destination, VNH from the re-advertised
@@ -289,7 +223,7 @@ let test_same_prefix_burst_single_block () =
   check_bool "default flow delivered to C" true
     (List.mem [ (Fig1.asn_c, 0) ] before)
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sdx_parallel"
@@ -306,8 +240,6 @@ let () =
           Alcotest.test_case "cold compiles agree (workloads)" `Quick
             test_compile_deterministic;
         ] );
-      ( "optimize",
-        qsuite [ prop_optimize_preserves_eval; prop_optimize_no_growth ] );
       ( "burst batching",
         [
           Alcotest.test_case "batch matches reoptimize" `Quick

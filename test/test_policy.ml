@@ -259,32 +259,6 @@ let prop_restrict_semantics =
       let expected = if Pattern.matches pat pkt then Policy.eval pol pkt else [] in
       Classifier.eval c pkt = expected)
 
-let prop_optimize_preserves =
-  QCheck2.Test.make ~name:"optimize preserves semantics" ~count:2000
-    QCheck2.Gen.(pair gen_policy gen_packet)
-    (fun (pol, pkt) ->
-      let c = Classifier.compile pol in
-      Classifier.eval (Classifier.optimize c) pkt = Classifier.eval c pkt)
-
-let prop_optimize_shrinks =
-  QCheck2.Test.make ~name:"optimize never grows the classifier" ~count:1000
-    gen_policy
-    (fun pol ->
-      let c = Classifier.compile pol in
-      Classifier.rule_count (Classifier.optimize c) <= Classifier.rule_count c)
-
-let test_classifier_shadow_removal () =
-  let rule pattern action = { Classifier.pattern; action } in
-  let shadowed =
-    [
-      rule Pattern.all [ Mods.identity ];
-      rule (Pattern.make ~port:1 ()) [ Mods.make ~port:2 () ];
-      rule Pattern.all [];
-    ]
-  in
-  check_int "shadowed rules removed" 1
-    (Classifier.rule_count (Classifier.optimize shadowed))
-
 let test_classifier_paper_example () =
   (* The composed policy of §3.1: A's outbound over B's inbound. *)
   let open Policy in
@@ -368,7 +342,6 @@ let () =
       ("pp", [ Alcotest.test_case "pretty printers" `Quick test_pretty_printers ]);
       ( "classifier",
         [
-          Alcotest.test_case "shadow removal" `Quick test_classifier_shadow_removal;
           Alcotest.test_case "paper 3.1 composition" `Quick
             test_classifier_paper_example;
           Alcotest.test_case "multicast" `Quick test_multicast;
@@ -381,7 +354,5 @@ let () =
               prop_par_semantics;
               prop_seq_semantics;
               prop_restrict_semantics;
-              prop_optimize_preserves;
-              prop_optimize_shrinks;
             ] );
     ]

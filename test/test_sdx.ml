@@ -401,9 +401,7 @@ let test_in_switch_tagging_equivalent () =
   check_bool "one rule per announced prefix" true
     (Sdx_policy.Classifier.rule_count tagging
     >= Route_server.prefix_count (Config.server config));
-  let sw = Sdx_openflow.Switch.create ~tables:2 () in
-  Sdx_openflow.Switch.install_classifier sw ~table:0 tagging;
-  Sdx_openflow.Switch.install_classifier sw ~table:1 (Runtime.classifier runtime);
+  let policy = Runtime.classifier runtime in
   List.iter
     (fun (src, dst, dst_port) ->
       (* Router-tagged packet through the single-table pipeline... *)
@@ -414,12 +412,13 @@ let test_in_switch_tagging_equivalent () =
       match tagged with
       | None -> ()
       | Some pkt ->
-          let single =
-            Sdx_policy.Classifier.eval (Runtime.classifier runtime) pkt
-          in
+          let single = Sdx_policy.Classifier.eval policy pkt in
           (* ...vs the raw, untagged packet through the two tables. *)
           let raw = { pkt with dst_mac = Mac.zero } in
-          let two_table = Sdx_openflow.Switch.process sw raw in
+          let two_table =
+            List.concat_map (Sdx_policy.Classifier.eval policy)
+              (Sdx_policy.Classifier.eval tagging raw)
+          in
           check_bool
             (Printf.sprintf "two-table = router-tagged for %s:%d" dst dst_port)
             true (two_table = single))
@@ -1464,6 +1463,17 @@ let test_scenario_errors_located () =
       ("participant AS100\nparticipant AS100", 2);
       ("outbound AS100 drop", 1);
       ("participant AS100\nparticipant AS200 port 0e:aa:aa:aa:aa:01 172.0.0.2", 2);
+      (* [Config.make]'s rejections land on the line of the participant
+         or the policy clause they name. *)
+      ( "participant AS100 port aa:aa:aa:aa:aa:01 172.0.0.1\n\
+         participant AS200 port bb:bb:bb:bb:bb:01 172.0.0.2\n\
+         participant AS300 port cc:cc:cc:cc:cc:01 172.0.0.1",
+        3 );
+      ( "participant AS100 port aa:aa:aa:aa:aa:01 172.0.0.1\n\
+         participant AS200\n\
+         inbound AS100 fwd(port 0)\n\
+         inbound AS100 fwd(AS200)",
+        4 );
     ]
   in
   List.iter
