@@ -833,29 +833,43 @@ let pp_dataplane_points points =
         p.dp_stats.residual_entries p.dp_stats.exact_shapes p.dp_identical)
     points
 
-(* Parallel RCU dataplane: every worker domain walks the full packet
-   vector against one shared immutable snapshot through its own private
-   searcher cursor, so aggregate throughput is [w * packets / wall] and
-   scaling is limited only by cores and memory bandwidth — there is no
-   lock to contend on.  Each worker cross-checks a budgeted sample of
-   its answers against the frozen snapshot's linear scan. *)
+(* [on_readers w work] runs [work] on [w] domains at once, the caller's
+   and [w - 1] spawned ones, and returns every result, the caller's
+   first.  Each [work] times its own loop inside its domain, so spawning
+   and joining stay outside every timed window. *)
+let on_readers w work =
+  let spawned =
+    List.init (w - 1) (fun _ ->
+        Sdx_sanitize.Sync.Domain.spawn ~name:"reader" work)
+  in
+  let mine = work () in
+  mine :: List.map Sdx_sanitize.Sync.Domain.join spawned
+
+(* Parallel RCU dataplane: every reader domain walks the packet vector
+   against one shared immutable snapshot through its own private
+   searcher cursor, so there is no lock to contend on and scaling is
+   limited only by cores and memory bandwidth.  Each worker first
+   cross-checks a budgeted sample of its answers against the frozen
+   snapshot's linear scan, then repeats whole passes over the vector for
+   at least [sweep_window_s], timing itself.  A run's rate is the sum of
+   its workers' rates; a point is the median, min and max of
+   [sweep_repeats] runs.  One pass of the default vector takes 10-14 ms
+   and a spawned reader may start milliseconds after the caller, so a
+   one-pass window would sum rates over windows that only partly
+   overlap. *)
+let sweep_window_s = 1.0
+let sweep_repeats = 3
+
 type parallel_point = {
   pw_workers : int;
-  pw_aggregate_pps : float;
+  pw_pps : float;  (* median run *)
+  pw_min_pps : float;
+  pw_max_pps : float;
   pw_identical : bool;
-}
-
-type parallel_result = {
-  par_workers : int;
-  par_single_pps : float;
-  par_aggregate_pps : float;  (* at [par_workers] workers *)
-  par_identical : bool;
-  par_sweep : parallel_point list;
 }
 
 let dataplane_parallel ~seed ~packets ~domains flows =
   let module Table = Sdx_openflow.Table in
-  let module Parallel = Sdx_core.Parallel in
   let table = Table.create () in
   Table.install_all table flows;
   let snap = Table.snapshot table in
@@ -867,67 +881,56 @@ let dataplane_parallel ~seed ~packets ~domains flows =
   let oracle =
     Array.init m_oracle (fun i -> Table.snapshot_linear snap pkts.(i))
   in
-  let identical = ref true in
-  (* Single-core baseline: one searcher cursor over the whole vector. *)
-  let find = Table.searcher snap in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to packets - 1 do
-    ignore (find pkts.(i))
-  done;
-  let single_s = Unix.gettimeofday () -. t0 in
-  for i = 0 to m_oracle - 1 do
-    if find pkts.(i) <> oracle.(i) then identical := false
-  done;
-  (* Workers sweep: aggregate pps with w independent reader domains. *)
-  let sweep_ws =
-    List.sort_uniq Int.compare
-      (List.filter (fun w -> w >= 1 && w <= domains)
-         [ 1; 2; 4; max 1 (domains / 2); domains ])
+  let worker () =
+    let find = Table.searcher snap in
+    let ok = ref true in
+    for i = 0 to m_oracle - 1 do
+      if find pkts.(i) <> oracle.(i) then ok := false
+    done;
+    let t0 = Unix.gettimeofday () in
+    let passes = ref 0 and elapsed = ref 0.0 in
+    while !elapsed < sweep_window_s do
+      for i = 0 to packets - 1 do
+        ignore (find pkts.(i))
+      done;
+      incr passes;
+      elapsed := Unix.gettimeofday () -. t0
+    done;
+    (!ok, float_of_int (!passes * packets) /. !elapsed)
   in
-  let run_workers w =
-    Parallel.with_pool ~domains:w (fun pool ->
-        let t0 = Unix.gettimeofday () in
-        let oks =
-          Parallel.map pool
-            (fun _ ->
-              let find = Table.searcher snap in
-              let ok = ref true in
-              for i = 0 to packets - 1 do
-                let r = find pkts.(i) in
-                if i < m_oracle && r <> oracle.(i) then ok := false
-              done;
-              !ok)
-            (List.init w Fun.id)
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        {
-          pw_workers = w;
-          pw_aggregate_pps = float_of_int (w * packets) /. wall;
-          pw_identical = List.for_all Fun.id oks;
-        })
+  let point w =
+    let runs = List.init sweep_repeats (fun _ -> on_readers w worker) in
+    let rates =
+      List.sort Float.compare
+        (List.map
+           (List.fold_left (fun sum (_, pps) -> sum +. pps) 0.0)
+           runs)
+    in
+    {
+      pw_workers = w;
+      pw_pps = List.nth rates (sweep_repeats / 2);
+      pw_min_pps = List.hd rates;
+      pw_max_pps = List.nth rates (sweep_repeats - 1);
+      pw_identical = List.for_all (List.for_all fst) runs;
+    }
   in
-  let sweep = List.map run_workers sweep_ws in
-  let top = List.nth sweep (List.length sweep - 1) in
-  List.iter (fun p -> if not p.pw_identical then identical := false) sweep;
-  {
-    par_workers = domains;
-    par_single_pps = float_of_int packets /. single_s;
-    par_aggregate_pps = top.pw_aggregate_pps;
-    par_identical = !identical;
-    par_sweep = sweep;
-  }
+  (* Ascending from the 1-worker point, which is the single-core
+     baseline. *)
+  List.map point
+    (List.sort_uniq Int.compare
+       (List.filter
+          (fun w -> w >= 1 && w <= domains)
+          [ 1; 2; 4; max 1 (domains / 2); domains ]))
 
-let pp_parallel_result r =
-  Format.printf "  %8s %16s %9s %10s@." "workers" "aggregate pkt/s" "scaling"
-    "identical";
+let pp_parallel_sweep sweep =
+  let single = (List.hd sweep).pw_pps in
+  Format.printf "  %8s %16s %14s %14s %9s %10s@." "workers" "aggregate pkt/s"
+    "min" "max" "scaling" "identical";
   List.iter
     (fun p ->
-      Format.printf "  %8d %16.0f %8.2fx %10b@." p.pw_workers
-        p.pw_aggregate_pps
-        (p.pw_aggregate_pps /. r.par_single_pps)
-        p.pw_identical)
-    r.par_sweep;
-  Format.printf "  single-core %.0f pkt/s@." r.par_single_pps
+      Format.printf "  %8d %16.0f %14.0f %14.0f %8.2fx %10b@." p.pw_workers
+        p.pw_pps p.pw_min_pps p.pw_max_pps (p.pw_pps /. single) p.pw_identical)
+    sweep
 
 let run_dataplane ~seed ~scale ~packets ~domains ~out =
   let oc = open_report out in
@@ -945,15 +948,18 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
   let top = List.nth points (List.length points - 1) in
   section "Parallel RCU dataplane: per-domain workers over one snapshot";
   note
-    "every worker walks the full %d-packet vector against the shared \
-     snapshot through a private searcher; a sample of each worker's \
-     answers is cross-checked against the snapshot's linear scan"
-    packets;
+    "every worker repeats passes over the %d-packet vector for %.0f s \
+     against the shared snapshot through a private searcher, after \
+     cross-checking a sample of its answers against the snapshot's \
+     linear scan; each point is the median, min and max of %d runs"
+    packets sweep_window_s sweep_repeats;
   let domains =
     if domains > 0 then domains else Sdx_core.Parallel.default_domains ()
   in
   let par = dataplane_parallel ~seed ~packets ~domains all_flows in
-  pp_parallel_result par;
+  pp_parallel_sweep par;
+  let single = List.hd par and widest = List.nth par (List.length par - 1) in
+  let par_identical = List.for_all (fun p -> p.pw_identical) par in
   Printf.fprintf oc
     "{\n\
     \  \"participants\": 300,\n\
@@ -963,6 +969,10 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
     \  \"linear_pps\": %.0f,\n\
     \  \"speedup\": %.2f,\n\
     \  \"identical_to_linear\": %b,\n\
+    \  \"cores\": %d,\n\
+    \  \"ocaml_version\": \"%s\",\n\
+    \  \"window_s\": %.1f,\n\
+    \  \"repeats\": %d,\n\
     \  \"workers\": %d,\n\
     \  \"single_core_pps\": %.0f,\n\
     \  \"aggregate_pps\": %.0f,\n\
@@ -979,8 +989,10 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
      }\n"
     top.dp_rules packets top.dp_engine_pps top.dp_linear_pps
     (top.dp_engine_pps /. top.dp_linear_pps)
-    identical par.par_workers par.par_single_pps par.par_aggregate_pps
-    par.par_identical
+    identical
+    (Sdx_sanitize.Sync.Domain.recommended_count ())
+    Sys.ocaml_version sweep_window_s sweep_repeats widest.pw_workers
+    single.pw_pps widest.pw_pps par_identical
     top.dp_stats.Sdx_openflow.Table.mac_entries top.dp_stats.mac_keys
     top.dp_stats.mac_largest_bucket top.dp_stats.exact_entries
     top.dp_stats.prefix_entries top.dp_stats.residual_entries
@@ -1000,25 +1012,26 @@ let run_dataplane ~seed ~scale ~packets ~domains ~out =
           (fun p ->
             Printf.sprintf
               "    {\"sweep_workers\": %d, \"sweep_aggregate_pps\": %.0f, \
-               \"sweep_identical\": %b}"
-              p.pw_workers p.pw_aggregate_pps p.pw_identical)
-          par.par_sweep)
+               \"sweep_aggregate_min_pps\": %.0f, \
+               \"sweep_aggregate_max_pps\": %.0f, \"sweep_identical\": %b}"
+              p.pw_workers p.pw_pps p.pw_min_pps p.pw_max_pps p.pw_identical)
+          par)
      ^ "\n");
   close_out oc;
   note "wrote %s (rules=%d, speedup %.1fx, identical=%b)" out top.dp_rules
     (top.dp_engine_pps /. top.dp_linear_pps)
     identical;
   note "parallel: %d workers, %.0f aggregate pkt/s (%.2fx single core), \
-        identical=%b" par.par_workers par.par_aggregate_pps
-    (par.par_aggregate_pps /. par.par_single_pps)
-    par.par_identical;
-  (* Equivalence is the contract: fail loudly, like `json` does for the
-     parallel compiler. *)
+        identical=%b" widest.pw_workers widest.pw_pps
+    (widest.pw_pps /. single.pw_pps)
+    par_identical;
+  (* Equivalence is the contract: fail loudly, like `json` does for its
+     oracles. *)
   if not identical then begin
     note "ERROR: engine lookup diverges from the linear scan; failing";
     exit 1
   end;
-  if not par.par_identical then begin
+  if not par_identical then begin
     note
       "ERROR: a parallel worker's lookups diverge from the snapshot's \
        linear scan; failing";
@@ -1075,7 +1088,7 @@ let run_soak ~seed ~updates ~participants ~prefixes ~pool_bits
   (* Instrumented-vs-plain overhead: replay a short identical slice of
      the same churn with the sdx_race detector off and then in Record
      mode.  The workload and runtime are rebuilt inside each slice so
-     the Record-mode run constructs *tracked* pools/tables/registries
+     the Record-mode run constructs *tracked* tables and registries
      (structures created while the detector is off stay passthrough for
      their lifetime).  The instrumented slice doubles as the
      "zero races on the unmutated tree" soak check: any report fails
@@ -1264,26 +1277,26 @@ let run_fabric ~seed ~scale ~packets ~updates ~domains ~out =
             0 (Fabric.switches fab)
         in
         let snap = Fabric.snapshots fab in
-        (* One reader domain per edge: the parallelism sharding buys. *)
+        (* One reader domain per edge: the parallelism sharding buys.
+           Each walks the vector once; the slowest pass sets the rate. *)
         let workers = max 1 (min domains edges) in
-        let wall, per_worker_bad =
-          Parallel.with_pool ~domains:workers (fun pool ->
+        let per_worker =
+          on_readers workers (fun () ->
+              let read = Fabric.reader snap in
+              let bad = ref 0 in
               let t0 = Unix.gettimeofday () in
-              let bad =
-                Parallel.map pool
-                  (fun _ ->
-                    let read = Fabric.reader snap in
-                    let bad = ref 0 in
-                    for i = 0 to packets - 1 do
-                      let r = read pkts.(i) in
-                      if i < m_oracle && canon r <> oracle.(i) then incr bad
-                    done;
-                    !bad)
-                  (List.init workers Fun.id)
-              in
-              (Unix.gettimeofday () -. t0, bad))
+              for i = 0 to packets - 1 do
+                let r = read pkts.(i) in
+                if i < m_oracle && canon r <> oracle.(i) then incr bad
+              done;
+              (!bad, Unix.gettimeofday () -. t0))
         in
-        let mismatches = List.fold_left ( + ) 0 per_worker_bad in
+        let mismatches =
+          List.fold_left (fun n (bad, _) -> n + bad) 0 per_worker
+        in
+        let wall =
+          List.fold_left (fun m (_, s) -> Float.max m s) 0.0 per_worker
+        in
         let aggregate = float_of_int (workers * packets) /. wall in
         Format.printf "  %6d %8d %13d %13d %11d %9d %9d %16.0f %9d@." edges
           workers logical_rules largest_edge core_rules transit_rules
@@ -1603,7 +1616,11 @@ let commands =
         $ Arg.(
             value
             & opt int 100_000
-            & info [ "packets" ] ~doc:"Lookups to time per table size.")
+            & info [ "packets" ]
+                ~doc:
+                  "Packets in each synthetic vector: timed once per table \
+                   size, and passed over repeatedly by each worker of the \
+                   parallel RCU sweep.")
         $ Arg.(
             value
             & opt int 0

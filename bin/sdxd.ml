@@ -549,11 +549,8 @@ let check_cmd =
 (* ------------------------------------------------------------------ *)
 (* race: the sdx_race sanitizer suite                                  *)
 
-let run_race domains report_out =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Parallel.default_domains ()
-  in
-  let items = Sdx_check.Race_suite.run_all ~domains () in
+let run_race report_out =
+  let items = Sdx_check.Race_suite.run_all () in
   List.iter
     (fun (it : Sdx_check.Race_suite.item) ->
       Format.printf "%s %-32s %s@."
@@ -580,15 +577,6 @@ let run_race domains report_out =
   if not ok then exit 1
 
 let race_cmd =
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Real domains for the Record-mode pool smoke (default: the \
-             host's recommended count, or the SDX_DOMAINS variable).")
-  in
   let report_out =
     Arg.(
       value
@@ -603,11 +591,10 @@ let race_cmd =
     (Cmd.info "race"
        ~doc:
          "Run the sdx_race suite: seeded-race mutations under the Record \
-          detector, an instrumented smoke of the real pool, and the \
-          exhaustive DPOR interleaving models of the RCU table and pool \
-          shutdown protocols.  Exits non-zero if any seeded \
-          race goes undetected or any clean protocol is flagged.")
-    Term.(const (fun d r -> run_race d r) $ domains $ report_out)
+          detector and the exhaustive DPOR interleaving models of the RCU \
+          table.  Exits non-zero if any seeded race goes undetected or any \
+          clean protocol is flagged.")
+    Term.(const run_race $ report_out)
 
 (* ------------------------------------------------------------------ *)
 (* lint: source-level concurrency lint                                 *)

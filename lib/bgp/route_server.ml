@@ -8,8 +8,7 @@ type t = {
   export : advertiser:Asn.t -> receiver:Asn.t -> bool;
   (* [rows.(i)]: the receivers [peer_at.(i)]'s routes may reach under
      the static export matrix, itself excluded.  Built once by [create]
-     and never written again, so Compile's domain pool may read the
-     server concurrently. *)
+     and never written again. *)
   rows : Bitset.t array;
   everyone : Bitset.t;
   route_filter : Route.t -> receiver:Asn.t -> bool;

@@ -489,16 +489,15 @@ let isolation ?(only = fun _ -> true) subj =
     subj.rules;
   List.rev !findings
 
-(* The rules as one first-match table: rule [i] of [n] sits at priority
-   [n - 1 - i], so a hit's rule index is [n - 1 - priority].  The
-   snapshot keeps the entries after [clear], which takes them back out
-   of the installed-entries gauge the live switches' tables share. *)
+(* The rules as one first-match snapshot: rule [i] of [n] sits at
+   priority [n - 1 - i], so a hit's rule index is [n - 1 - priority].
+   No live table is built, so the probe sends no flow-mods. *)
 let first_match (c : Classifier.t) =
   let n = List.length c in
-  let table = Table.create () in
-  Table.install_all table (Flow.of_classifier ~base_priority:(n - 1) c);
-  let find = Table.searcher (Table.snapshot table) in
-  Table.clear table;
+  let find =
+    Table.searcher
+      (Table.snapshot_of_flows (Flow.of_classifier ~base_priority:(n - 1) c))
+  in
   fun pkt -> Option.map (fun (f : Flow.t) -> n - 1 - f.priority) (find pkt)
 
 (* ------------------------------------------------------------------ *)

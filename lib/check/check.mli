@@ -120,10 +120,11 @@ val runtime_incremental : Runtime.t -> report
 val compiled : ?passes:string list -> Compile.t -> Config.t -> report
 
 val first_match : Sdx_policy.Classifier.t -> Packet.t -> int option
-(** [first_match c] indexes [c] once as an {!Sdx_openflow.Table}; the
-    returned probe gives the position of [c]'s first rule matching a
-    packet, the way the BGP pass's default-forwarding traces find the
-    rule a tagged packet hits.  Apply it partially and keep the probe. *)
+(** [first_match c] indexes [c] once as an {!Sdx_openflow.Table}
+    snapshot, touching no live table and no metric; the returned probe
+    gives the position of [c]'s first rule matching a packet, the way
+    the BGP pass's default-forwarding traces find the rule a tagged
+    packet hits.  Apply it partially and keep the probe. *)
 
 val fabric_loops : ?max_states:int -> Fabric.t -> finding list
 (** Just the symbolic walk over the entries a fabric's switches hold,

@@ -181,7 +181,8 @@ let token_occurrences text tok =
 let forbidden =
   [
     ("Mutex.", "use Sdx_sanitize.Sync.Mutex");
-    ("Condition.", "use Sdx_sanitize.Sync.Condition");
+    ( "Condition.",
+      "Sync has no Condition shim; join a Sdx_sanitize.Sync.Domain instead" );
     ("Atomic.", "use Sdx_sanitize.Sync.Atomic");
     ("Thread.", "domains only; use Sdx_sanitize.Sync.Domain");
     ("Domain.", "use Sdx_sanitize.Sync.Domain");

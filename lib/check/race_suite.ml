@@ -3,24 +3,23 @@
 
    Two families:
 
-   - {!seeded}: four miniature scenarios, each replicating one of the
-     runtime's synchronization protocols (RCU publish/acquire, the
-     pool's batch-counter lock, the table's single-writer snapshot
-     counter, an epoch-validated cache) with a [bug] switch that removes
-     exactly one happens-before edge.  The clean variant must be silent
-     under the detector; the buggy variant must be flagged.  Detection
-     is deterministic in Record mode: the vector clocks of the two
-     accesses are unordered regardless of how the real domains happen to
-     interleave, so the report does not depend on timing.  Each scenario
-     is also explorer-safe (finite, no spin loops), which lets the test
-     suite cross-check DPOR against full enumeration on them.
+   - {!seeded}: four miniature synchronization protocols (RCU
+     publish/acquire, a lock-guarded counter, the table's single-writer
+     snapshot counter, an epoch-validated cache), each with a [bug]
+     switch that removes exactly one happens-before edge.  The clean
+     variant must be silent under the detector; the buggy variant must
+     be flagged.  Detection is deterministic in Record mode: the vector
+     clocks of the two accesses are unordered regardless of how the
+     real domains happen to interleave, so the report does not depend
+     on timing.  Each scenario is also explorer-safe (finite, no spin
+     loops), which lets the test suite cross-check DPOR against full
+     enumeration on them.
 
-   - the [model_*] scenarios: the real structures — [Openflow.Table]'s
-     RCU snapshot path, [Parallel]'s pool shutdown and batch protocol —
-     driven under {!Explore.run} at unit-test scale, exhaustively over
-     every interleaving.  The clean
-     models must come back {!Explore.ok}; [model_rcu_misuse] breaks the
-     single-writer contract on purpose and must be caught.
+   - the [model_*] scenarios: the real [Openflow.Table]'s RCU snapshot
+     path driven under {!Explore.run} at unit-test scale, exhaustively
+     over every interleaving.  [model_rcu_snapshot] must come back
+     {!Explore.ok}; [model_rcu_misuse] breaks the single-writer contract
+     on purpose and must be caught.
 
    Everything here creates its structures inside the scenario body, so
    they are tracked in whichever mode the caller enabled. *)
@@ -56,9 +55,9 @@ let rcu_publish ~bug () =
   else if Sync.Atomic.get published then Sync.Tracked.read state;
   Sync.Domain.join writer
 
-(* The pool's batch counter ([Parallel.run_chunks.remaining]): two
-   threads decrement a shared counter under a mutex.  The bug drops one
-   side's lock — the seeded "drop a Mutex.lock in map_array". *)
+(* A lock-guarded counter: two threads write a shared counter under a
+   mutex, the detector's plainest happens-before edge.  The bug drops
+   one side's lock. *)
 let pool_counter ~bug () =
   let m = Sync.Mutex.create ~name:"race_suite.pool.batch" () in
   let remaining = Sync.Tracked.create "race_suite.pool.remaining" in
@@ -191,15 +190,6 @@ let model_rcu_misuse () =
   ignore (Table.snapshot t);
   Sync.Domain.join reader
 
-(* Pool shutdown vs. in-flight batch: a two-domain pool maps a batch and
-   shuts down.  Every interleaving of worker wakeup, queue drain,
-   completion broadcast and shutdown must terminate (no deadlock, no
-   lost wakeup) with the right answer. *)
-let model_pool_shutdown () =
-  Sdx_core.Parallel.with_pool ~domains:2 (fun p ->
-      let out = Sdx_core.Parallel.map_array p (fun x -> x + 1) [| 1; 2 |] in
-      if out <> [| 2; 3 |] then failwith "model_pool_shutdown: wrong result")
-
 (* ------------------------------------------------------------------ *)
 (* The full suite, as run by [sdxd race] and CI                        *)
 
@@ -246,29 +236,8 @@ let seeded_items () =
       ])
     seeded
 
-(* Record-mode smoke over the real pool: a parallel map on real domains
-   with the detector on must be race-free. *)
-let pool_smoke ~domains () =
-  let reports =
-    run_record (fun () ->
-        Sdx_core.Parallel.with_pool ~domains (fun p ->
-            let out =
-              Sdx_core.Parallel.map_array p (fun x -> (2 * x) + 1)
-                (Array.init 64 Fun.id)
-            in
-            if Array.length out <> 64 then failwith "pool_smoke: bad result"))
-  in
-  {
-    item_name = Printf.sprintf "record/pool-smoke(domains=%d)" domains;
-    item_ok = reports = [];
-    item_detail =
-      (if reports = [] then "instrumented map_array on real domains: clean"
-       else Printf.sprintf "%d report(s)" (List.length reports));
-    item_reports = reports;
-  }
-
-let explorer_item ?max_execs name ~expect_race scenario =
-  let r = Explore.run ?max_execs scenario in
+let explorer_item name ~expect_race scenario =
+  let r = Explore.run scenario in
   let detail = Format.asprintf "%a" Explore.pp_summary r in
   let ok =
     if expect_race then
@@ -287,10 +256,6 @@ let model_items () =
   [
     explorer_item "rcu-snapshot" ~expect_race:false model_rcu_snapshot;
     explorer_item "rcu-misuse" ~expect_race:true model_rcu_misuse;
-    (* ~19k interleavings when exhaustive; the raised cap is headroom so
-       a shifted exploration order never reads as truncation *)
-    explorer_item "pool-shutdown" ~max_execs:100_000 ~expect_race:false
-      model_pool_shutdown;
   ]
   @ List.map
       (fun sc ->
@@ -300,8 +265,7 @@ let model_items () =
           (sc.sc_run ~bug:true))
       seeded
 
-let run_all ?(domains = 2) () =
-  seeded_items () @ [ pool_smoke ~domains () ] @ model_items ()
+let run_all () = seeded_items () @ model_items ()
 
 let all_ok items = List.for_all (fun i -> i.item_ok) items
 

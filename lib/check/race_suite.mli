@@ -1,13 +1,12 @@
 (** Seeded-race mutation scenarios and model-checking drivers for the
     sdx_race sanitizer ([sdxd race] and the CI race job run these).
 
-    {!seeded} replicates four of the runtime's synchronization
-    protocols, each with a [bug] switch removing exactly one
-    happens-before edge; the detector must flag every buggy variant and
-    stay silent on every clean one.  The [model_*] scenarios drive the
-    real structures (RCU table snapshots, the domain pool) under the
-    {!Sdx_sanitize.Explore} interleaving explorer, exhaustively at
-    unit-test scale. *)
+    {!seeded} holds four miniature synchronization protocols, each with
+    a [bug] switch removing exactly one happens-before edge; the
+    detector must flag every buggy variant and stay silent on every
+    clean one.  The [model_*] scenarios drive the real table's RCU
+    snapshots under the {!Sdx_sanitize.Explore} interleaving explorer,
+    exhaustively at unit-test scale. *)
 
 module Sync := Sdx_sanitize.Sync
 
@@ -32,9 +31,6 @@ val model_rcu_misuse : unit -> unit
 (** A reader building snapshots concurrently with the writer: the
     single-writer Owner assertion must fire in some interleaving. *)
 
-val model_pool_shutdown : unit -> unit
-(** Pool shutdown vs. in-flight batch on a real [Parallel] pool. *)
-
 (** One pass/fail entry of the suite. *)
 type item = {
   item_name : string;
@@ -43,11 +39,10 @@ type item = {
   item_reports : Sync.report list;
 }
 
-val run_all : ?domains:int -> unit -> item list
-(** Seeded clean/buggy pairs under Record mode, a Record-mode smoke of
-    the real pool at [domains] domains, and the exhaustive explorer
-    models (including the seeded buggy variants re-checked under the
-    explorer). *)
+val run_all : unit -> item list
+(** Seeded clean/buggy pairs under Record mode, and the exhaustive
+    explorer models (including the seeded buggy variants re-checked
+    under the explorer). *)
 
 val all_ok : item list -> bool
 val items_json : item list -> string

@@ -1,10 +1,11 @@
 (** A zero-dependency, domain-safe metrics registry.
 
-    The program runs on several OCaml 5 domains (the data-plane
-    workers of {!Sdx_core.Parallel}), so every metric primitive here is
-    safe to mutate from any of them: counters and histogram buckets are
-    [Atomic] cells, float accumulators use a compare-and-set loop, and
-    registration (get-or-create) is serialized on a per-registry mutex.
+    The controller runs on one domain, but a process may spawn more
+    (the benches' data-plane readers, say), so every metric primitive
+    here is safe to mutate from any domain: counters and histogram
+    buckets are [Atomic] cells, float accumulators use a compare-and-set
+    loop, and registration (get-or-create) is serialized on a
+    per-registry mutex.
 
     Metrics are identified by a name plus an optional label set,
     Prometheus-style: [sdx_fabric_rx_packets{asn="AS200"}].  Handles are

@@ -605,22 +605,36 @@ let lookup_linear t pkt =
    the returned snapshot may then be probed from any domain. *)
 let published_snapshot t = Sync.Atomic.get t.snap
 
+(* Partition [sorted] (in [order], [count] entries) into a fresh engine
+   and freeze it with its entry array. *)
+let freeze sorted ~count ~seq =
+  let eng = new_engine count in
+  partition_rev eng (List.rev sorted);
+  { snap_engine = eng; snap_entries = Array.of_list sorted; snap_seq = seq }
+
 let snapshot t =
   match Sync.Atomic.get t.snap with
   | Some s -> s
   | None ->
       Sync.Owner.assert_owner t.owner;
-      let sorted = sorted_entries t in
-      let eng = new_engine t.count in
-      partition_rev eng (List.rev sorted);
-      let s =
-        { snap_engine = eng; snap_entries = Array.of_list sorted; snap_seq = t.next_seq }
-      in
+      let s = freeze (sorted_entries t) ~count:t.count ~seq:t.next_seq in
       Sync.Tracked.write t.snapshots_tr;
       t.snapshots <- t.snapshots + 1;
       Sdx_obs.Registry.Counter.incr Obs.snapshot_builds;
       Sync.Atomic.set t.snap (Some s);
       s
+
+(* What [install_all] on a fresh table and then [snapshot] would
+   publish, with no table behind it: a later flow with an earlier one's
+   (priority, match) replaces it, and no metric moves. *)
+let snapshot_of_flows flows =
+  let by_key = KeyTbl.create 256 in
+  List.iteri
+    (fun seq (f : Flow.t) ->
+      KeyTbl.replace by_key (f.priority, f.pattern) (make_entry f seq))
+    flows;
+  let sorted = List.sort order (KeyTbl.fold (fun _ e acc -> e :: acc) by_key []) in
+  freeze sorted ~count:(KeyTbl.length by_key) ~seq:(List.length flows)
 
 let snapshot_size s = Array.length s.snap_entries
 let snapshot_seq s = s.snap_seq

@@ -90,6 +90,12 @@ val published_snapshot : t -> snapshot option
     Unlike {!snapshot} this never builds and is safe to call from any
     domain — it is the reader side of the RCU handshake. *)
 
+val snapshot_of_flows : Flow.t list -> snapshot
+(** The snapshot {!install_all} on a fresh table and then {!snapshot}
+    would publish, built with no live table: OpenFlow ADD semantics
+    among the flows, and no flow-mod, rebuild or snapshot metric
+    moves.  For probing a rule list that no switch holds. *)
+
 val searcher : snapshot -> Packet.t -> Flow.t option
 (** [searcher snap] is a lookup function with a private cursor: create
     one per reader domain and apply it per packet.  The partial

@@ -2,8 +2,8 @@
 
     {!run} executes a scenario under a cooperative scheduler that
     enumerates interleavings of the scenario's visible operations
-    (lock/unlock, atomic ops, tracked reads/writes, spawn/join,
-    condition wait/signal) by depth-first stateless re-execution,
+    (lock/unlock, atomic ops, tracked reads/writes, spawn/join) by
+    depth-first stateless re-execution,
     pruned by sleep sets ("DPOR-lite").  Exploration is exhaustive
     whenever [truncated] comes back [false].
 

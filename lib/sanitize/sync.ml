@@ -1,5 +1,5 @@
 (* sdx_race: a happens-before race detector behind shims for [Mutex],
-   [Condition], [Atomic] and [Domain].
+   [Atomic] and [Domain].
 
    The rest of the tree never touches the raw primitives (the
    concurrency lint enforces this); it goes through this module, which
@@ -43,7 +43,6 @@
    irrelevant to the Off-mode production path. *)
 
 module RMutex = Stdlib.Mutex
-module RCondition = Stdlib.Condition
 module RAtomic = Stdlib.Atomic
 module RDomain = Stdlib.Domain
 
@@ -299,10 +298,10 @@ module Mutex = struct
 
   (* The state to record edges on, for a caller holding [rm].  A mutex
      created while the detector was off gets its state on its first
-     recorded operation: a lock created lazily before recording began
-     (the shared domain pool, say) must still order the accesses it
-     guards once recording is on.  Model mode leaves such mutexes
-     invisible. *)
+     recorded operation: a lock created before recording began (the
+     metrics registry's, made at module initialisation) must still
+     order the accesses it guards once recording is on.  Model mode
+     leaves such mutexes invisible. *)
   let recorded t =
     match t.st with
     | None when !mode_ref = Record ->
@@ -361,87 +360,6 @@ module Mutex = struct
     | exception e ->
         unlock t;
         raise e
-end
-
-(* ------------------------------------------------------------------ *)
-(* Condition                                                           *)
-
-module Condition = struct
-  type state = {
-    c_id : int;
-    c_name : string;
-    mutable c_session : int;
-    mutable c_gen : int;  (* model mode: wakeup generation *)
-  }
-
-  type t = { rc : RCondition.t; st : state option }
-
-  let create ?(name = "cond") () =
-    let st =
-      if enabled () then Some { c_id = fresh_loc (); c_name = name; c_session = !session; c_gen = 0 }
-      else None
-    in
-    { rc = RCondition.create (); st }
-
-  let fresh st =
-    if st.c_session <> !session then begin
-      st.c_session <- !session;
-      st.c_gen <- 0
-    end
-
-  (* The happens-before carried by a condition is exactly the one its
-     mutex carries (wait releases and re-acquires it), so Record mode
-     only needs the mutex edges around the real wait, whether or not
-     the condition itself has state.  The mode is read again after the
-     wait: a waiter that went to sleep before recording began still
-     learns its waker's clock. *)
-  let wait t (m : Mutex.t) =
-    match t.st with
-    | Some st when in_model () ->
-        model_yield { op_loc = st.c_id; op_write = true; op_desc = "wait " ^ st.c_name };
-        locked (fun () -> fresh st);
-        let gen = st.c_gen in
-        Mutex.unlock m;
-        Effect.perform
-          (Block
-             ( { op_loc = st.c_id; op_write = true; op_desc = "wait(blocked) " ^ st.c_name },
-               fun () -> st.c_gen > gen ));
-        Mutex.lock m
-    | None when in_model () -> RCondition.wait t.rc m.Mutex.rm
-    | _ ->
-        (if !mode_ref <> Off then
-           match Mutex.recorded m with
-           | None -> ()
-           | Some lst ->
-               locked (fun () ->
-                   Mutex.fresh lst;
-                   ignore
-                     (release_edge_locked
-                        (fun () -> lst.Mutex.l_vc)
-                        (fun vc -> lst.Mutex.l_vc <- vc))));
-        RCondition.wait t.rc m.Mutex.rm;
-        if !mode_ref <> Off then
-          match Mutex.recorded m with
-          | None -> ()
-          | Some lst ->
-              locked (fun () ->
-                  Mutex.fresh lst;
-                  ignore (acquire_edge_locked (fun () -> lst.Mutex.l_vc)))
-
-  (* Model mode gives [signal] broadcast semantics: every current
-     waiter's predicate sees the new generation.  The tree only uses
-     [broadcast], so the model never weakens a real wakeup pattern. *)
-  let wake t =
-    match t.st with
-    | Some st when in_model () ->
-        model_yield { op_loc = st.c_id; op_write = true; op_desc = "broadcast " ^ st.c_name };
-        locked (fun () ->
-            fresh st;
-            st.c_gen <- st.c_gen + 1)
-    | _ -> ()
-
-  let signal t = if in_model () && t.st <> None then wake t else RCondition.signal t.rc
-  let broadcast t = if in_model () && t.st <> None then wake t else RCondition.broadcast t.rc
 end
 
 (* ------------------------------------------------------------------ *)

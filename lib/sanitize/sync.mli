@@ -1,7 +1,7 @@
 (** The [sdx_race] synchronization shim: the only way the rest of the
-    tree is allowed to touch [Mutex], [Condition], [Atomic] and
-    [Domain] (the concurrency lint rejects raw usage outside
-    [lib/sanitize]).
+    tree is allowed to touch [Mutex], [Atomic] and [Domain] (the
+    concurrency lint rejects raw usage outside [lib/sanitize], and raw
+    [Condition] too, which has no shim).
 
     In [Off] mode (the default, the production path) every wrapper is a
     passthrough; locations created while the detector is off carry no
@@ -53,15 +53,6 @@ module Mutex : sig
   val lock : t -> unit
   val unlock : t -> unit
   val protect : t -> (unit -> 'a) -> 'a
-end
-
-module Condition : sig
-  type t
-
-  val create : ?name:string -> unit -> t
-  val wait : t -> Mutex.t -> unit
-  val signal : t -> unit
-  val broadcast : t -> unit
 end
 
 module Atomic : sig

@@ -649,6 +649,32 @@ let prop_first_match_probe =
                 List.find_index (fun r' -> r' == r) c))
         pkts)
 
+(* The probe is checker scratch, not switch state: a [bgp] pass moves
+   none of the table metrics a daemon reports. *)
+let test_bgp_pass_leaves_table_metrics () =
+  let runtime = Fig1.make_runtime () in
+  let counters =
+    List.map
+      (fun name -> (name, Sdx_obs.Registry.counter name))
+      [
+        "sdx_openflow_flow_mods_total";
+        "sdx_openflow_installs_total";
+        "sdx_openflow_removes_total";
+        "sdx_openflow_engine_rebuilds_total";
+        "sdx_openflow_snapshot_builds_total";
+      ]
+  in
+  let read () =
+    List.map (fun (_, c) -> Sdx_obs.Registry.Counter.value c) counters
+  in
+  let before = read () in
+  let report = Check.runtime ~passes:[ "bgp" ] runtime in
+  check_bool (pp_errors report) false (Check.has_errors report);
+  List.iter2
+    (fun (name, _) (b, a) -> Alcotest.(check int) name b a)
+    counters
+    (List.combine before (read ()))
+
 let () =
   Alcotest.run "sdx_check"
     [
@@ -682,7 +708,12 @@ let () =
             test_mutation_unhandled_vmac;
           Alcotest.test_case "shadowed rule lint" `Quick test_shadow_lint;
         ] );
-      ("first match", [ QCheck_alcotest.to_alcotest prop_first_match_probe ]);
+      ( "first match",
+        [
+          QCheck_alcotest.to_alcotest prop_first_match_probe;
+          Alcotest.test_case "bgp pass leaves table metrics" `Quick
+            test_bgp_pass_leaves_table_metrics;
+        ] );
       ( "incremental",
         [
           Alcotest.test_case "dirty-set after a burst" `Quick

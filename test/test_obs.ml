@@ -1,6 +1,6 @@
 (* The observability layer: metric primitive correctness (including
-   concurrent mutation from multiple domains — the compile pipeline fans
-   out across a domain pool, so every cell must be domain-safe), render
+   concurrent mutation from multiple domains, since every cell promises
+   to be domain-safe), render
    schema sanity, the span ring, and the end-to-end check that a compile
    and a burst actually populate the registry. *)
 

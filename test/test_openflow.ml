@@ -443,6 +443,21 @@ let prop_install_all_equals_sequential =
       Table.entries batch = Table.entries seq
       && List.for_all (fun pkt -> Table.lookup batch pkt = Table.lookup seq pkt) pkts)
 
+let prop_snapshot_of_flows_equals_install_all =
+  QCheck2.Test.make ~name:"snapshot_of_flows = install_all then snapshot"
+    ~count:200
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 60) gen_engine_flow)
+        (list_size (int_range 1 20) gen_engine_packet))
+    (fun (flows, pkts) ->
+      let t = Table.create () in
+      Table.install_all t flows;
+      let live = Table.snapshot t and built = Table.snapshot_of_flows flows in
+      let find_live = Table.searcher live and find_built = Table.searcher built in
+      Table.snapshot_size built = Table.snapshot_size live
+      && List.for_all (fun pkt -> find_built pkt = find_live pkt) pkts)
+
 (* The RCU contract: a published snapshot is frozen.  A reader domain
    drains the packet vector against it while the owner domain keeps
    installing, removing, and republishing; the reader must see exactly
@@ -700,6 +715,7 @@ let () =
               prop_engine_equals_linear_oracle;
               prop_install_all_equals_sequential;
               prop_snapshot_frozen_under_churn;
+              prop_snapshot_of_flows_equals_install_all;
             ] );
       ( "switch",
         [

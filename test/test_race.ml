@@ -232,37 +232,35 @@ let test_seeded_explorer () =
         (Explore.ok clean))
     Race_suite.seeded
 
-(* A pool created while the detector is off and then used while it
-   records.  The shared pool is created lazily, by whichever code first
-   asks for it, so the soak's plain slice creates it before the
-   recording slice drives it; the pool's lock must still order the
-   queue accesses it guards, including those of a worker that went to
-   sleep in [Condition.wait] before recording began. *)
+(* A mutex created while the detector is off and then used while it
+   records.  Locks made before recording begins exist in production
+   (the metrics registry's is made at module initialisation), so the
+   detector gives such a mutex its state on first recorded use; without
+   that, the lock would order nothing and two domains writing the
+   location it guards would be reported as racing. *)
 let test_off_then_record () =
   let prev = Sync.mode () in
   Sync.set_mode Sync.Off;
-  let pool = Sdx_core.Parallel.create ~domains:2 in
-  let rec spin n acc = if n = 0 then acc else spin (n - 1) (acc + n) in
+  let m = Sync.Mutex.create ~name:"test.off_then_record" () in
   let races =
     Fun.protect
-      ~finally:(fun () ->
-        Sdx_core.Parallel.shutdown pool;
-        Sync.set_mode prev)
+      ~finally:(fun () -> Sync.set_mode prev)
       (fun () ->
         Race_suite.run_record (fun () ->
-            for _ = 1 to 20 do
-              ignore
-                (Sdx_core.Parallel.map pool
-                   (fun x -> spin 20_000 x)
-                   (List.init 32 Fun.id))
-            done))
+            let guarded = Sync.Tracked.create "test.off_then_record.guarded" in
+            let work () =
+              for _ = 1 to 100 do
+                Sync.Mutex.protect m (fun () -> Sync.Tracked.write guarded)
+              done
+            in
+            let other = Sync.Domain.spawn ~name:"recorder" work in
+            work ();
+            Sync.Domain.join other))
   in
   List.iter (fun r -> Printf.printf "  %s\n" (Sync.report_summary r)) races;
   check_int "no race reports" 0 (List.length races)
 
 let test_model_scenarios () =
-  (* the two cheap real-structure models; the expensive pool-shutdown
-     model runs under `sdxd race` (CI race job) instead *)
   check_bool "rcu snapshot model race-free" true
     (Explore.ok (Explore.run Race_suite.model_rcu_snapshot));
   let misuse = Explore.run Race_suite.model_rcu_misuse in
@@ -382,7 +380,7 @@ let () =
             test_seeded_explorer;
           Alcotest.test_case "real-structure models" `Quick
             test_model_scenarios;
-          Alcotest.test_case "pool created off, used recording" `Quick
+          Alcotest.test_case "mutex created off, used recording" `Quick
             test_off_then_record;
         ] );
       ( "lint",
